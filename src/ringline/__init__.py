@@ -11,14 +11,14 @@ from .projline import (DISTANT, EQUAL, NEIGHBOUR, LineCatalog, LineError,
                        expected_point_count, induced_point_map, is_admissible,
                        jacobson_counterpart, neighbourhood, pair_relation)
 from .pauli import (PauliError, PauliObservable, all_words, commutes,
-                    context_product_sign, make_pauli, multiply, to_matrix)
+                    context_product_sign, make_pauli, multiply)
 from .magic import (BksResult, Configuration, ConfigError, DeciderDisagreement,
                     VerificationReport, bks_decide, builtin, config_from_json,
                     config_to_json, infer_contexts, search_pentagrams,
                     search_squares, square_orbit_report, verify_magic)
 from .entangle import (BasisClassification, StabilizerGroup, bipartite_entropy,
-                       bipartite_entropy_oracle, classify_context,
-                       joint_eigenbasis, mutually_unbiased, overlap_table)
+                       classify_context, joint_eigenbasis, mutually_unbiased,
+                       overlap_table)
 from .correspond import (CondensationReport, GraphComparison, SlotBijection,
                          condensation, edge_star_points,
                          pentagram_correspondence, square_correspondence)

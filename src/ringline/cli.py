@@ -22,13 +22,12 @@ from . import entangle as en
 from . import magic as mg
 from . import projline as pl
 from . import rings as rg
-from .magic import DeciderDisagreement
-from .pauli import PauliError, make_pauli
+from .pauli import PauliError
 
 EXIT_OK, EXIT_CLAIM, EXIT_INPUT, EXIT_INTERNAL = 0, 2, 3, 4
 
 INPUT_ERRORS = (rg.RingError, pl.LineError, mg.ConfigError, PauliError,
-                en.EntangleError, ValueError)
+                en.EntangleError, ValueError, OSError)  # OSError: --config/--out
 
 
 class Claims:
@@ -189,8 +188,10 @@ def run_verify(args):
     cfg = _load_config(args)
     report = mg.verify_magic(cfg)
     claims = Claims()
-    result = mg.bks_decide(cfg) if report.magic or all(
-        c.sign is not None for c in report.contexts) else None
+    result = report.bks
+    if result is None and all(c.sign is not None for c in report.contexts):
+        # structural errors stopped verify_magic short of deciding
+        result = mg.bks_decide(cfg)
     if args.check and getattr(args, "builtin", None):
         expect = _SQUARE_EXPECT if args.builtin == "mermin_square" else _PENT_EXPECT
         for c in report.contexts:
@@ -273,8 +274,7 @@ def run_search(args):
         outcome = mg.search_pentagrams(budget=args.budget)
         results, complete = list(outcome.results), outcome.complete
         orbit = None
-    reverified = all(mg.verify_magic(c).magic and
-                     not mg.bks_decide(c).colorable for c in results)
+    reverified = all(mg.verify_magic(c).magic for c in results)
     builtin_found = _contains_builtin(results, args.kind)
     if args.check:
         claims.expect(f"search {args.kind}: built-in configuration found",
@@ -598,17 +598,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         data, lines, dot, claims = _RUNNERS[args.command](args)
         body = _render(data, lines, args.format, dot)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(body)
+        else:
+            sys.stdout.write(body)
     except INPUT_ERRORS as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
-    except DeciderDisagreement as e:
-        sys.stderr.write(f"internal error: {e}\n")
+    except Exception as e:  # a bug, not bad input: one line, no traceback
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return EXIT_INTERNAL
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(body)
-    else:
-        sys.stdout.write(body)
     return EXIT_CLAIM if claims.failed else EXIT_OK
 
 

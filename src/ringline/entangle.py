@@ -1,9 +1,14 @@
 """Stabilizer eigenbases of commuting contexts: entanglement and unbiasedness.
 
-The joint eigenbasis of a maximal commuting context is a stabilizer basis;
-bipartite entropies come from GF(2) ranks of the generator matrix (primary
-path) and from exact reduced-density-matrix ranks (oracle path).  Overlaps
-between bases are exact rationals computed from integer projectors.
+The joint eigenbasis of a maximal commuting context is a stabilizer basis,
+and every question about it is GF(2) linear algebra on the (x, z) bitmask
+rows of its generators.  Bipartite entropies are ranks of the generator
+matrix restricted to one side of the cut.  Squared overlaps follow García,
+Markov & Cross, *Efficient inner-product algorithm for stabilizer states*:
+|<a|b>|^2 is 0 when the two states give opposite signs to a Pauli they
+both stabilize up to sign, and 2^-(n-k) otherwise, where k is the
+dimension of the subgroup the two stabilizer groups share up to sign.
+The matrix oracles that check these results live in the test suite.
 """
 
 from __future__ import annotations
@@ -12,12 +17,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import gf2
-from .gaussmat import GaussMat
 from .pauli import (PauliError, PauliObservable, commutes, multiply,
-                    symplectic_rows, to_matrix)
+                    symplectic_rows)
 
 
 class EntangleError(ValueError):
@@ -36,16 +38,6 @@ class StabilizerGroup:
         for (a, _), (b, _) in itertools.combinations(self.generators, 2):
             if not commutes(a, b):
                 raise EntangleError("generators do not commute")
-
-    def projector(self) -> GaussMat:
-        """2^n times the rank-one projector onto the stabilized state."""
-        dim = 2 ** self.n
-        p = GaussMat.identity(dim)
-        for g, sign in self.generators:
-            term = GaussMat.identity(dim) + to_matrix(g).scaled(sign)
-            p = p @ term
-        # accumulated product of n factors (I + sG)/... carries 2^n scale
-        return p
 
 
 def joint_eigenbasis(context: list[PauliObservable]) -> list[StabilizerGroup]:
@@ -85,57 +77,10 @@ def bipartite_entropy(state: StabilizerGroup, part_a: set[int]) -> int:
     if not part_a or part_a >= set(range(1, n + 1)) or \
             not part_a <= set(range(1, n + 1)):
         raise EntangleError(f"bad bipartition {sorted(part_a)} for n={n}")
-    part_b = [q for q in range(1, n + 1) if q not in part_a]
-    rows = []
-    for g, _ in state.generators:
-        r = 0
-        for pos, q in enumerate(part_b):
-            if g.xbits[q - 1]:
-                r |= 1 << (2 * pos)
-            if g.zbits[q - 1]:
-                r |= 1 << (2 * pos + 1)
-        rows.append(r)
+    mask_b = sum(1 << (q - 1) for q in range(1, n + 1) if q not in part_a)
+    rows = [(g.x & mask_b) | (g.z & mask_b) << n for g, _ in state.generators]
     # 2^(n - rank) group elements restrict trivially to B, i.e. live on A
     return len(part_a) - (n - gf2.rank(rows))
-
-
-def bipartite_entropy_oracle(state: StabilizerGroup, part_a: set[int]) -> int:
-    """Reduced-density-matrix oracle: entropy = log2 rank(rho_A).
-
-    Valid because stabilizer reduced states have flat spectra; the flatness
-    is not assumed silently -- rho_A^2 is checked to be rho_A / rank up to
-    the integer scaling used here.
-    """
-    n = state.n
-    part_a = set(part_a)
-    proj = state.projector()  # 2^n * rho
-    keep = sorted(part_a)
-    traced = [q for q in range(1, n + 1) if q not in part_a]
-    if not traced or not keep:
-        raise EntangleError("bipartition must be proper")
-    rho_a = _partial_trace(proj, n, traced)
-    rank = rho_a.rank()
-    ent = rank.bit_length() - 1
-    if 2 ** ent != rank:
-        raise EntangleError("reduced stabilizer state has non-power-of-2 rank")
-    # flat-spectrum check: rho_A^2 == rho_A / rank, scaled to integers
-    if rho_a @ rho_a != rho_a.scaled(2 ** n // rank):
-        raise EntangleError("reduced stabilizer state is not flat-spectrum")
-    return ent
-
-
-def _partial_trace(m: GaussMat, n: int, traced: list[int]) -> GaussMat:
-    """Trace qubits out of a 2^n matrix; qubit 1 is the leftmost factor."""
-    shape = (2,) * (2 * n)
-    re = m.re.reshape(shape)
-    im = m.im.reshape(shape)
-    for q in sorted(traced, reverse=True):
-        axes_count = re.ndim // 2
-        # descending removal keeps qubit q at axis q-1 when its turn comes
-        re = np.trace(re, axis1=q - 1, axis2=axes_count + q - 1)
-        im = np.trace(im, axis1=q - 1, axis2=axes_count + q - 1)
-    dim = 2 ** (n - len(traced))
-    return GaussMat(re.reshape(dim, dim), im.reshape(dim, dim))
 
 
 @dataclass(frozen=True)
@@ -172,6 +117,15 @@ def classify_context(context: list[PauliObservable]) -> BasisClassification:
     return BasisClassification(tuple(context), cls, tuple(tables))
 
 
+def _product(ops: list[PauliObservable], mask: int) -> PauliObservable:
+    """Product of the ops whose index bits are set in mask."""
+    prod = PauliObservable("I" * ops[0].n)
+    for i, op in enumerate(ops):
+        if mask >> i & 1:
+            prod = multiply(prod, op)
+    return prod
+
+
 def overlap_table(context_a: list[PauliObservable],
                   context_b: list[PauliObservable]) -> list[list[Fraction]]:
     """Exact squared overlaps |<a_i|b_j>|^2 between the two joint eigenbases."""
@@ -180,16 +134,26 @@ def overlap_table(context_a: list[PauliObservable],
     n = basis_a[0].n
     if basis_b[0].n != n:
         raise EntangleError("dimension mismatch")
-    denom = 4 ** n
+    gens_a = [g for g, _ in basis_a[0].generators]
+    gens_b = [g for g, _ in basis_b[0].generators]
+    # Each left-null vector v of the stacked rows pairs a product of a's
+    # generators (bits of v below n) with a product of b's (bits from n) that
+    # is the same Pauli word; the k = 2n - rank vectors span the subgroup the
+    # two stabilizer groups share up to sign.
+    shared = gf2.left_nullspace(symplectic_rows(gens_a + gens_b), 2 * n)
+    clash = [_product(gens_a, v).phase != _product(gens_b, v >> n).phase
+             for v in shared]
+    nonzero = Fraction(1, 2 ** (n - len(shared)))
     table = []
-    for sa in basis_a:
-        pa = sa.projector()
+    # state index i flips the sign of generator j when bit j of i is set,
+    # which flips the sign of every shared Pauli whose v uses generator j
+    for ia in range(len(basis_a)):
         row = []
-        for sb in basis_b:
-            tr_re, tr_im = (pa @ sb.projector()).trace()
-            if tr_im != 0:
-                raise EntangleError("projector overlap has imaginary part")
-            row.append(Fraction(tr_re, denom))
+        for ib in range(len(basis_b)):
+            flips = ia | ib << n
+            agree = all(c == (v & flips).bit_count() & 1
+                        for v, c in zip(shared, clash))
+            row.append(nonzero if agree else Fraction(0))
         table.append(row)
     return table
 
@@ -197,8 +161,8 @@ def overlap_table(context_a: list[PauliObservable],
 def mutually_unbiased(context_a: list[PauliObservable],
                       context_b: list[PauliObservable]
                       ) -> tuple[bool, list[list[Fraction]]]:
-    """True iff every cross overlap equals exactly 1/2^n."""
+    """True iff the two contexts share no Pauli up to sign (k = 0), which
+    is exactly when every cross overlap equals 1/2^n."""
     table = overlap_table(context_a, context_b)
-    n = len(context_a[0].word)
-    target = Fraction(1, 2 ** n)
-    return (all(v == target for row in table for v in row), table)
+    n = context_a[0].n
+    return gf2.rank(symplectic_rows(context_a + context_b)) == 2 * n, table

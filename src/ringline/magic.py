@@ -39,6 +39,15 @@ class Configuration:
     context_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for ctx in self.contexts:
+            if not ctx:
+                raise ConfigError("empty context")
+            for i in ctx:
+                if not isinstance(i, int) or isinstance(i, bool):
+                    raise ConfigError(f"context index {i!r} is not an integer")
+                if not 0 <= i < len(self.observables):
+                    raise ConfigError(f"context index {i} out of range "
+                                      f"0..{len(self.observables) - 1}")
         if not self.context_labels:
             object.__setattr__(self, "context_labels",
                                tuple(f"context {i+1}"
@@ -90,6 +99,7 @@ class VerificationReport:
     contexts: tuple[ContextReport, ...]
     structural_errors: tuple[str, ...]
     magic: bool
+    bks: BksResult | None = None  # decided only for sound configurations
 
 
 @dataclass(frozen=True)
@@ -183,10 +193,9 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
         if sign is None:
             all_good = False
         reports.append(ContextReport(cfg.context_labels[ci], comm, sign, note))
-    magic = False
-    if all_good and not errs:
-        magic = not bks_decide(cfg).colorable
-    return VerificationReport(tuple(reports), errs, magic)
+    bks = bks_decide(cfg) if all_good and not errs else None
+    magic = bks is not None and not bks.colorable
+    return VerificationReport(tuple(reports), errs, magic, bks)
 
 
 def _context_signs(cfg: Configuration) -> list[int]:
@@ -488,7 +497,7 @@ def config_from_json(text: str) -> Configuration:
         return Configuration(
             int(data["n"]),
             tuple(PauliObservable(w) for w in data["observables"]),
-            tuple(tuple(int(i) for i in c) for c in data["contexts"]),
+            tuple(tuple(c) for c in data["contexts"]),
             str(data.get("geometry", "custom")))
     except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise ConfigError(f"bad configuration JSON: {e}") from e

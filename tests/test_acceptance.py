@@ -14,6 +14,7 @@ import pytest
 
 import ringline as rl
 from conftest import record_acceptance
+from matrix_oracle import bipartite_entropy_oracle
 from ringline import cli
 from ringline import correspond as co
 from ringline.magic import SQUARE_WORDS, _grid_canonical
@@ -192,7 +193,7 @@ def test_criterion_09_oracle_equivalence():
             for state in rl.joint_eigenbasis(cfg.context_ops(ci)):
                 for part in parts:
                     ok &= rl.bipartite_entropy(state, part) == \
-                        rl.bipartite_entropy_oracle(state, part)
+                        bipartite_entropy_oracle(state, part)
     check(9, "algebra agrees with the matrix oracle; entropies with the "
              "density-matrix oracle (n <= 3)", ok)
 

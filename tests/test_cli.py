@@ -167,6 +167,40 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_unreadable_paths_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "--config", str(tmp_path / "none.json"))
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error: ")
+    code, _, err = run(capsys, "ring", "--ring", "gf(4)",
+                       "--out", str(tmp_path / "none" / "report.txt"))
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("input error: ")
+
+
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("forced for the test")
+    monkeypatch.setitem(cli._RUNNERS, "ring", boom)
+    code, out, err = run(capsys, "ring", "--ring", "gf(4)")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: RuntimeError: forced for the test\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
+@pytest.mark.parametrize("contexts", [[[0, 1, 5]], [[0, 1, 2], []],
+                                      [[0, 1, 2.5]], [[0, 1, "2"]]],
+                         ids=["out-of-range", "empty", "float", "string"])
+def test_invalid_config_exit_code(capsys, tmp_path, command, contexts):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "observables": ["XI", "IX", "XX"],
+                                "contexts": contexts}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_size_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("RINGLINE_SIZE_CAP", "4")
     code, _, err = run(capsys, "ring", "--ring", "gf(8)")

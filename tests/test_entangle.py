@@ -1,14 +1,22 @@
 """Stabilizer eigenbases: entropies against the density-matrix oracle,
-entanglement classes, mutual unbiasedness."""
+entanglement classes, mutual unbiasedness against the projector oracle."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringline as rl
+from matrix_oracle import (bipartite_entropy_oracle, overlap_table_oracle,
+                           projector)
+from ringline import gf2
 from ringline.entangle import EntangleError
-from ringline.pauli import PauliObservable
+from ringline.pauli import PauliObservable, all_words, symplectic_rows
 
 
 def _ops(*words):
@@ -45,11 +53,11 @@ def test_joint_eigenbasis_needs_full_rank():
 def test_joint_eigenbasis_projectors_resolve_identity():
     basis = rl.joint_eigenbasis(_ops("XX", "YY", "ZZ"))
     assert len(basis) == 4
-    total = basis[0].projector()
+    total = projector(basis[0])
     for state in basis[1:]:
-        total = total + state.projector()
+        total = total + projector(state)
     # sum of the four rank-one projectors, each carried at 4x scale
-    ident = rl.StabilizerGroup(2, ()).projector()
+    ident = projector(rl.StabilizerGroup(2, ()))
     assert total == ident.scaled(4)
 
 
@@ -63,7 +71,7 @@ def test_entropy_matches_oracle_everywhere():
         for state in rl.joint_eigenbasis(ops):
             for part in parts:
                 assert rl.bipartite_entropy(state, part) == \
-                    rl.bipartite_entropy_oracle(state, part)
+                    bipartite_entropy_oracle(state, part)
 
 
 def test_entropy_examples():
@@ -138,3 +146,54 @@ def test_overlap_rows_sum_to_one():
     table = rl.overlap_table(_ops("XX", "YY", "ZZ"), _ops("XI", "IX", "XX"))
     for row in table:
         assert sum(row) == 1
+
+
+def test_overlaps_match_projector_oracle_on_builtins():
+    for cfg in (rl.builtin("mermin_square"), rl.builtin("mermin_pentagram")):
+        for a, b in itertools.combinations(range(len(cfg.contexts)), 2):
+            ops_a, ops_b = cfg.context_ops(a), cfg.context_ops(b)
+            assert rl.overlap_table(ops_a, ops_b) == \
+                overlap_table_oracle(ops_a, ops_b)
+
+
+@st.composite
+def _maximal_context(draw, n):
+    """First n words of a random ordering that commute with and are
+    independent of the words already taken; every Lagrangian is reachable."""
+    chosen = []
+    for w in draw(st.permutations(all_words(n))):
+        if all(rl.commutes(w, c) for c in chosen) and \
+                gf2.rank(symplectic_rows(chosen + [w])) == len(chosen) + 1:
+            chosen.append(w)
+            if len(chosen) == n:
+                return chosen
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_overlaps_match_projector_oracle(n, data):
+    ops_a, ops_b = data.draw(_maximal_context(n)), data.draw(_maximal_context(n))
+    table = rl.overlap_table(ops_a, ops_b)
+    assert table == overlap_table_oracle(ops_a, ops_b)
+    mu, _ = rl.mutually_unbiased(ops_a, ops_b)
+    assert mu == all(v == Fraction(1, 2 ** n) for row in table for v in row)
+
+
+def test_five_qubit_z_and_x_bases_unbiased():
+    # beyond the n <= 4 cap of the matrix oracle
+    z_basis = [PauliObservable("I" * q + "Z" + "I" * (4 - q)) for q in range(5)]
+    x_basis = [PauliObservable("I" * q + "X" + "I" * (4 - q)) for q in range(5)]
+    mu, table = rl.mutually_unbiased(z_basis, x_basis)
+    assert mu
+    assert len(table) == 32
+    assert all(v == Fraction(1, 32) for row in table for v in row)
+
+
+def test_cli_does_not_load_the_matrix_oracle():
+    src = os.path.dirname(os.path.dirname(rl.__file__))
+    probe = "import sys, ringline.cli; print('ringline.gaussmat' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"

@@ -1,17 +1,20 @@
 """Pauli words: parsing, products, commutation, against the matrix oracle.
 
 The oracle builds complex128 matrices with numpy Kronecker products and
-literal 1j entries, independent of the package's exact integer matrices
-and of the hand-written letter product table.
+literal 1j entries, independent of the exact Gaussian-integer matrices in
+matrix_oracle and of the package's bitmask phase rule.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringline as rl
-from ringline.pauli import (PauliError, all_words, symplectic_rows, to_matrix)
+from matrix_oracle import to_matrix
+from ringline.pauli import LETTERS, PauliError, all_words, symplectic_rows
 
 _ORACLE_SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -88,6 +91,22 @@ def test_commutes_matches_matrix_oracle(n):
     for p, q in itertools.combinations(words, 2):
         a, b = mats[p.word], mats[q.word]
         assert rl.commutes(p, q) == np.array_equal(a @ b, b @ a)
+
+
+def _words(n):
+    return st.builds(rl.PauliObservable,
+                     st.text(alphabet=LETTERS, min_size=n, max_size=n),
+                     st.integers(0, 3))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_words_match_matrix_oracle(n, data):
+    p, q = data.draw(_words(n)), data.draw(_words(n))
+    a, b = oracle_matrix(p), oracle_matrix(q)
+    assert np.array_equal(oracle_matrix(rl.multiply(p, q)), a @ b)
+    assert rl.commutes(p, q) == np.array_equal(a @ b, b @ a)
 
 
 def test_to_matrix_matches_oracle():
