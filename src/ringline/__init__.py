@@ -19,8 +19,8 @@ from .magic import (BksResult, Configuration, ConfigError, DeciderDisagreement,
 from .entangle import (BasisClassification, StabilizerGroup, bipartite_entropy,
                        classify_context, joint_eigenbasis, mutually_unbiased,
                        overlap_table)
-from .correspond import (CondensationReport, GraphComparison, SlotBijection,
-                         condensation, edge_star_points,
+from .correspond import (CondensationReport, CorrespondError, GraphComparison,
+                         SlotBijection, condensation, edge_star_points,
                          pentagram_correspondence, square_correspondence)
 
 __version__ = "0.1.0"

@@ -27,7 +27,8 @@ from .pauli import PauliError
 EXIT_OK, EXIT_CLAIM, EXIT_INPUT, EXIT_INTERNAL = 0, 2, 3, 4
 
 INPUT_ERRORS = (rg.RingError, pl.LineError, mg.ConfigError, PauliError,
-                en.EntangleError, ValueError, OSError)  # OSError: --config/--out
+                en.EntangleError, co.CorrespondError,
+                OSError)  # OSError: --config/--out
 
 
 class Claims:
@@ -65,7 +66,11 @@ class Claims:
 
 
 def _size_cap() -> int:
-    return int(os.environ.get("RINGLINE_SIZE_CAP", rg.DEFAULT_SIZE_CAP))
+    text = os.environ.get("RINGLINE_SIZE_CAP", str(rg.DEFAULT_SIZE_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise rg.RingError(f"RINGLINE_SIZE_CAP={text!r} is not an integer") from None
 
 
 def _json_default(o):
@@ -164,8 +169,10 @@ def run_line(args):
     lines += ["  " + str(p) for p in catalog.points]
     for k, v in data["distinguished"].items():
         lines.append(f"{k}: " + (" ".join(v) or "(none)"))
-    dot = pl.catalog_dot(catalog, pl.NEIGHBOUR if args.graph == "neighbour"
-                         else pl.DISTANT)
+    dot = None
+    if args.format == "dot":
+        dot = pl.catalog_dot(catalog, pl.NEIGHBOUR if args.graph == "neighbour"
+                             else pl.DISTANT)
     _finish_claims(claims, data, lines)
     return data, lines, dot, claims
 
@@ -378,9 +385,12 @@ def run_entangle(args):
 def _parse_permutation(text, size):
     if text is None:
         return None
-    perm = tuple(int(t) for t in text.split(","))
-    if sorted(perm) != list(range(size)):
-        raise ValueError(f"permutation must rearrange 0..{size - 1}")
+    try:
+        perm = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        perm = None
+    if perm is None or sorted(perm) != list(range(size)):
+        raise co.CorrespondError(f"permutation must rearrange 0..{size - 1}")
     return perm
 
 
@@ -440,7 +450,7 @@ def run_correspond(args):
                                         "edge right/lower-left")))
             claims.expect("jacobson: the horizontal edge has no star point",
                           by_label["horizontal"] == ())
-    dot = _correspond_dot(bij, cmp)
+    dot = _correspond_dot(bij, cmp) if args.format == "dot" else None
     _finish_claims(claims, data, lines)
     return data, lines, dot, claims
 
@@ -466,7 +476,7 @@ def _correspond_dot(bij, cmp):
 def run_map(args):
     claims = Claims()
     if args.ring.lower().replace(" ", "") != co.R_CLUB_SPEC:
-        raise ValueError(f"condensation is defined for {co.R_CLUB_SPEC}")
+        raise co.CorrespondError(f"condensation is defined for {co.R_CLUB_SPEC}")
     rep = co.condensation(args.variant)
     per_edge = dict(rep.per_edge_images)
     if args.check:

@@ -52,6 +52,10 @@ JACOBSON_LAYOUT = (
 VARIANTS = ("neighbourhood", "jacobson")
 
 
+class CorrespondError(ValueError):
+    """Bad slot permutation, variant or source ring."""
+
+
 @lru_cache(maxsize=None)
 def club_catalog() -> LineCatalog:
     return enumerate_points(build_ring(R_CLUB_SPEC))
@@ -95,7 +99,7 @@ def square_grid_points() -> tuple[ProjPoint, ...]:
 def pentagram_layout_points(variant: str) -> tuple[ProjPoint, ...]:
     layouts = {"neighbourhood": NEIGHBOURHOOD_LAYOUT, "jacobson": JACOBSON_LAYOUT}
     if variant not in layouts:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise CorrespondError(f"variant must be one of {VARIANTS}")
     return _points(club_catalog(), layouts[variant])
 
 

@@ -48,6 +48,8 @@ class Configuration:
                 if not 0 <= i < len(self.observables):
                     raise ConfigError(f"context index {i} out of range "
                                       f"0..{len(self.observables) - 1}")
+            if len(set(ctx)) != len(ctx):
+                raise ConfigError(f"context {list(ctx)} repeats an observable")
         if not self.context_labels:
             object.__setattr__(self, "context_labels",
                                tuple(f"context {i+1}"
@@ -208,13 +210,11 @@ def _exhaustive_valuation(cfg: Configuration, signs: list[int]):
     m = len(cfg.observables)
     if m > 20:
         raise ConfigError("exhaustive decider capped at 20 observables")
-    count = 1 << m
-    assigns = np.arange(count, dtype=np.int64)
-    bits = (assigns[:, None] >> np.arange(m)) & 1  # bit=1 means value -1
-    ok = np.ones(count, dtype=bool)
+    assigns = np.arange(1 << m, dtype=np.uint32)  # bit i set: observable i is -1
+    ok = np.ones(len(assigns), dtype=bool)
     for ctx, sign in zip(cfg.contexts, signs):
-        parity = bits[:, list(ctx)].sum(axis=1) % 2
-        ok &= parity == (0 if sign == 1 else 1)
+        mask = np.uint32(sum(1 << i for i in ctx))
+        ok &= (np.bitwise_count(assigns & mask) & 1) == (0 if sign == 1 else 1)
     hits = np.nonzero(ok)[0]
     if len(hits) == 0:
         return None
@@ -499,5 +499,7 @@ def config_from_json(text: str) -> Configuration:
             tuple(PauliObservable(w) for w in data["observables"]),
             tuple(tuple(c) for c in data["contexts"]),
             str(data.get("geometry", "custom")))
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
+    except (ConfigError, PauliError):
+        raise
+    except (KeyError, TypeError, ValueError) as e:  # ValueError: bad JSON or n
         raise ConfigError(f"bad configuration JSON: {e}") from e

@@ -1,11 +1,16 @@
 """Projective lines over finite rings: points, neighbour/distant relation.
 
 A pair (a, b) over a ring R is *admissible* when it extends to an
-invertible 2x2 matrix, i.e. some (c, d) makes ad - bc a unit; points of
+invertible 2x2 matrix, i.e. some (c, d) makes ad - bc a unit; over a
+commutative ring that holds iff aR + bR = R (Blunck & Havlicek).  Points of
 the line are unit-scaling orbits of admissible pairs, represented by the
 lexicographically least pair of the orbit.  Two points are *distant* when
-their cross-determinant is a unit and *neighbours* otherwise.  Everything
-is decided by brute force over the (tiny) rings in scope.
+their cross-determinant is a unit and *neighbours* otherwise.
+
+Everything runs on the ring's index tables (``Ring.tables``): admissibility
+is looked up per pair of principal ideals, each admissible pair's canonical
+code is the least ``u*a, u*b`` over the units u, and the relation is one
+vectorized determinant matrix.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rings import (MixedRingError, ProductRing, Ring, RingElement,
-                    RingHomomorphism, jacobson_radical)
+                    RingHomomorphism, RingTables, jacobson_radical)
 
 EQUAL, NEIGHBOUR, DISTANT = "equal", "neighbour", "distant"
 _REL_CODE = {EQUAL: 0, NEIGHBOUR: 1, DISTANT: 2}
@@ -45,18 +52,12 @@ class ProjPoint:
         return (self.ring.el_value(self.a), self.ring.el_value(self.b))
 
 
-def _det(ring: Ring, a, b, c, d):
-    return ring.sub(ring.mul(a, d), ring.mul(b, c))
-
-
 def is_admissible(ring: Ring, a, b) -> bool:
-    """True iff some (c, d) completes (a, b) to a unit determinant."""
-    units = _unit_set(ring)
-    for c in ring.elements():
-        for d in ring.elements():
-            if _det(ring, a, b, c, d) in units:
-                return True
-    return False
+    """True iff aR + bR = R, i.e. some (c, d) completes (a, b) to a unit
+    determinant; a unit coordinate decides it at once."""
+    t = ring.tables
+    i, j = t.index[a], t.index[b]
+    return bool(t.unit[i] or t.unit[j] or t.unimodular[i, j])
 
 
 def is_admissible_componentwise(ring: ProductRing, a, b) -> bool:
@@ -65,14 +66,15 @@ def is_admissible_componentwise(ring: ProductRing, a, b) -> bool:
                for f, x, y in zip(ring.factors, a, b))
 
 
-_unit_cache: dict = {}
-
-
-def _unit_set(ring: Ring) -> frozenset:
-    key = ring.spec_key
-    if key not in _unit_cache:
-        _unit_cache[key] = frozenset(ring.units())
-    return _unit_cache[key]
+def _canonical_codes(t: RingTables, a, b):
+    """Per pair of indices (a[i], b[i]), or for one pair (a, b), the least
+    code u*a * n + u*b over the units u: the code of the orbit's
+    lexicographically least pair."""
+    best = None
+    for u in np.flatnonzero(t.unit):
+        code = t.mul[u, a] * t.n + t.mul[u, b]
+        best = code if best is None else np.minimum(best, code)
+    return best
 
 
 def canonicalize(ring: Ring, a, b) -> ProjPoint:
@@ -80,13 +82,9 @@ def canonicalize(ring: Ring, a, b) -> ProjPoint:
     if not is_admissible(ring, a, b):
         raise LineError(
             f"pair ({ring.el_str(a)},{ring.el_str(b)}) is not admissible")
-    best = None
-    for u in _unit_set(ring):
-        cand = (ring.mul(u, a), ring.mul(u, b))
-        key = (ring.el_value(cand[0]), ring.el_value(cand[1]))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return ProjPoint(ring, *best[1])
+    t = ring.tables
+    code = int(_canonical_codes(t, t.index[a], t.index[b]))
+    return ProjPoint(ring, t.els[code // t.n], t.els[code % t.n])
 
 
 @dataclass(frozen=True)
@@ -111,15 +109,17 @@ class LineCatalog:
 
 def enumerate_points(ring: Ring) -> LineCatalog:
     """All canonical points in lexicographic order plus the relation matrix."""
-    seen = {}
-    for a in ring.elements():
-        for b in ring.elements():
-            if is_admissible(ring, a, b):
-                p = canonicalize(ring, a, b)
-                seen[(p.a, p.b)] = p
-    points = sorted(seen.values(), key=lambda p: p._key())
-    rel = tuple(tuple(pair_relation(p, q)[0] for q in points) for p in points)
-    return LineCatalog(ring, tuple(points), rel)
+    t = ring.tables
+    a, b = np.nonzero(t.unimodular)  # row-major: a*n + b ascends
+    canonical = _canonical_codes(t, a, b) == a * t.n + b
+    pa, pb = a[canonical], b[canonical]
+    points = tuple(ProjPoint(ring, t.els[i], t.els[j])
+                   for i, j in zip(pa.tolist(), pb.tolist()))
+    det = t.add[t.mul[np.ix_(pa, pb)], t.neg[t.mul[np.ix_(pb, pa)]]]
+    rel = np.where(t.unit[det], _REL_CODE[DISTANT], _REL_CODE[NEIGHBOUR])
+    np.fill_diagonal(rel, _REL_CODE[EQUAL])
+    names = np.array(list(_REL_CODE), dtype=object)  # names[code] is the relation
+    return LineCatalog(ring, points, tuple(map(tuple, names[rel].tolist())))
 
 
 def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, RingElement]:
@@ -127,11 +127,13 @@ def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, RingElement]:
     if p.ring != q.ring:
         raise MixedRingError("points on lines over different rings")
     ring = p.ring
-    d = _det(ring, p.a, p.b, q.a, q.b)
+    t = ring.tables
+    d = t.add[t.mul[t.index[p.a], t.index[q.b]],
+              t.neg[t.mul[t.index[p.b], t.index[q.a]]]]
+    witness = RingElement(ring, t.els[d])
     if (p.a, p.b) == (q.a, q.b):
-        return (EQUAL, RingElement(ring, d))
-    rel = DISTANT if d in _unit_set(ring) else NEIGHBOUR
-    return (rel, RingElement(ring, d))
+        return (EQUAL, witness)
+    return (DISTANT if t.unit[d] else NEIGHBOUR, witness)
 
 
 def neighbourhood(catalog: LineCatalog, p: ProjPoint) -> set[ProjPoint]:
@@ -150,7 +152,7 @@ def distinguished_subsets(catalog: LineCatalog) -> dict[str, set[ProjPoint]]:
     """gf2 subline (0/1 coordinates), both-zero-divisor and unit-unit points."""
     ring = catalog.ring
     zd = set(ring.zero_divisors())
-    units = _unit_set(ring)
+    units = set(ring.units())
     zero_one = {ring.zero, ring.one}
     return {
         "gf2_subline": {p for p in catalog.points
@@ -176,7 +178,7 @@ def expected_point_count(ring: Ring) -> int | None:
     J = jacobson_radical(ring)
     residue = ring.size // len(J)
     # local iff every non-unit is nilpotent
-    nonunits = ring.size - len(_unit_set(ring))
+    nonunits = ring.size - len(ring.units())
     if nonunits == len(J):
         return (residue + 1) * len(J)
     return None
@@ -224,11 +226,11 @@ def catalog_json(catalog: LineCatalog) -> str:
 def catalog_dot(catalog: LineCatalog, which: str = DISTANT) -> str:
     if which not in (DISTANT, NEIGHBOUR):
         raise LineError("dot export covers the distant or neighbour graph")
+    names = [str(p) for p in catalog.points]
     lines = [f'graph "{which} graph over {catalog.ring.spec_str()}" {{']
-    for p in catalog.points:
-        lines.append(f'  "{p}";')
-    for i, j in itertools.combinations(range(len(catalog.points)), 2):
+    lines += [f'  "{name}";' for name in names]
+    for i, j in itertools.combinations(range(len(names)), 2):
         if catalog.relation[i][j] == which:
-            lines.append(f'  "{catalog.points[i]}" -- "{catalog.points[j]}";')
+            lines.append(f'  "{names[i]}" -- "{names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,17 +9,22 @@ Three constructors cover everything in scope:
   * ``ProductRing(factors)`` -- direct products such as GF(2) x GF(2).
 
 All elements are canonical immutable payloads (nested tuples of small
-ints); equality of payloads is equality of elements.  Every structural
-question (units, zero-divisors, radical, homomorphism validity) is decided
-by exhaustive search, which is the point: ring sizes are capped (default
-256) and nothing here should ever be approximate or clever.
+ints); equality of payloads is equality of elements.  The payload
+arithmetic builds and prints elements.  Every structural question (units,
+zero-divisors, radical, homomorphism validity) is answered from the ring's
+``tables``: element i is the i-th element in ``el_value`` order, and integer
+``add``/``mul`` tables over those indices are built once per ring, on first
+use, by vectorized digit arithmetic (no payload call per pair).  Ring sizes
+are capped (default 256) and every answer is exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+
+import numpy as np
 
 DEFAULT_SIZE_CAP = 256
 
@@ -121,6 +126,68 @@ def _poly_value(c: tuple[int, ...], p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# table kernel
+
+
+def _poly_tables(add, mul, neg, modulus: tuple[int, ...]):
+    """add/mul tables of F[x]/(f) from F's index tables (index 0 is zero).
+
+    ``modulus`` holds the monic f's coefficients as F indices, little-endian.
+    Element v of the quotient has the base-|F| digits of v as the indices of
+    its coefficients, little-endian, which is ``el_value`` order.
+    """
+    q, d = len(neg), len(modulus) - 1
+    weights = q ** np.arange(d)
+    digits = (np.arange(q ** d)[:, None] // weights) % q
+    left, right = digits[:, None, :], digits[None, :, :]
+    sums = add[left, right] @ weights
+    coeff = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            coeff[i + j] = add[coeff[i + j], mul[left[..., i], right[..., j]]]
+    for top in range(2 * d - 2, d - 1, -1):  # subtract lead * x^(top-d) * f
+        lead = coeff[top]
+        for i in range(d):
+            coeff[top - d + i] = add[coeff[top - d + i], neg[mul[lead, modulus[i]]]]
+    return sums, sum(coeff[i] * weights[i] for i in range(d))
+
+
+class RingTables:
+    """A ring in index form: element i is ``els[i]``, in ``el_value`` order.
+
+    ``add`` and ``mul`` are n x n index tables, ``neg`` the additive
+    inverses, ``unit`` the unit mask; ``zero`` and ``one`` are indices and
+    ``index`` maps payloads back to indices.
+    """
+
+    def __init__(self, ring: "Ring", add: np.ndarray, mul: np.ndarray):
+        self.els = ring.sorted_elements()
+        self.n = len(self.els)
+        self.index = {a: i for i, a in enumerate(self.els)}
+        self.add, self.mul = add, mul
+        self.zero, self.one = self.index[ring.zero], self.index[ring.one]
+        self.neg = np.argmax(add == self.zero, axis=1)
+        self.unit = (mul == self.one).any(axis=1)
+
+    @cached_property
+    def unimodular(self) -> np.ndarray:
+        """n x n mask of the pairs (a, b) with aR + bR = R.
+
+        Decided once per pair of distinct principal ideals: 1 lies in
+        I + J iff 1 - y lies in I for some y in J.
+        """
+        n = self.n
+        member = np.zeros((n, n), dtype=bool)  # member[a, x]: x in aR
+        member[np.arange(n)[:, None], self.mul] = True
+        ideals, ideal_of = np.unique(member, axis=0, return_inverse=True)
+        one_minus = self.add[self.one, self.neg]
+        comaximal = (ideals[:, one_minus].astype(np.int32)
+                     @ ideals.T.astype(np.int32)) > 0
+        ideal_of = ideal_of.reshape(-1)
+        return comaximal[ideal_of[:, None], ideal_of[None, :]]
+
+
+# ---------------------------------------------------------------------------
 # rings
 
 
@@ -161,6 +228,10 @@ class Ring:
     def spec_str(self) -> str:
         raise NotImplementedError
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(add, mul) index tables in ``sorted_elements`` order."""
+        raise NotImplementedError
+
     # -- shared machinery ----------------------------------------------------
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec_key == other.spec_key
@@ -185,30 +256,40 @@ class Ring:
     def sorted_elements(self) -> list:
         return sorted(self.elements(), key=self.el_value)
 
+    @cached_property
+    def tables(self) -> RingTables:
+        return RingTables(self, *self._tables())
+
     def classify(self, a) -> tuple[str, object | None]:
         """('zero', None) | ('unit', inverse) | ('zero-divisor', annihilator).
 
-        Brute force; the three classes partition any finite commutative ring.
+        The annihilator is the least nonzero one; the three classes
+        partition any finite commutative ring.
         """
-        if a == self.zero:
+        t = self.tables
+        i = t.index[a]
+        if i == t.zero:
             return ("zero", None)
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                return ("unit", b)
-        for b in self.elements():
-            if b != self.zero and self.mul(a, b) == self.zero:
-                return ("zero-divisor", b)
-        raise AssertionError("finite commutative ring trichotomy violated")
+        row = t.mul[i]
+        if t.unit[i]:
+            return ("unit", t.els[np.argmax(row == t.one)])
+        ann = np.flatnonzero(row == t.zero)
+        ann = ann[ann != t.zero]
+        if not len(ann):
+            raise AssertionError("finite commutative ring trichotomy violated")
+        return ("zero-divisor", t.els[ann[0]])
 
     def units(self) -> list:
-        return [a for a in self.sorted_elements() if self.classify(a)[0] == "unit"]
+        t = self.tables
+        return [t.els[i] for i in np.flatnonzero(t.unit)]
 
     def zero_divisors(self) -> list:
-        return [a for a in self.sorted_elements()
-                if self.classify(a)[0] == "zero-divisor"]
+        t = self.tables
+        return [t.els[i] for i in np.flatnonzero(~t.unit) if i != t.zero]
 
     def is_unit(self, a) -> bool:
-        return self.classify(a)[0] == "unit"
+        t = self.tables
+        return bool(t.unit[t.index[a]])
 
     def element_from_str(self, s: str):
         """Look an element up by its printed form (whitespace-insensitive)."""
@@ -268,6 +349,14 @@ class GaloisField(Ring):
 
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
+
+    def _tables(self):
+        r = np.arange(self.p)
+        add = np.add.outer(r, r) % self.p
+        mul = np.multiply.outer(r, r) % self.p
+        if self.k == 1:
+            return add, mul
+        return _poly_tables(add, mul, -r % self.p, self.modulus)
 
     @property
     def zero(self):
@@ -358,6 +447,11 @@ class QuotientRing(Ring):
                 out[shift + i] = F.sub(out[shift + i], F.mul(lead, self.modulus[i]))
         return tuple(out[: self.deg])
 
+    def _tables(self):
+        F = self.base.tables
+        return _poly_tables(F.add, F.mul, F.neg,
+                            tuple(F.index[c] for c in self.modulus))
+
     @property
     def zero(self):
         return (self.base.zero,) * self.deg
@@ -411,6 +505,20 @@ class ProductRing(Ring):
     def neg(self, a):
         return tuple(f.neg(x) for f, x in zip(self.factors, a))
 
+    def _tables(self):
+        """Mixed radix, the first factor most significant (``el_value`` is
+        the tuple of factor values)."""
+        idx = np.arange(self.size)
+        add = np.zeros((self.size, self.size), dtype=np.intp)
+        mul = np.zeros_like(add)
+        stride = self.size
+        for f in self.factors:
+            stride //= f.size
+            d = (idx // stride) % f.size
+            add += f.tables.add[d[:, None], d[None, :]] * stride
+            mul += f.tables.mul[d[:, None], d[None, :]] * stride
+        return add, mul
+
     @property
     def zero(self):
         return tuple(f.zero for f in self.factors)
@@ -435,22 +543,23 @@ class CosetRing(Ring):
     def __init__(self, base: Ring, ideal: frozenset):
         self.base = base
         self.ideal = ideal
-        rep_of = {}
-        reps = []
-        for a in base.sorted_elements():
-            coset = sorted((base.add(a, j) for j in ideal), key=base.el_value)
-            rep = coset[0]
-            for c in coset:
-                rep_of[c] = rep
-            if rep == a:
-                reps.append(a)
-        self.rep_of = rep_of
-        self._elements = reps
-        self.size = len(reps)
+        t = base.tables
+        # least coset member; index order is el_value order
+        self._rep_idx = t.add[:, [t.index[j] for j in ideal]].min(axis=1)
+        self._reps = np.flatnonzero(self._rep_idx == np.arange(t.n))
+        self.rep_of = {a: t.els[r] for a, r in zip(t.els, self._rep_idx)}
+        self._elements = [t.els[r] for r in self._reps]
+        self.size = len(self._reps)
         self.spec_key = ("coset", base.spec_key, tuple(sorted(ideal, key=base.el_value)))
 
     def elements(self):
         return list(self._elements)
+
+    def _tables(self):
+        t = self.base.tables
+        coset_of = np.searchsorted(self._reps, self._rep_idx)
+        block = np.ix_(self._reps, self._reps)
+        return coset_of[t.add[block]], coset_of[t.mul[block]]
 
     def add(self, a, b):
         return self.rep_of[self.base.add(a, b)]
@@ -620,6 +729,8 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
                     e = int(ptext[i:j])
                     i = j
             coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
+        if not coeffs:
+            fail("empty modulus polynomial")
         deg = max(coeffs)
         return tuple(coeffs.get(i, 0) % p for i in range(deg + 1))
 
@@ -716,34 +827,32 @@ class RingHomomorphism:
                                 {a: self.table[b] for a, b in inner.table.items()})
 
 
+def _is_hom(R: RingTables, S: RingTables, img: np.ndarray) -> bool:
+    """img (R index -> S index) preserves 0, 1, + and *."""
+    pair = (img[:, None], img[None, :])
+    return (img[R.zero] == S.zero and img[R.one] == S.one
+            and np.array_equal(img[R.add], S.add[pair])
+            and np.array_equal(img[R.mul], S.mul[pair]))
+
+
 def validate_hom(h: RingHomomorphism) -> bool:
-    """Exhaustive check: preserves 0, 1, + and *."""
-    R, S, t = h.source, h.target, h.table
-    els = R.elements()
-    if set(t) != set(els):
+    """Exhaustive check, on the tables: preserves 0, 1, + and *."""
+    R, S, t = h.source.tables, h.target.tables, h.table
+    if set(t) != set(R.els) or not all(t[a] in S.index for a in R.els):
         return False
-    if t[R.zero] != S.zero or t[R.one] != S.one:
-        return False
-    for a in els:
-        for b in els:
-            if t[R.add(a, b)] != S.add(t[a], t[b]):
-                return False
-            if t[R.mul(a, b)] != S.mul(t[a], t[b]):
-                return False
-    return True
+    return _is_hom(R, S, np.array([S.index[t[a]] for a in R.els]))
 
 
 def jacobson_radical(ring: Ring) -> list:
-    """Nilpotent elements (= Jacobson radical for finite commutative rings)."""
-    out = []
-    for a in ring.sorted_elements():
-        x = a
-        for _ in range(ring.size):
-            if x == ring.zero:
-                out.append(a)
-                break
-            x = ring.mul(x, a)
-    return out
+    """Nilpotent elements (= Jacobson radical for finite commutative rings).
+
+    a is nilpotent iff a^(2^k) = 0 for 2^k > |R|: repeated table squaring.
+    """
+    t = ring.tables
+    power = np.arange(t.n)
+    for _ in range(t.n.bit_length()):
+        power = t.mul[power, power]
+    return [t.els[i] for i in np.flatnonzero(power == t.zero)]
 
 
 def quotient_by_radical(ring: Ring) -> tuple[Ring, RingHomomorphism]:
@@ -761,12 +870,14 @@ def find_isomorphism(A: Ring, B: Ring) -> RingHomomorphism | None:
         return None
     if A.size > 16:
         raise RingError("isomorphism search is exhaustive; ring too large")
-    a_els = [a for a in A.sorted_elements() if a not in (A.zero, A.one)]
-    b_els = [b for b in B.sorted_elements() if b not in (B.zero, B.one)]
-    for perm in itertools.permutations(b_els):
-        table = {A.zero: B.zero, A.one: B.one}
-        table.update(dict(zip(a_els, perm)))
-        h = RingHomomorphism(A, B, table)
-        if validate_hom(h):
-            return h
+    R, S = A.tables, B.tables
+    a_idx = [i for i in range(R.n) if i not in (R.zero, R.one)]
+    b_idx = [j for j in range(S.n) if j not in (S.zero, S.one)]
+    img = np.empty(R.n, dtype=np.intp)
+    img[R.zero], img[R.one] = S.zero, S.one
+    for perm in itertools.permutations(b_idx):
+        img[a_idx] = perm
+        if _is_hom(R, S, img):
+            return RingHomomorphism(A, B, {R.els[i]: S.els[j]
+                                           for i, j in enumerate(img)})
     return None

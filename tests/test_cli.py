@@ -145,6 +145,30 @@ def test_bad_permutation_exit_code(capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_non_integer_permutation_exit_code(capsys):
+    code, out, err = run(capsys, "correspond", "--variant", "jacobson",
+                         "--permute", "0,1,2,3,4,5,6,7,8,nine")
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err.startswith("input error: permutation")
+
+
+def test_map_other_ring_exit_code(capsys):
+    code, out, err = run(capsys, "map", "--ring", "gf(4)",
+                         "--variant", "jacobson")
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err.startswith("input error: condensation")
+
+
+def test_internal_value_error_exit_code(capsys, monkeypatch):
+    # a ValueError from inside the package is a bug, not bad input
+    def boom(variant):
+        raise ValueError("forced for the test")
+    monkeypatch.setattr("ringline.correspond.condensation", boom)
+    code, _, err = run(capsys, "map", "--variant", "jacobson")
+    assert code == cli.EXIT_INTERNAL
+    assert err == "internal error: ValueError: forced for the test\n"
+
+
 def test_unknown_argument_exit_code(capsys):
     code, _, _ = run(capsys, "ring", "--ring", "gf(4)", "--bogus")
     assert code == cli.EXIT_INPUT
@@ -189,8 +213,10 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
 @pytest.mark.parametrize("contexts", [[[0, 1, 5]], [[0, 1, 2], []],
-                                      [[0, 1, 2.5]], [[0, 1, "2"]]],
-                         ids=["out-of-range", "empty", "float", "string"])
+                                      [[0, 1, 2.5]], [[0, 1, "2"]],
+                                      [[0, 1, 2], [0, 0, 1, 1]]],
+                         ids=["out-of-range", "empty", "float", "string",
+                              "repeated"])
 def test_invalid_config_exit_code(capsys, tmp_path, command, contexts):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 2, "observables": ["XI", "IX", "XX"],
@@ -201,11 +227,28 @@ def test_invalid_config_exit_code(capsys, tmp_path, command, contexts):
     assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
+def test_non_numeric_qubit_count_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "two", "observables": ["XI", "IX", "XX"],
+                                "contexts": [[0, 1, 2]]}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err.startswith("input error: bad configuration JSON")
+
+
 def test_size_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("RINGLINE_SIZE_CAP", "4")
     code, _, err = run(capsys, "ring", "--ring", "gf(8)")
     assert code == cli.EXIT_INPUT
     assert "input error" in err
+
+
+def test_non_integer_size_cap_env(capsys, monkeypatch):
+    monkeypatch.setenv("RINGLINE_SIZE_CAP", "lots")
+    code, out, err = run(capsys, "line", "--ring", "gf(4)")
+    assert code == cli.EXIT_INPUT
+    assert out == "" and err.startswith("input error: RINGLINE_SIZE_CAP")
 
 
 # --- determinism ------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""The ring table kernel against payload arithmetic and brute-force oracles.
+
+Random rings are GF(p^k)[x]/(f) for random monic f, Galois fields and
+two-factor products, all of at most 32 elements.  The sweep covers every
+monic f over every GF(q) with q^deg f <= 32, and every two-factor product
+of at most 32 elements whose factors are fields or quotients of degree >= 2
+(a degree-1 quotient is a relabelled field).
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ringline as rl
+from ringline.rings import GaloisField, ProductRing, QuotientRing
+from ring_oracle import MemoRing, oracle_line, oracle_units, oracle_unimodular
+
+MAX_SIZE = 32
+FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+          for k in range(1, 6) if p ** k <= MAX_SIZE]
+
+
+@st.composite
+def atoms(draw, limit):
+    p, k = draw(st.sampled_from([f for f in FIELDS if f[0] ** f[1] <= limit]))
+    field = GaloisField(p, k)
+    deg = draw(st.integers(0, max(d for d in range(1, 6)
+                                  if field.size ** d <= limit)))
+    if deg == 0:
+        return field
+    coeffs = draw(st.lists(st.sampled_from(field.elements()),
+                           min_size=deg, max_size=deg))
+    return QuotientRing(field, tuple(coeffs) + (field.one,))
+
+
+@st.composite
+def small_rings(draw):
+    if draw(st.booleans()):
+        return draw(atoms(MAX_SIZE))
+    left = draw(atoms(MAX_SIZE // 2))
+    return ProductRing([left, draw(atoms(MAX_SIZE // left.size))])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_rings())
+def test_tables_match_payload_arithmetic(ring):
+    t = ring.tables
+    assert t.els == ring.sorted_elements()
+    for i, a in enumerate(t.els):
+        assert t.els[t.neg[i]] == ring.neg(a)
+        for j, b in enumerate(t.els):
+            assert t.els[t.add[i, j]] == ring.add(a, b)
+            assert t.els[t.mul[i, j]] == ring.mul(a, b)
+    assert set(ring.units()) == oracle_units(ring)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_rings(), st.data())
+def test_admissibility_matches_ideal_oracle(ring, data):
+    # a unit coordinate short-circuits, so one coordinate is always a non-unit
+    memo = MemoRing(ring)
+    nonunits = sorted(set(ring.elements()) - oracle_units(memo),
+                      key=ring.el_value)
+    for _ in range(3):
+        a = data.draw(st.sampled_from(nonunits))
+        b = data.draw(st.sampled_from(ring.elements()))
+        assert rl.is_admissible(ring, a, b) == oracle_unimodular(memo, a, b)
+        assert rl.is_admissible(ring, b, a) == oracle_unimodular(memo, b, a)
+
+
+def _quotients():
+    for p, k in FIELDS:
+        field = GaloisField(p, k)
+        yield field
+        for deg in itertools.count(1):
+            if field.size ** deg > MAX_SIZE:
+                break
+            for coeffs in itertools.product(field.elements(), repeat=deg):
+                yield QuotientRing(field, coeffs + (field.one,))
+
+
+def _sweep():
+    atoms_ = list(_quotients())
+    factors = [r for r in atoms_
+               if isinstance(r, GaloisField) or r.deg >= 2]
+    products = [ProductRing([a, b]) for a, b in itertools.product(factors, repeat=2)
+                if a.size * b.size <= MAX_SIZE]
+    return atoms_ + products
+
+
+def test_sweep_closed_form_and_brute_force():
+    rings = _sweep()
+    assert len(rings) > 700
+    closed = brute = 0
+    for ring in rings:
+        catalog = rl.enumerate_points(ring)
+        expected = rl.expected_point_count(ring)
+        if expected is not None:
+            closed += 1
+            assert expected == len(catalog), ring
+        if ring.size <= 9:
+            brute += 1
+            points, relation = oracle_line(ring)
+            assert [(p.a, p.b) for p in catalog.points] == points, ring
+            assert [list(row) for row in catalog.relation] == relation, ring
+    assert closed > 500 and brute > 50
+
+
+@pytest.mark.parametrize("spec,points", [("gf(2)[x]/(x^8)", 384),
+                                         ("gf(16)xgf(16)", 289)])
+def test_cap_sized_lines(spec, points):
+    ring = rl.build_ring(spec)
+    assert len(rl.enumerate_points(ring)) == rl.expected_point_count(ring) == points

@@ -2,8 +2,9 @@
 
 The independent oracle here decides admissibility of a pair (a, b) through
 the ideal criterion -- (a, b) extends to an invertible matrix over a
-finite commutative ring iff 1 is an a,b-combination -- which shares no
-code path with the determinant-completion test in the package.
+finite commutative ring iff 1 is an a,b-combination -- by brute force over
+coefficient pairs in payload arithmetic, which shares no code path with
+the package's principal-ideal lookup on the ring tables.
 """
 
 import itertools
@@ -16,17 +17,7 @@ from ringline.correspond import (JACOBSON_LAYOUT, NEIGHBOURHOOD_LAYOUT,
                                  club_to_tilde_hom)
 from ringline.projline import (LineError, ProjPoint, catalog_dot, catalog_json,
                                is_admissible_componentwise)
-
-
-# --- independent oracle -----------------------------------------------------
-
-def oracle_unimodular(ring, a, b):
-    """1 in the ideal (a, b), by brute force over coefficient pairs."""
-    for s in ring.elements():
-        for t in ring.elements():
-            if ring.add(ring.mul(a, s), ring.mul(b, t)) == ring.one:
-                return True
-    return False
+from ring_oracle import oracle_unimodular
 
 
 def test_admissibility_matches_ideal_oracle(r_club, r_tilde, gf4):
