@@ -144,22 +144,12 @@ PENTAGRAM_EDGE_SLOTS = (
 def infer_contexts(observables: list[PauliObservable],
                    size: int) -> list[tuple[int, ...]]:
     """All size-subsets that pairwise commute with product +-identity."""
-    out = []
-    for idxs in itertools.combinations(range(len(observables)), size):
-        ops = [observables[i] for i in idxs]
-        if all(commutes(a, b) for a, b in itertools.combinations(ops, 2)):
-            prod = ops[0]
-            for op in ops[1:]:
-                prod = multiply(prod, op)
-            if prod.is_identity_word() and prod.phase in (0, 2):
-                out.append(idxs)
-    return out
+    return [idx for idx, _, _ in _contexts(observables, size)]
 
 
 def builtin(name: str) -> Configuration:
     if name == "mermin_square":
-        return Configuration(2, tuple(PauliObservable(w) for w in SQUARE_WORDS),
-                             _SQUARE_CONTEXTS, "square", _SQUARE_LABELS)
+        return _grid_config(SQUARE_WORDS)
     if name == "mermin_pentagram":
         obs = tuple(PauliObservable(w) for w in PENTAGRAM_WORDS)
         inferred = {frozenset(c) for c in infer_contexts(list(obs), 4)}
@@ -205,16 +195,19 @@ def _context_signs(cfg: Configuration) -> list[int]:
             for ci in range(len(cfg.contexts))]
 
 
-def _exhaustive_valuation(cfg: Configuration, signs: list[int]):
+def _mask(ctx) -> int:
+    return sum(1 << i for i in ctx)
+
+
+def _exhaustive_valuation(masks: list[int], signs: list[int], m: int):
     """Scan all +-1 assignments; None when no valuation reproduces the signs."""
-    m = len(cfg.observables)
     if m > 20:
         raise ConfigError("exhaustive decider capped at 20 observables")
     assigns = np.arange(1 << m, dtype=np.uint32)  # bit i set: observable i is -1
     ok = np.ones(len(assigns), dtype=bool)
-    for ctx, sign in zip(cfg.contexts, signs):
-        mask = np.uint32(sum(1 << i for i in ctx))
-        ok &= (np.bitwise_count(assigns & mask) & 1) == (0 if sign == 1 else 1)
+    for mask, sign in zip(masks, signs):
+        ok &= ((np.bitwise_count(assigns & np.uint32(mask)) & 1)
+               == (0 if sign == 1 else 1))
     hits = np.nonzero(ok)[0]
     if len(hits) == 0:
         return None
@@ -222,20 +215,13 @@ def _exhaustive_valuation(cfg: Configuration, signs: list[int]):
     return {i: (-1 if (e >> i) & 1 else 1) for i in range(m)}
 
 
-def _gf2_decide(cfg: Configuration, signs: list[int]):
+def _gf2_decide(masks: list[int], signs: list[int], m: int):
     """(valuation or None, certificate or None) via GF(2) linear algebra."""
-    m = len(cfg.observables)
-    rows = []
-    for ctx in cfg.contexts:
-        r = 0
-        for i in ctx:
-            r |= 1 << i
-        rows.append(r)
     rhs = [0 if s == 1 else 1 for s in signs]
-    x = gf2.solve(rows, rhs)
+    x = gf2.solve(masks, rhs)
     if x is not None:
         return {i: (-1 if (x >> i) & 1 else 1) for i in range(m)}, None
-    basis = gf2.left_nullspace(rows, m)
+    basis = gf2.left_nullspace(masks, m)
     # first combination of null vectors with odd sign product, deterministic
     for r in range(1, len(basis) + 1):
         for combo in itertools.combinations(range(len(basis)), r):
@@ -244,64 +230,166 @@ def _gf2_decide(cfg: Configuration, signs: list[int]):
                 y ^= basis[i]
             t = sum((y >> c) & 1 for c, b in enumerate(rhs) if b) % 2
             if t == 1:
-                cert = tuple(c for c in range(len(cfg.contexts)) if (y >> c) & 1)
+                cert = tuple(c for c in range(len(masks)) if (y >> c) & 1)
                 return None, cert
     raise DeciderDisagreement("unsolvable system without an odd certificate")
 
 
 def bks_decide(cfg: Configuration) -> BksResult:
     """Two independent deciders, cross-checked; loud failure on disagreement."""
-    signs = _context_signs(cfg)
-    exhaustive = _exhaustive_valuation(cfg, signs)
-    valuation, certificate = _gf2_decide(cfg, signs)
+    return _decide([_mask(c) for c in cfg.contexts], _context_signs(cfg),
+                   len(cfg.observables))
+
+
+def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
+    """bks_decide on known signs: context i holds the observables of bit
+    mask masks[i] (out of m) and has product sign signs[i]."""
+    exhaustive = _exhaustive_valuation(masks, signs, m)
+    valuation, certificate = _gf2_decide(masks, signs, m)
     if (exhaustive is None) != (valuation is None):
         raise DeciderDisagreement(
             "exhaustive and GF(2) BKS deciders disagree on solvability")
     if valuation is not None:
-        _check_valuation(cfg, signs, valuation)
-        return BksResult(valuation=valuation)
-    _check_certificate(cfg, signs, certificate)
-    return BksResult(certificate=certificate)
-
-
-def _check_valuation(cfg, signs, valuation):
-    for ctx, sign in zip(cfg.contexts, signs):
-        prod = 1
-        for i in ctx:
-            prod *= valuation[i]
-        if prod != sign:
+        negative = _mask(i for i, v in valuation.items() if v == -1)
+        if any((mask & negative).bit_count() & 1 != (sign == -1)
+               for mask, sign in zip(masks, signs)):
             raise DeciderDisagreement("returned valuation violates a context")
-
-
-def _check_certificate(cfg, signs, certificate):
-    counts = [0] * len(cfg.observables)
-    prod = 1
+        return BksResult(valuation=valuation)
+    odd, prod = 0, 1  # odd: the observables covered an odd number of times
     for ci in certificate:
+        odd ^= masks[ci]
         prod *= signs[ci]
-        for i in cfg.contexts[ci]:
-            counts[i] += 1
-    if prod != -1 or any(c % 2 for c in counts):
+    if prod != -1 or odd:
         raise DeciderDisagreement("returned certificate fails the parity check")
+    return BksResult(certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
 # searches
 
 
-def _lines(words: list[PauliObservable]) -> set[frozenset]:
-    """Unordered commuting triples {a, b, ab} with scalar +-I product."""
-    by_word = {w.word: w for w in words}
-    lines = set()
-    for a, b in itertools.combinations(words, 2):
-        if not commutes(a, b):
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
+    """All contexts of `size` observables among `words`, as sorted
+    (index tuple, bitmask, sign) triples.
+
+    Grows commuting cliques of size - 1 members over commutation bitsets;
+    their product fixes the last member, which must come later in `words`.
+    """
+    comm = [0] * len(words)
+    for i, j in itertools.combinations(range(len(words)), 2):
+        if commutes(words[i], words[j]):
+            comm[i] |= 1 << j
+            comm[j] |= 1 << i
+    at: dict[tuple[int, int], list[int]] = {}
+    for i, w in enumerate(words):
+        at.setdefault((w.x, w.z), []).append(i)
+    out = []
+
+    def grow(members: tuple, prod: PauliObservable, cands: int):
+        # cands: the later words that commute with every member
+        if len(members) == size - 1:
+            for last in at.get((prod.x, prod.z), ()):
+                full = multiply(prod, words[last])
+                if cands >> last & 1 and full.phase in (0, 2):
+                    idx = members + (last,)
+                    out.append((idx, _mask(idx), 1 if full.phase == 0 else -1))
+            return
+        for i in _bits(cands):
+            grow(members + (i,), multiply(prod, words[i]),
+                 cands & comm[i] & -(2 << i))
+
+    if words:
+        grow((), PauliObservable("I" * words[0].n), (1 << len(words)) - 1)
+    return sorted(out)
+
+
+def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
+                 budget: int | None = None):
+    """Sets of c contexts that cover each of their observables exactly
+    twice, any two sharing a number of observables in `overlaps`.
+
+    Exact cover with multiplicity 2 in the style of Knuth's *Dancing
+    Links*, on bitsets: each step branches on the observable covered once
+    that the fewest remaining contexts can cover a second time, and a
+    context once tried is left out of its later siblings.  A set that
+    closes before c contexts is dropped, so only connected sets are found.
+    ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
+    sorted index tuples, and whether the search completed.
+    """
+    masks = [m for _, m, _ in contexts]
+    holds = {}  # observable -> bitset of the contexts holding it
+    for ci, m in enumerate(masks):
+        for o in _bits(m):
+            holds[o] = holds.get(o, 0) | 1 << ci
+    everything = (1 << len(masks)) - 1
+    # context -> bitset of the contexts it may be picked with
+    compat = [sum(1 << b for b, mb in enumerate(masks)
+                  if b != a and (ma & mb).bit_count() in overlaps)
+              for a, ma in enumerate(masks)]
+    found = []
+    nodes = 0
+
+    def extend(picked: tuple, once: int, allowed: int) -> bool:
+        nonlocal nodes
+        if len(picked) == c:
+            if not once:
+                found.append(tuple(sorted(picked)))
+            return True
+        if picked and not once:
+            return True
+        options = (min((allowed & holds[o] for o in _bits(once)),
+                       key=int.bit_count) if once else allowed)
+        for ci in _bits(options):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return False
+            shut = 0  # contexts through an observable now covered twice
+            for o in _bits(once & masks[ci]):
+                shut |= holds[o]
+            if not extend(picked + (ci,), once ^ masks[ci],
+                          allowed & compat[ci] & ~shut):
+                return False
+            allowed &= ~(1 << ci)
+        return True
+
+    return found, extend((), 0, everything)
+
+
+@dataclass(frozen=True)
+class SearchOutcome:
+    results: tuple[Configuration, ...]
+    complete: bool
+
+
+_SQUARE_MASKS = [_mask(c) for c in _SQUARE_CONTEXTS]
+
+
+def _magic_grids(words: list[PauliObservable]) -> list[tuple[str, ...]]:
+    """One row-major arrangement of each magic 3x3 grid of contexts among
+    `words`; the rows are the grid's first context and the two contexts
+    disjoint from it."""
+    contexts = _contexts(words, 3)
+    grids = []
+    for grid_set in _cover_twice(contexts, 6, {0, 1})[0]:
+        lines = [contexts[ci] for ci in grid_set]
+        rows = [l for l in lines if l is lines[0] or not l[1] & lines[0][1]]
+        cols = [l for l in lines if l not in rows]
+        if rows[1][1] & rows[2][1]:
+            continue  # the lines close a triangle: not a grid
+        signs = [sign for _, _, sign in rows + cols]
+        if _decide(_SQUARE_MASKS, signs, 9).colorable:
             continue
-        c = multiply(a, b)
-        if c.is_identity_word() or c.word not in by_word:
-            continue
-        if c.word in (a.word, b.word):
-            continue
-        lines.add(frozenset((a.word, b.word, c.word)))
-    return lines
+        grids.append(tuple(words[(r & c).bit_length() - 1].word
+                           for _, r, _ in rows for _, c, _ in cols))
+    return grids
 
 
 def _grid_transforms(grid: tuple[str, ...]):
@@ -321,161 +409,46 @@ def _grid_config(grid: tuple[str, ...]) -> Configuration:
                          _SQUARE_CONTEXTS, "square", _SQUARE_LABELS)
 
 
-def _magic_grids_from_lines(lines: set[frozenset]):
-    """All magic 3x3 arrangements whose rows come from the given line set."""
-    line_list = sorted(lines, key=lambda s: tuple(sorted(s)))
-    for trip in itertools.combinations(line_list, 3):
-        if len(trip[0] | trip[1] | trip[2]) != 9:
-            continue
-        r0 = tuple(sorted(trip[0]))
-        for p0 in itertools.permutations(r0):
-            for p1 in itertools.permutations(sorted(trip[1])):
-                for p2 in itertools.permutations(sorted(trip[2])):
-                    cols = [frozenset((p0[j], p1[j], p2[j])) for j in range(3)]
-                    if any(c not in lines for c in cols):
-                        continue
-                    grid = p0 + p1 + p2
-                    cfg = _grid_config(grid)
-                    signs = _context_signs(cfg)
-                    if signs.count(-1) % 2 == 1:
-                        yield grid
-
-
 def search_squares() -> list[Configuration]:
     """Exhaustive two-qubit magic squares, deduplicated up to row/column
     permutation and transposition."""
-    lines = _lines(all_words(2))
-    canon = {_grid_canonical(g) for g in _magic_grids_from_lines(lines)}
+    canon = {_grid_canonical(g) for g in _magic_grids(all_words(2))}
     return [_grid_config(g) for g in sorted(canon)]
 
 
 def square_orbit_report(words: tuple[str, ...]) -> dict:
     """Magic arrangements of a fixed 9-observable set and their symmetry orbits."""
-    obs = [PauliObservable(w) for w in words]
-    lines = {l for l in _lines(obs) if l <= set(words)}
-    arrangements = set()
-    # rows may be any ordered triple of disjoint lines, in any row order
-    line_list = sorted(lines, key=lambda s: tuple(sorted(s)))
-    for trip in itertools.permutations(line_list, 3):
-        if len(trip[0] | trip[1] | trip[2]) != 9:
-            continue
-        for p0 in itertools.permutations(sorted(trip[0])):
-            for p1 in itertools.permutations(sorted(trip[1])):
-                for p2 in itertools.permutations(sorted(trip[2])):
-                    cols = [frozenset((p0[j], p1[j], p2[j])) for j in range(3)]
-                    if any(c not in lines for c in cols):
-                        continue
-                    grid = p0 + p1 + p2
-                    if _context_signs(_grid_config(grid)).count(-1) % 2 == 1:
-                        arrangements.add(grid)
-    orbits: dict[tuple, int] = {}
-    for g in arrangements:
-        orbits[_grid_canonical(g)] = orbits.get(_grid_canonical(g), 0) + 1
+    orbits = [set(_grid_transforms(g))
+              for g in _magic_grids([PauliObservable(w) for w in words])]
     return {
-        "arrangements": len(arrangements),
+        "arrangements": len(set().union(*orbits)),
         "orbits": len(orbits),
-        "orbit_sizes": sorted(orbits.values(), reverse=True),
+        "orbit_sizes": sorted(map(len, orbits), reverse=True),
     }
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
-    results: tuple[Configuration, ...]
-    complete: bool
-
-
-def _pentagram_contexts(words: list[PauliObservable]):
-    """All 4-element contexts as (index tuple, membership mask, sign)."""
-    n_words = len(words)
-    by_word = {w.word: i for i, w in enumerate(words)}
-    comm = [0] * n_words
-    for i, j in itertools.combinations(range(n_words), 2):
-        if commutes(words[i], words[j]):
-            comm[i] |= 1 << j
-            comm[j] |= 1 << i
-    out = []
-    for i in range(n_words):
-        for j in range(i + 1, n_words):
-            if not (comm[i] >> j) & 1:
-                continue
-            for k in range(j + 1, n_words):
-                if not ((comm[i] >> k) & 1 and (comm[j] >> k) & 1):
-                    continue
-                prod3 = multiply(multiply(words[i], words[j]), words[k])
-                if prod3.is_identity_word():
-                    continue
-                l = by_word[prod3.word]
-                if l <= k:
-                    continue
-                sign = context_product_sign([words[i], words[j],
-                                             words[k], words[l]])
-                mask = (1 << i) | (1 << j) | (1 << k) | (1 << l)
-                out.append(((i, j, k, l), mask, sign))
-    out.sort()
-    return out
 
 
 def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     """Exhaustive three-qubit magic pentagrams: 5 contexts of 4 observables,
-    every observable in exactly two contexts, no +-1 valuation.
+    any two sharing exactly one observable, no +-1 valuation.
 
     ``budget`` caps the number of search-tree nodes; when it is hit the
     results found so far are returned with ``complete=False``.
     """
     words = all_words(3)
-    contexts = _pentagram_contexts(words)
-    nc = len(contexts)
-    compat = [set() for _ in range(nc)]
-    for a in range(nc):
-        for b in range(a + 1, nc):
-            inter = contexts[a][1] & contexts[b][1]
-            if inter and inter & (inter - 1) == 0:  # exactly one shared slot
-                compat[a].add(b)
-    results = []
-    nodes = 0
-    exhausted = False
-
-    def expected_pop(m):  # all pairwise intersections distinct
-        return 4 * m - m * (m - 1) // 2
-
-    def extend(chosen: list[int], union: int, candidates: list[int]):
-        nonlocal nodes, exhausted
-        if exhausted:
-            return
-        if len(chosen) == 5:
-            if bin(union).count("1") == 10:
-                results.append(tuple(chosen))
-            return
-        for c in candidates:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = True
-                return
-            new_union = union | contexts[c][1]
-            if bin(new_union).count("1") != expected_pop(len(chosen) + 1):
-                continue
-            new_cands = [d for d in candidates if d > c and d in compat[c]]
-            extend(chosen + [c], new_union, new_cands)
-
-    for start in range(nc):
-        if exhausted:
-            break
-        extend([start], contexts[start][1], sorted(compat[start]))
-
+    contexts = _contexts(words, 4)
+    found, complete = _cover_twice(contexts, 5, {1}, budget)
     configs = []
-    for combo in results:
-        signs = [contexts[c][2] for c in combo]
-        obs_idx = sorted({i for c in combo for i in contexts[c][0]})
+    for pent in found:
+        obs_idx = sorted({i for ci in pent for i in contexts[ci][0]})
         remap = {w: i for i, w in enumerate(obs_idx)}
-        ctxs = tuple(sorted(tuple(sorted(remap[i] for i in contexts[c][0]))
-                            for c in combo))
-        cfg = Configuration(3, tuple(words[i] for i in obs_idx), ctxs,
-                            "pentagram")
-        # magic filter: certificate must exist
-        if not bks_decide(cfg).colorable:
-            configs.append(cfg)
+        ctxs, signs = zip(*sorted((tuple(remap[i] for i in contexts[ci][0]),
+                                   contexts[ci][2]) for ci in pent))
+        if _decide([_mask(c) for c in ctxs], list(signs), 10).colorable:
+            continue
+        configs.append(Configuration(3, tuple(words[i] for i in obs_idx),
+                                     ctxs, "pentagram"))
     configs.sort(key=lambda c: (tuple(o.word for o in c.observables), c.contexts))
-    return SearchOutcome(tuple(configs), not exhausted)
+    return SearchOutcome(tuple(configs), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +467,16 @@ def config_to_json(cfg: Configuration) -> str:
 def config_from_json(text: str) -> Configuration:
     try:
         data = json.loads(text)
+        n = data["n"]
+        if type(n) is not int:  # also rejects bools, fractions and 1e400
+            raise ConfigError(f"bad configuration JSON: n = {n!r} "
+                              "is not an integer")
         return Configuration(
-            int(data["n"]),
+            n,
             tuple(PauliObservable(w) for w in data["observables"]),
             tuple(tuple(c) for c in data["contexts"]),
             str(data.get("geometry", "custom")))
     except (ConfigError, PauliError):
         raise
-    except (KeyError, TypeError, ValueError) as e:  # ValueError: bad JSON or n
+    except (KeyError, TypeError, ValueError) as e:  # ValueError: bad JSON
         raise ConfigError(f"bad configuration JSON: {e}") from e

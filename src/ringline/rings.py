@@ -673,14 +673,26 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     def fail(msg):
         raise RingError(f"cannot parse ring spec {spec_text!r}: {msg}")
 
+    def read_int(s, i):
+        """(value, end) of the digit run at s[i:]; value None if empty."""
+        j = i
+        while j < len(s) and s[j].isdigit():
+            j += 1
+        try:
+            return (int(s[i:j]) if j > i else None), j
+        except ValueError:  # past Python's limit on digits in an int string
+            fail(f"number too long at position {i}")
+
     def parse_int():
         nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            fail(f"expected integer at position {start}")
-        return int(text[start:pos])
+        value, end = read_int(text, pos)
+        if value is None:
+            fail(f"expected integer at position {pos}")
+        pos = end
+        return value
+
+    def within_cap(q, k):  # q ** k <= size_cap, never computing a huge power
+        return q < 2 or (k <= size_cap.bit_length() and q ** k <= size_cap)
 
     def expect(tok):
         nonlocal pos
@@ -689,7 +701,7 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
         pos += len(tok)
 
     def parse_poly_text(ptext, p):
-        # returns little-endian int coefficient tuple
+        # returns {exponent: coefficient mod p}
         coeffs: dict[int, int] = {}
         i = 0
         sign = 1
@@ -706,33 +718,26 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
                 i += 1
                 continue
             # term: [coeff]['*']['x'['^'exp]]
-            c = 1
-            if ptext[i].isdigit():
-                j = i
-                while j < len(ptext) and ptext[j].isdigit():
-                    j += 1
-                c = int(ptext[i:j])
-                i = j
-                if i < len(ptext) and ptext[i] == "*":
-                    i += 1
+            start = i
+            c, i = read_int(ptext, i)
+            if c is None:
+                c = 1
+            elif i < len(ptext) and ptext[i] == "*":
+                i += 1
             e = 0
             if i < len(ptext) and ptext[i] == "x":
                 e = 1
                 i += 1
                 if i < len(ptext) and ptext[i] == "^":
-                    i += 1
-                    j = i
-                    while j < len(ptext) and ptext[j].isdigit():
-                        j += 1
-                    if i == j:
+                    e, i = read_int(ptext, i + 1)
+                    if e is None:
                         fail("missing exponent")
-                    e = int(ptext[i:j])
-                    i = j
+            if i == start:
+                fail(f"unexpected {ptext[i]!r} in modulus")
             coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
         if not coeffs:
             fail("empty modulus polynomial")
-        deg = max(coeffs)
-        return tuple(coeffs.get(i, 0) % p for i in range(deg + 1))
+        return coeffs
 
     def parse_atom():
         nonlocal pos
@@ -743,6 +748,8 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             pos += 1
             k = parse_int()
         expect(")")
+        if p > size_cap or not within_cap(p, k):
+            raise RingError(f"GF({p}^{k}) exceeds size cap {size_cap}")
         if not is_prime(p):
             # gf(q) with q a prime power means GF(q)
             if k != 1:
@@ -773,7 +780,11 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             if depth:
                 fail("unbalanced parentheses in modulus")
             ptext = text[start:pos - 1]
-            intcoeffs = parse_poly_text(ptext, p if field.k == 1 else field.p)
+            coeffs = parse_poly_text(ptext, p if field.k == 1 else field.p)
+            deg = max(coeffs)
+            if not within_cap(field.size, deg):
+                raise RingError(f"quotient ring exceeds size cap {size_cap}")
+            intcoeffs = [coeffs.get(i, 0) for i in range(deg + 1)]
             # lift integer coefficients into the base field (c -> c * 1)
             fcoeffs = []
             for c in intcoeffs:

@@ -1,6 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -212,15 +217,20 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
-@pytest.mark.parametrize("contexts", [[[0, 1, 5]], [[0, 1, 2], []],
-                                      [[0, 1, 2.5]], [[0, 1, "2"]],
-                                      [[0, 1, 2], [0, 0, 1, 1]]],
+@pytest.mark.parametrize("n, contexts", [("2", [[0, 1, 5]]),
+                                         ("2", [[0, 1, 2], []]),
+                                         ("2", [[0, 1, 2.5]]),
+                                         ("2", [[0, 1, "2"]]),
+                                         ("2", [[0, 1, 2], [0, 0, 1, 1]]),
+                                         ("1e400", [[0, 1, 2]]),
+                                         ("2.7", [[0, 1, 2]])],
                          ids=["out-of-range", "empty", "float", "string",
-                              "repeated"])
-def test_invalid_config_exit_code(capsys, tmp_path, command, contexts):
+                              "repeated", "n-overflow", "n-fraction"])
+def test_invalid_config_exit_code(capsys, tmp_path, command, n, contexts):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n": 2, "observables": ["XI", "IX", "XX"],
-                                "contexts": contexts}))
+    # n is JSON text: json.dumps cannot write 1e400, which loads as inf
+    path.write_text(f'{{"n": {n}, "observables": ["XI", "IX", "XX"], '
+                    f'"contexts": {json.dumps(contexts)}}}')
     code, out, err = run(capsys, command, "--config", str(path))
     assert code == cli.EXIT_INPUT
     assert out == ""
@@ -235,6 +245,41 @@ def test_non_numeric_qubit_count_exit_code(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--config", str(path))
     assert code == cli.EXIT_INPUT
     assert out == "" and err.startswith("input error: bad configuration JSON")
+
+
+def _run_process(*argv, timeout=30):
+    """The CLI in a fresh interpreter, killed (and the test failed) after
+    `timeout` seconds, so an input that hangs the parser fails the suite."""
+    src = str(Path(rl.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ringline.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+
+
+@pytest.mark.parametrize("spec", ["gf(2)[x]/(x*x)", "gf(2)[x]/(x^2^)",
+                                  "gf(99999999999999999999999989)",
+                                  "gf(3^100000000)", "gf(1^10000000000)",
+                                  "gf(0^10000000000)"])
+def test_bad_ring_spec_exits_promptly(spec):
+    proc = _run_process("ring", "--ring", spec)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == "" and proc.stderr.startswith("input error: ")
+
+
+def test_huge_exponent_rejected_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(rl.RingError, match="size cap"):
+            rl.build_ring("gf(2)[x]/(x^3000000+1)")
+        with pytest.raises(rl.RingError, match="number too long"):
+            rl.build_ring("gf(2)[x]/(x^" + "9" * 5000 + ")")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 3,000,001-coefficient list alone is 24 MB
 
 
 def test_size_cap_env(capsys, monkeypatch):

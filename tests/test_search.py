@@ -1,0 +1,182 @@
+"""The context enumerator, the exact-cover search and the sign-taking BKS
+decider against brute-force oracles: a scan of every size-subset for
+contexts, every subset of c contexts for the search, and every +-1
+assignment for the decider."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ringline as rl
+from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
+                            _decide)
+from ringline import magic
+from ringline.pauli import (PauliObservable, all_words, commutes,
+                            context_product_sign)
+
+
+def oracle_contexts(words, size):
+    """Every size-subset that pairwise commutes with product +-I, as
+    (index tuple, bitmask, sign), in combinations order."""
+    out = []
+    for idxs in itertools.combinations(range(len(words)), size):
+        ops = [words[i] for i in idxs]
+        if all(commutes(a, b) for a, b in itertools.combinations(ops, 2)):
+            try:
+                sign = context_product_sign(ops)
+            except rl.PauliError:  # product is not +-I
+                continue
+            out.append((idxs, sum(1 << i for i in idxs), sign))
+    return out
+
+
+OBSERVABLES = 6  # at most, in the random context families
+
+
+def oracle_cover_twice(masks, c, overlaps):
+    """Every connected set of c contexts covering each of its observables
+    exactly twice, any two sharing a number of observables in overlaps."""
+    found = []
+    for combo in itertools.combinations(range(len(masks)), c):
+        counts = [sum(masks[ci] >> o & 1 for ci in combo)
+                  for o in range(OBSERVABLES)]
+        if set(counts) - {0, 2} or any(
+                (masks[a] & masks[b]).bit_count() not in overlaps
+                for a, b in itertools.combinations(combo, 2)):
+            continue
+        reached = {combo[0]}
+        for _ in combo:
+            reached |= {b for a in reached for b in combo
+                        if masks[a] & masks[b]}
+        if len(reached) == c:
+            found.append(combo)
+    return found
+
+
+@pytest.mark.parametrize("n, size, identity, count",
+                         [(2, 3, False, 15), (3, 4, False, 945),
+                          (3, 3, False, 315), (1, 1, True, 1),
+                          (2, 4, True, 15)])  # {a, b, ab, I}
+def test_contexts_match_subset_scan(n, size, identity, count):
+    words = all_words(n, include_identity=identity)
+    expected = oracle_contexts(words, size)
+    assert _contexts(words, size) == expected
+    assert rl.infer_contexts(words, size) == [idx for idx, _, _ in expected]
+    assert len(expected) == count
+
+
+def _grid_sign(lines):
+    """The six lines as a 3x3 grid: the product of their signs, or None
+    when they are not three disjoint rows each meeting three columns once."""
+    for rows in itertools.combinations(lines, 3):
+        cols = [l for l in lines if l not in rows]
+        if all(not a[1] & b[1] for a, b in itertools.combinations(rows, 2)) \
+                and all((r[1] & c[1]).bit_count() == 1
+                        for r in rows for c in cols):
+            prod = 1
+            for _, _, sign in lines:
+                prod *= sign
+            return prod
+    return None
+
+
+def test_square_search_matches_six_line_scan():
+    words = all_words(2)
+    lines = _contexts(words, 3)
+    magic = set()
+    grids = []
+    for combo in itertools.combinations(range(len(lines)), 6):
+        sign = _grid_sign([lines[ci] for ci in combo])
+        if sign is not None:
+            grids.append(combo)
+            if sign == -1:
+                magic.add(frozenset(frozenset(words[i].word
+                                              for i in lines[ci][0])
+                                    for ci in combo))
+    assert len(grids) == len(magic) == 10
+    found, complete = _cover_twice(lines, 6, {0, 1})
+    assert sorted(found) == grids and complete
+    squares = {frozenset(frozenset(cfg.observables[i].word for i in ctx)
+                       for ctx in cfg.contexts) for cfg in rl.search_squares()}
+    assert squares == magic
+
+
+def test_orbit_report_skips_a_prism():
+    """Six lines of three, each meeting three others, that close two
+    triangles: an exact double cover that is no grid."""
+    words = ("IIX", "IXI", "IXX", "IYI", "IYX", "XII", "XXI", "XIX", "XYI")
+    found, _ = _cover_twice(_contexts([PauliObservable(w) for w in words], 3),
+                            6, {0, 1})
+    assert len(found) == 1
+    assert rl.square_orbit_report(words) == \
+        {"arrangements": 0, "orbits": 0, "orbit_sizes": []}
+
+
+@st.composite
+def context_families(draw):
+    m = draw(st.integers(2, OBSERVABLES))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1,
+                          max_size=12))
+    c = draw(st.integers(1, 5))
+    overlaps = draw(st.sets(st.integers(0, 3), min_size=1))
+    return masks, c, overlaps
+
+
+@settings(max_examples=150, deadline=None)
+@given(context_families())
+def test_cover_twice_matches_subset_scan(family):
+    masks, c, overlaps = family
+    found, complete = _cover_twice([((), mask, 1) for mask in masks], c,
+                                   overlaps)
+    assert sorted(found) == oracle_cover_twice(masks, c, overlaps)
+    assert complete
+
+
+@st.composite
+def signed_systems(draw):
+    m = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1,
+                          max_size=8))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(masks),
+                          max_size=len(masks)))
+    return masks, signs, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_systems())
+def test_decider_core_proves_its_answer(system):
+    """A valuation proves colorability and a certificate its absence, so
+    checking whichever came back checks the answer."""
+    masks, signs, m = system
+    result = _decide(masks, signs, m)  # raises if the two deciders disagree
+    if result.colorable:
+        for mask, sign in zip(masks, signs):
+            prod = 1
+            for i in range(m):
+                if mask >> i & 1:
+                    prod *= result.valuation[i]
+            assert prod == sign
+    else:
+        covered, prod = 0, 1
+        for ci in result.certificate:
+            covered ^= masks[ci]
+            prod *= signs[ci]
+        assert covered == 0 and prod == -1
+
+
+SQUARE_MASKS = [0b111, 0b111000, 0b111000000, 0b1001001, 0b10010010,
+                0b100100100]  # rows, then columns, of a 3x3 grid
+SQUARE_SIGNS = [1, 1, 1, 1, 1, -1]
+
+
+@pytest.mark.parametrize("gf2_answer, signs", [
+    ((None, (5,)), SQUARE_SIGNS),       # odd sign product, uncovered rows
+    ((None, (0, 1, 2, 3, 4, 5)), [1] * 6),  # a colorable system
+    (({i: -1 if i == 0 else 1 for i in range(9)}, None), [1] * 6),
+], ids=["uncovered", "disagree", "violated"])  # violated: row 1, column 1
+def test_decider_core_rejects_a_false_answer(monkeypatch, gf2_answer, signs):
+    monkeypatch.setattr(magic, "_gf2_decide", lambda *args: gf2_answer)
+    with pytest.raises(DeciderDisagreement):
+        _decide(SQUARE_MASKS, signs, 9)
