@@ -73,16 +73,10 @@ def _size_cap() -> int:
         raise rg.RingError(f"RINGLINE_SIZE_CAP={text!r} is not an integer") from None
 
 
-def _json_default(o):
-    if isinstance(o, Fraction):
-        return str(o)
-    return str(o)
-
-
 def _render(data: dict, text_lines: list[str], fmt: str,
             dot: str | None = None) -> str:
     if fmt == "json":
-        return json.dumps(data, indent=2, default=_json_default) + "\n"
+        return json.dumps(data, indent=2, default=str) + "\n"
     if fmt == "dot":
         if dot is None:
             raise ValueError("dot output is not defined for this command")

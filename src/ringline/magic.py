@@ -185,7 +185,7 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
         if sign is None:
             all_good = False
         reports.append(ContextReport(cfg.context_labels[ci], comm, sign, note))
-    bks = bks_decide(cfg) if all_good and not errs else None
+    bks = bks_decide(cfg, [r.sign for r in reports]) if all_good and not errs else None
     magic = bks is not None and not bks.colorable
     return VerificationReport(tuple(reports), errs, magic, bks)
 
@@ -235,10 +235,15 @@ def _gf2_decide(masks: list[int], signs: list[int], m: int):
     raise DeciderDisagreement("unsolvable system without an odd certificate")
 
 
-def bks_decide(cfg: Configuration) -> BksResult:
-    """Two independent deciders, cross-checked; loud failure on disagreement."""
-    return _decide([_mask(c) for c in cfg.contexts], _context_signs(cfg),
-                   len(cfg.observables))
+def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
+    """Two independent deciders, cross-checked; loud failure on disagreement.
+
+    ``signs`` are the context signs when the caller has already computed
+    them from the words; by default they are computed here.
+    """
+    if signs is None:
+        signs = _context_signs(cfg)
+    return _decide([_mask(c) for c in cfg.contexts], signs, len(cfg.observables))
 
 
 def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:

@@ -60,12 +60,6 @@ def is_admissible(ring: Ring, a, b) -> bool:
     return bool(t.unit[i] or t.unit[j] or t.unimodular[i, j])
 
 
-def is_admissible_componentwise(ring: ProductRing, a, b) -> bool:
-    """Product-ring cross-oracle: admissible iff admissible in every factor."""
-    return all(is_admissible(f, x, y)
-               for f, x, y in zip(ring.factors, a, b))
-
-
 def _canonical_codes(t: RingTables, a, b):
     """Per pair of indices (a[i], b[i]), or for one pair (a, b), the least
     code u*a * n + u*b over the units u: the code of the orbit's

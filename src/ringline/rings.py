@@ -1,20 +1,23 @@
 """Small finite commutative rings with unity, built exactly.
 
-Three constructors cover everything in scope:
+A ring is one table-backed ``Ring``: integer ``add``/``mul`` index tables
+(``Ring.tables``) plus one label and one printed name per element.  The
+labels are canonical immutable payloads (nested tuples of small ints), so
+equality of labels is equality of elements; element i is the i-th label,
+and ``el_value`` is that index.  Three constructors build rings:
 
   * ``GaloisField(p, k)`` -- GF(p^k), coefficient vectors modulo an
     irreducible polynomial (auto-selected lexicographically if not given);
   * ``QuotientRing(base_field, modulus)`` -- GF(q)[x]/(f) for an arbitrary
     monic f, the home of zero-divisors and nilpotents;
-  * ``ProductRing(factors)`` -- direct products such as GF(2) x GF(2).
+  * ``ProductRing(factors)`` -- direct products such as GF(2) x GF(2);
 
-All elements are canonical immutable payloads (nested tuples of small
-ints); equality of payloads is equality of elements.  The payload
-arithmetic builds and prints elements.  Every structural question (units,
-zero-divisors, radical, homomorphism validity) is answered from the ring's
-``tables``: element i is the i-th element in ``el_value`` order, and integer
-``add``/``mul`` tables over those indices are built once per ring, on first
-use, by vectorized digit arithmetic (no payload call per pair).  Ring sizes
+and ``quotient_by_radical`` builds R/J on the least coset representatives.
+Each constructor validates its input and builds the tables by vectorized
+digit arithmetic over its parts' tables; none defines element arithmetic.
+Every operation, structural question (units, zero-divisors, radical,
+homomorphism validity) and printed name is a table lookup.  The payload
+arithmetic the tables are checked against lives in the tests.  Ring sizes
 are capped (default 256) and every answer is exact.
 """
 
@@ -49,7 +52,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients little-endian int tuples
+# choosing and validating a modulus over GF(p), coefficients little-endian
 
 
 def _ptrim(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -57,23 +60,6 @@ def _ptrim(c: tuple[int, ...]) -> tuple[int, ...]:
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                        for i in range(n)))
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(tuple(out))
 
 
 def _pmod(a, m, p):
@@ -121,10 +107,6 @@ def _lex_irreducible(p: int, k: int) -> tuple[int, ...]:
     return best
 
 
-def _poly_value(c: tuple[int, ...], p: int) -> int:
-    return sum(ci * p ** i for i, ci in enumerate(c))
-
-
 # ---------------------------------------------------------------------------
 # table kernel
 
@@ -134,7 +116,7 @@ def _poly_tables(add, mul, neg, modulus: tuple[int, ...]):
 
     ``modulus`` holds the monic f's coefficients as F indices, little-endian.
     Element v of the quotient has the base-|F| digits of v as the indices of
-    its coefficients, little-endian, which is ``el_value`` order.
+    its coefficients, little-endian.
     """
     q, d = len(neg), len(modulus) - 1
     weights = q ** np.arange(d)
@@ -152,20 +134,28 @@ def _poly_tables(add, mul, neg, modulus: tuple[int, ...]):
     return sums, sum(coeff[i] * weights[i] for i in range(d))
 
 
+def _digit_labels(coeffs: list, d: int) -> list[tuple]:
+    """Length-d little-endian tuples over ``coeffs`` in the order of
+    ``_poly_tables``: the first slot varies fastest."""
+    return [c[::-1] for c in itertools.product(coeffs, repeat=d)]
+
+
 class RingTables:
-    """A ring in index form: element i is ``els[i]``, in ``el_value`` order.
+    """A ring in index form: element i is ``els[i]``.
 
     ``add`` and ``mul`` are n x n index tables, ``neg`` the additive
-    inverses, ``unit`` the unit mask; ``zero`` and ``one`` are indices and
-    ``index`` maps payloads back to indices.
+    inverses, ``unit`` the unit mask; ``zero`` and ``one`` are the indices
+    of the two identities and ``index`` maps labels back to indices.
     """
 
-    def __init__(self, ring: "Ring", add: np.ndarray, mul: np.ndarray):
-        self.els = ring.sorted_elements()
-        self.n = len(self.els)
-        self.index = {a: i for i, a in enumerate(self.els)}
+    def __init__(self, els: list, add: np.ndarray, mul: np.ndarray):
+        self.els = els
+        self.n = len(els)
+        self.index = {a: i for i, a in enumerate(els)}
         self.add, self.mul = add, mul
-        self.zero, self.one = self.index[ring.zero], self.index[ring.one]
+        identity = np.arange(self.n)
+        self.zero = int(np.argmax((add == identity).all(axis=1)))
+        self.one = int(np.argmax((mul == identity).all(axis=1)))
         self.neg = np.argmax(add == self.zero, axis=1)
         self.unit = (mul == self.one).any(axis=1)
 
@@ -192,47 +182,21 @@ class RingTables:
 
 
 class Ring:
-    """Common interface: payload-level exact arithmetic plus element tables."""
+    """A finite commutative ring: index tables, element labels and names.
 
-    spec_key: tuple
-    size: int
+    ``els`` are the element labels in index order, ``names`` their printed
+    forms (distinct, without spaces), ``add``/``mul`` the index tables.
+    """
 
-    # -- subclasses implement ------------------------------------------------
-    def elements(self) -> list:
-        raise NotImplementedError
+    def __init__(self, spec_key: tuple, spec_text: str, els: list,
+                 names: list[str], add: np.ndarray, mul: np.ndarray):
+        self.spec_key = spec_key
+        self._spec_text = spec_text
+        self.tables = RingTables(els, add, mul)
+        self.size = len(els)
+        self.names = names
+        self._by_name = dict(zip(names, els))
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def el_str(self, a) -> str:
-        raise NotImplementedError
-
-    def el_value(self, a):
-        """Total-order key; lexicographic in the payload coefficients."""
-        raise NotImplementedError
-
-    def spec_str(self) -> str:
-        raise NotImplementedError
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) index tables in ``sorted_elements`` order."""
-        raise NotImplementedError
-
-    # -- shared machinery ----------------------------------------------------
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec_key == other.spec_key
 
@@ -241,6 +205,36 @@ class Ring:
 
     def __repr__(self):
         return f"<Ring {self.spec_str()} ({self.size} elements)>"
+
+    def spec_str(self) -> str:
+        return self._spec_text
+
+    def elements(self) -> list:
+        return list(self.tables.els)
+
+    def sorted_elements(self) -> list:
+        """The elements in ``el_value`` order, which is index order."""
+        return self.elements()
+
+    @property
+    def zero(self):
+        return self.tables.els[self.tables.zero]
+
+    @property
+    def one(self):
+        return self.tables.els[self.tables.one]
+
+    def add(self, a, b):
+        t = self.tables
+        return t.els[t.add[t.index[a], t.index[b]]]
+
+    def mul(self, a, b):
+        t = self.tables
+        return t.els[t.mul[t.index[a], t.index[b]]]
+
+    def neg(self, a):
+        t = self.tables
+        return t.els[t.neg[t.index[a]]]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -253,12 +247,19 @@ class Ring:
             out = self.mul(out, a)
         return out
 
-    def sorted_elements(self) -> list:
-        return sorted(self.elements(), key=self.el_value)
+    def el_str(self, a) -> str:
+        return self.names[self.tables.index[a]]
 
-    @cached_property
-    def tables(self) -> RingTables:
-        return RingTables(self, *self._tables())
+    def el_value(self, a) -> int:
+        """Total-order key: the element's index."""
+        return self.tables.index[a]
+
+    def element_from_str(self, s: str):
+        """Look an element up by its printed form (whitespace-insensitive)."""
+        try:
+            return self._by_name[s.replace(" ", "")]
+        except KeyError:
+            raise RingError(f"no element {s!r} in {self.spec_str()}") from None
 
     def classify(self, a) -> tuple[str, object | None]:
         """('zero', None) | ('unit', inverse) | ('zero-divisor', annihilator).
@@ -291,17 +292,9 @@ class Ring:
         t = self.tables
         return bool(t.unit[t.index[a]])
 
-    def element_from_str(self, s: str):
-        """Look an element up by its printed form (whitespace-insensitive)."""
-        key = s.replace(" ", "")
-        for a in self.elements():
-            if self.el_str(a).replace(" ", "") == key:
-                return a
-        raise RingError(f"no element {s!r} in {self.spec_str()}")
-
 
 class GaloisField(Ring):
-    """GF(p^k); payload = little-endian coefficient tuple of length k."""
+    """GF(p^k); labels are little-endian coefficient tuples of length k."""
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None,
                  size_cap: int = DEFAULT_SIZE_CAP):
@@ -321,63 +314,15 @@ class GaloisField(Ring):
             if not _poly_irreducible(modulus, p):
                 raise RingError("modulus is reducible; not a field")
         self.p, self.k, self.modulus = p, k, modulus
-        self.size = p ** k
-        self.spec_key = ("gf", p, k, modulus)
-        self._elements = [self._pad(c) for c in
-                          (self._unrank(v) for v in range(self.size))]
-
-    def _pad(self, c):
-        return tuple(c) + (0,) * (self.k - len(c))
-
-    def _unrank(self, v):
-        out = []
-        for _ in range(self.k):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def elements(self):
-        return list(self._elements)
-
-    def add(self, a, b):
-        return self._pad(_padd(a, b, self.p))
-
-    def mul(self, a, b):
-        if self.k == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return self._pad(_pmod(_pmul(a, b, self.p), self.modulus, self.p))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def _tables(self):
-        r = np.arange(self.p)
-        add = np.add.outer(r, r) % self.p
-        mul = np.multiply.outer(r, r) % self.p
-        if self.k == 1:
-            return add, mul
-        return _poly_tables(add, mul, -r % self.p, self.modulus)
-
-    @property
-    def zero(self):
-        return (0,) * self.k
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def el_str(self, a):
-        if self.k == 1:
-            return str(a[0])
-        return poly_str(a)
-
-    def el_value(self, a):
-        return _poly_value(a, self.p)
-
-    def spec_str(self):
-        if self.k == 1:
-            return f"gf({self.p})"
-        return f"gf({self.p}^{self.k})"
+        r = np.arange(p)
+        add, mul = np.add.outer(r, r) % p, np.multiply.outer(r, r) % p
+        if k > 1:
+            add, mul = _poly_tables(add, mul, -r % p, modulus)
+        els = _digit_labels(range(p), k)
+        names = [str(a[0]) if k == 1 else poly_str(a) for a in els]
+        super().__init__(("gf", p, k, modulus),
+                         f"gf({p})" if k == 1 else f"gf({p}^{k})",
+                         els, names, add, mul)
 
 
 def poly_str(c: tuple[int, ...], var: str = "x",
@@ -397,7 +342,7 @@ def poly_str(c: tuple[int, ...], var: str = "x",
 
 
 class QuotientRing(Ring):
-    """F[x]/(f) for a field F and monic f; payload = tuple of F payloads."""
+    """F[x]/(f) for a field F and monic f; labels are tuples of F labels."""
 
     def __init__(self, base: GaloisField, modulus: tuple, spec_text: str | None = None,
                  size_cap: int = DEFAULT_SIZE_CAP):
@@ -411,181 +356,51 @@ class QuotientRing(Ring):
         self.base = base
         self.modulus = modulus
         self.deg = len(modulus) - 1
-        self.size = base.size ** self.deg
-        if self.size > size_cap:
+        if base.size ** self.deg > size_cap:
             raise RingError(f"quotient ring exceeds size cap {size_cap}")
-        self.spec_key = ("quot", base.spec_key, modulus)
-        self._spec_text = spec_text
-        self._elements = list(itertools.product(base.elements(), repeat=self.deg))
-        # itertools.product varies the last slot fastest; payloads are
-        # little-endian, so sort by value for the canonical enumeration.
-        self._elements.sort(key=self.el_value)
-
-    def elements(self):
-        return list(self._elements)
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        F = self.base
-        out = [F.zero] * (2 * self.deg - 1)
-        for i, ai in enumerate(a):
-            if ai != F.zero:
-                for j, bj in enumerate(b):
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        # reduce modulo the monic modulus
-        for top in range(len(out) - 1, self.deg - 1, -1):
-            lead = out[top]
-            if lead == F.zero:
-                continue
-            shift = top - self.deg
-            for i in range(self.deg + 1):
-                out[shift + i] = F.sub(out[shift + i], F.mul(lead, self.modulus[i]))
-        return tuple(out[: self.deg])
-
-    def _tables(self):
-        F = self.base.tables
-        return _poly_tables(F.add, F.mul, F.neg,
-                            tuple(F.index[c] for c in self.modulus))
-
-    @property
-    def zero(self):
-        return (self.base.zero,) * self.deg
-
-    @property
-    def one(self):
-        return (self.base.one,) + (self.base.zero,) * (self.deg - 1)
-
-    def el_str(self, a):
-        F = self.base
-        return poly_str(a,
-                        coeff_str=lambda v: (F.el_str(v) if F.k == 1
-                                             else "(" + F.el_str(v) + ")"),
-                        coeff_is_zero=lambda v: v == F.zero,
-                        coeff_is_one=lambda v: v == F.one)
-
-    def el_value(self, a):
-        q = self.base.size
-        return sum(self.base.el_value(ci) * q ** i for i, ci in enumerate(a))
-
-    def spec_str(self):
-        if self._spec_text:
-            return self._spec_text
-        mod = poly_str(tuple(self.base.el_value(c) for c in self.modulus))
-        return f"{self.base.spec_str()}[x]/({mod})"
+        F = base.tables
+        add, mul = _poly_tables(F.add, F.mul, F.neg,
+                                tuple(F.index[c] for c in modulus))
+        els = _digit_labels(F.els, self.deg)
+        names = [poly_str(a,
+                          coeff_str=lambda v: (base.el_str(v) if base.k == 1
+                                               else "(" + base.el_str(v) + ")"),
+                          coeff_is_zero=lambda v: v == base.zero,
+                          coeff_is_one=lambda v: v == base.one)
+                 for a in els]
+        if not spec_text:
+            mod = poly_str(tuple(base.el_value(c) for c in modulus))
+            spec_text = f"{base.spec_str()}[x]/({mod})"
+        super().__init__(("quot", base.spec_key, modulus), spec_text,
+                         els, names, add, mul)
 
 
 class ProductRing(Ring):
-    """Direct product; payload = tuple of factor payloads, componentwise ops."""
+    """Direct product; labels are tuples of factor labels, in mixed radix
+    with the first factor most significant."""
 
     def __init__(self, factors: list[Ring], size_cap: int = DEFAULT_SIZE_CAP):
         if len(factors) < 2:
             raise RingError("product needs at least two factors")
         self.factors = tuple(factors)
-        self.size = reduce(lambda a, b: a * b, (f.size for f in factors))
-        if self.size > size_cap:
+        size = reduce(lambda a, b: a * b, (f.size for f in factors))
+        if size > size_cap:
             raise RingError(f"product ring exceeds size cap {size_cap}")
-        self.spec_key = ("prod",) + tuple(f.spec_key for f in factors)
-        self._elements = [tuple(t) for t in
-                          itertools.product(*[f.elements() for f in factors])]
-
-    def elements(self):
-        return list(self._elements)
-
-    def add(self, a, b):
-        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def neg(self, a):
-        return tuple(f.neg(x) for f, x in zip(self.factors, a))
-
-    def _tables(self):
-        """Mixed radix, the first factor most significant (``el_value`` is
-        the tuple of factor values)."""
-        idx = np.arange(self.size)
-        add = np.zeros((self.size, self.size), dtype=np.intp)
+        idx = np.arange(size)
+        add = np.zeros((size, size), dtype=np.intp)
         mul = np.zeros_like(add)
-        stride = self.size
-        for f in self.factors:
+        stride = size
+        for f in factors:
             stride //= f.size
             d = (idx // stride) % f.size
             add += f.tables.add[d[:, None], d[None, :]] * stride
             mul += f.tables.mul[d[:, None], d[None, :]] * stride
-        return add, mul
-
-    @property
-    def zero(self):
-        return tuple(f.zero for f in self.factors)
-
-    @property
-    def one(self):
-        return tuple(f.one for f in self.factors)
-
-    def el_str(self, a):
-        return "(" + ",".join(f.el_str(x) for f, x in zip(self.factors, a)) + ")"
-
-    def el_value(self, a):
-        return tuple(f.el_value(x) for f, x in zip(self.factors, a))
-
-    def spec_str(self):
-        return "x".join(f.spec_str() for f in self.factors)
-
-
-class CosetRing(Ring):
-    """Quotient of a finite ring by an ideal, on minimal coset representatives."""
-
-    def __init__(self, base: Ring, ideal: frozenset):
-        self.base = base
-        self.ideal = ideal
-        t = base.tables
-        # least coset member; index order is el_value order
-        self._rep_idx = t.add[:, [t.index[j] for j in ideal]].min(axis=1)
-        self._reps = np.flatnonzero(self._rep_idx == np.arange(t.n))
-        self.rep_of = {a: t.els[r] for a, r in zip(t.els, self._rep_idx)}
-        self._elements = [t.els[r] for r in self._reps]
-        self.size = len(self._reps)
-        self.spec_key = ("coset", base.spec_key, tuple(sorted(ideal, key=base.el_value)))
-
-    def elements(self):
-        return list(self._elements)
-
-    def _tables(self):
-        t = self.base.tables
-        coset_of = np.searchsorted(self._reps, self._rep_idx)
-        block = np.ix_(self._reps, self._reps)
-        return coset_of[t.add[block]], coset_of[t.mul[block]]
-
-    def add(self, a, b):
-        return self.rep_of[self.base.add(a, b)]
-
-    def mul(self, a, b):
-        return self.rep_of[self.base.mul(a, b)]
-
-    def neg(self, a):
-        return self.rep_of[self.base.neg(a)]
-
-    @property
-    def zero(self):
-        return self.rep_of[self.base.zero]
-
-    @property
-    def one(self):
-        return self.rep_of[self.base.one]
-
-    def el_str(self, a):
-        return self.base.el_str(a)
-
-    def el_value(self, a):
-        return self.base.el_value(a)
-
-    def spec_str(self):
-        return f"({self.base.spec_str()})/J"
+        els = list(itertools.product(*[f.tables.els for f in factors]))
+        names = ["(" + ",".join(n) + ")"
+                 for n in itertools.product(*[f.names for f in factors])]
+        super().__init__(("prod",) + tuple(f.spec_key for f in factors),
+                         "x".join(f.spec_str() for f in factors),
+                         els, names, add, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -780,18 +595,12 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             if depth:
                 fail("unbalanced parentheses in modulus")
             ptext = text[start:pos - 1]
-            coeffs = parse_poly_text(ptext, p if field.k == 1 else field.p)
+            coeffs = parse_poly_text(ptext, field.p)
             deg = max(coeffs)
             if not within_cap(field.size, deg):
                 raise RingError(f"quotient ring exceeds size cap {size_cap}")
-            intcoeffs = [coeffs.get(i, 0) for i in range(deg + 1)]
-            # lift integer coefficients into the base field (c -> c * 1)
-            fcoeffs = []
-            for c in intcoeffs:
-                acc = field.zero
-                for _ in range(c % field.p):
-                    acc = field.add(acc, field.one)
-                fcoeffs.append(acc)
+            # integer c (already mod p) lifts to c * 1, the element of index c
+            fcoeffs = [field.tables.els[coeffs.get(i, 0)] for i in range(deg + 1)]
             if fcoeffs[-1] == field.zero:
                 fail("modulus has zero leading coefficient")
             if fcoeffs[-1] != field.one:
@@ -868,9 +677,17 @@ def jacobson_radical(ring: Ring) -> list:
 
 def quotient_by_radical(ring: Ring) -> tuple[Ring, RingHomomorphism]:
     """Quotient ring on lexicographically minimal coset reps + surjection."""
-    J = frozenset(jacobson_radical(ring))
-    q = CosetRing(ring, J)
-    hom = RingHomomorphism(ring, q, {a: q.rep_of[a] for a in ring.elements()})
+    t = ring.tables
+    J = [t.index[j] for j in jacobson_radical(ring)]
+    rep = t.add[:, J].min(axis=1)  # least member of a + J; index order is value order
+    reps = np.flatnonzero(rep == np.arange(t.n))
+    coset_of = np.searchsorted(reps, rep)
+    block = np.ix_(reps, reps)
+    q = Ring(("coset", ring.spec_key, tuple(t.els[j] for j in J)),
+             f"({ring.spec_str()})/J", [t.els[r] for r in reps],
+             [ring.names[r] for r in reps],
+             coset_of[t.add[block]], coset_of[t.mul[block]])
+    hom = RingHomomorphism(ring, q, {a: t.els[r] for a, r in zip(t.els, rep)})
     assert ring.size % len(J) == 0 and q.size == ring.size // len(J)
     return q, hom
 

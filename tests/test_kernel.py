@@ -1,5 +1,8 @@
 """The ring table kernel against payload arithmetic and brute-force oracles.
 
+The payload arithmetic is ``ring_oracle.PayloadRing``, which recomputes each
+ring from its construction data and never reads the tables.
+
 Random rings are GF(p^k)[x]/(f) for random monic f, Galois fields and
 two-factor products, all of at most 32 elements.  The sweep covers every
 monic f over every GF(q) with q^deg f <= 32, and every two-factor product
@@ -7,6 +10,7 @@ of at most 32 elements whose factors are fields or quotients of degree >= 2
 (a degree-1 quotient is a relabelled field).
 """
 
+import functools
 import itertools
 
 import pytest
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 
 import ringline as rl
 from ringline.rings import GaloisField, ProductRing, QuotientRing
-from ring_oracle import MemoRing, oracle_line, oracle_units, oracle_unimodular
+from ring_oracle import (MemoRing, PayloadRing, oracle_line, oracle_units,
+                         oracle_unimodular)
 
 MAX_SIZE = 32
 FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -46,14 +51,15 @@ def small_rings(draw):
 @settings(max_examples=20, deadline=None)
 @given(small_rings())
 def test_tables_match_payload_arithmetic(ring):
-    t = ring.tables
-    assert t.els == ring.sorted_elements()
+    t, payload = ring.tables, PayloadRing(ring)
+    assert t.els == payload.elements()
+    assert (t.els[t.zero], t.els[t.one]) == (payload.zero, payload.one)
     for i, a in enumerate(t.els):
-        assert t.els[t.neg[i]] == ring.neg(a)
+        assert t.els[t.neg[i]] == payload.neg(a)
         for j, b in enumerate(t.els):
-            assert t.els[t.add[i, j]] == ring.add(a, b)
-            assert t.els[t.mul[i, j]] == ring.mul(a, b)
-    assert set(ring.units()) == oracle_units(ring)
+            assert t.els[t.add[i, j]] == payload.add(a, b)
+            assert t.els[t.mul[i, j]] == payload.mul(a, b)
+    assert set(ring.units()) == oracle_units(payload)
 
 
 @settings(max_examples=20, deadline=None)
@@ -61,11 +67,11 @@ def test_tables_match_payload_arithmetic(ring):
 def test_admissibility_matches_ideal_oracle(ring, data):
     # a unit coordinate short-circuits, so one coordinate is always a non-unit
     memo = MemoRing(ring)
-    nonunits = sorted(set(ring.elements()) - oracle_units(memo),
-                      key=ring.el_value)
+    nonunits = sorted(set(memo.elements()) - oracle_units(memo),
+                      key=memo.el_value)
     for _ in range(3):
         a = data.draw(st.sampled_from(nonunits))
-        b = data.draw(st.sampled_from(ring.elements()))
+        b = data.draw(st.sampled_from(memo.elements()))
         assert rl.is_admissible(ring, a, b) == oracle_unimodular(memo, a, b)
         assert rl.is_admissible(ring, b, a) == oracle_unimodular(memo, b, a)
 
@@ -81,13 +87,14 @@ def _quotients():
                 yield QuotientRing(field, coeffs + (field.one,))
 
 
+@functools.cache
 def _sweep():
     atoms_ = list(_quotients())
     factors = [r for r in atoms_
                if isinstance(r, GaloisField) or r.deg >= 2]
     products = [ProductRing([a, b]) for a, b in itertools.product(factors, repeat=2)
                 if a.size * b.size <= MAX_SIZE]
-    return atoms_ + products
+    return tuple(atoms_ + products)
 
 
 def test_sweep_closed_form_and_brute_force():
@@ -106,6 +113,30 @@ def test_sweep_closed_form_and_brute_force():
             assert [(p.a, p.b) for p in catalog.points] == points, ring
             assert [list(row) for row in catalog.relation] == relation, ring
     assert closed > 500 and brute > 50
+
+
+def test_sweep_names_round_trip():
+    for ring in _sweep():
+        for a in ring.elements():
+            assert ring.element_from_str(ring.el_str(a)) == a, ring
+
+
+def test_sweep_radical_quotient():
+    """R/J on the least coset representatives: its tables are R's payload
+    arithmetic followed by the surjection (checked on i <= j, the tables
+    being symmetric)."""
+    for ring in _sweep():
+        q, hom = rl.quotient_by_radical(ring)
+        radical = rl.jacobson_radical(ring)
+        assert q.size * len(radical) == ring.size, ring
+        assert rl.validate_hom(hom), ring
+        assert hom.kernel() == set(radical), ring
+        payload, t = PayloadRing(ring), q.tables
+        assert (t.add == t.add.T).all() and (t.mul == t.mul.T).all(), ring
+        for i, j in itertools.combinations_with_replacement(range(t.n), 2):
+            a, b = t.els[i], t.els[j]
+            assert t.els[t.add[i, j]] == hom(payload.add(a, b)), ring
+            assert t.els[t.mul[i, j]] == hom(payload.mul(a, b)), ring
 
 
 @pytest.mark.parametrize("spec,points", [("gf(2)[x]/(x^8)", 384),

@@ -38,6 +38,14 @@ def test_pentagram_verification():
     assert report.magic
 
 
+def test_verification_decides_on_its_own_signs(monkeypatch):
+    def recompute(cfg):
+        raise AssertionError("verify_magic recomputed the context signs")
+    monkeypatch.setattr("ringline.magic._context_signs", recompute)
+    for name in ("mermin_square", "mermin_pentagram"):
+        assert rl.verify_magic(rl.builtin(name)).magic
+
+
 def test_pentagram_contexts_are_inferred():
     obs = [PauliObservable(w) for w in PENTAGRAM_WORDS]
     inferred = rl.infer_contexts(obs, 4)

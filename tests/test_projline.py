@@ -15,15 +15,15 @@ import pytest
 import ringline as rl
 from ringline.correspond import (JACOBSON_LAYOUT, NEIGHBOURHOOD_LAYOUT,
                                  club_to_tilde_hom)
-from ringline.projline import (LineError, ProjPoint, catalog_dot, catalog_json,
-                               is_admissible_componentwise)
-from ring_oracle import oracle_unimodular
+from ringline.projline import LineError, ProjPoint, catalog_dot, catalog_json
+from ring_oracle import PayloadRing, is_admissible_componentwise, oracle_unimodular
 
 
 def test_admissibility_matches_ideal_oracle(r_club, r_tilde, gf4):
     for ring in (r_club, r_tilde, gf4):
-        for a, b in itertools.product(ring.elements(), repeat=2):
-            assert rl.is_admissible(ring, a, b) == oracle_unimodular(ring, a, b)
+        payload = PayloadRing(ring)
+        for a, b in itertools.product(payload.elements(), repeat=2):
+            assert rl.is_admissible(ring, a, b) == oracle_unimodular(payload, a, b)
 
 
 def test_admissibility_examples(r_tilde):
