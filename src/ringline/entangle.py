@@ -119,7 +119,7 @@ def classify_context(context: list[PauliObservable]) -> BasisClassification:
 
 def _product(ops: list[PauliObservable], mask: int) -> PauliObservable:
     """Product of the ops whose index bits are set in mask."""
-    prod = PauliObservable("I" * ops[0].n)
+    prod = PauliObservable.from_masks(ops[0].n, 0, 0)
     for i, op in enumerate(ops):
         if mask >> i & 1:
             prod = multiply(prod, op)

@@ -11,15 +11,14 @@ brute force over all assignments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import gf2
 from .pauli import (PauliError, PauliObservable, all_words, commutes,
-                    context_product_sign, multiply)
+                    context_product_sign, multiply, scalar_sign)
 
 
 class ConfigError(ValueError):
@@ -60,8 +59,8 @@ class Configuration:
 
     def structural_errors(self) -> list[str]:
         errs = []
-        words = [o.word for o in self.observables]
-        if len(set(words)) != len(words):
+        if len({(o.n, o.x, o.z) for o in self.observables}) \
+                != len(self.observables):
             errs.append("duplicate observable")
         if any(o.phase != 0 for o in self.observables):
             errs.append("observables must have phase 0")
@@ -177,7 +176,7 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
         note = ""
         if comm:
             try:
-                sign = context_product_sign(ops)
+                sign = scalar_sign(ops)
             except PauliError as e:
                 note = str(e)
         else:
@@ -199,19 +198,49 @@ def _mask(ctx) -> int:
     return sum(1 << i for i in ctx)
 
 
+@functools.cache
+def _parities(m: int) -> tuple[int, ...]:
+    """For each i < m, the 2^m-bit integer whose bit e is bit i of e.
+
+    Each is built by doubling a block of 2^i zeros then 2^i ones; the
+    cache holds at most 210 of them (i < m <= 20), about 5 MB.
+    """
+    out = []
+    for i in range(m):
+        width = 1 << i
+        p = ((1 << width) - 1) << width
+        width <<= 1
+        while width < 1 << m:
+            p |= p << width
+            width <<= 1
+        out.append(p)
+    return tuple(out)
+
+
 def _exhaustive_valuation(masks: list[int], signs: list[int], m: int):
-    """Scan all +-1 assignments; None when no valuation reproduces the signs."""
+    """Scan all +-1 assignments; None when no valuation reproduces the signs.
+
+    Assignment e makes observable i -1 when bit i of e is set.  The
+    assignments that satisfy every context so far are the set bits of one
+    2^m-bit integer; a context keeps those whose -1 count on it is odd for
+    sign -1 (the xor of its observables' parity patterns) and even for +1.
+    The valuation is the lowest such e.
+    """
     if m > 20:
         raise ConfigError("exhaustive decider capped at 20 observables")
-    assigns = np.arange(1 << m, dtype=np.uint32)  # bit i set: observable i is -1
-    ok = np.ones(len(assigns), dtype=bool)
+    parity = _parities(m)
+    everything = (1 << (1 << m)) - 1
+    ok = everything
     for mask, sign in zip(masks, signs):
-        ok &= ((np.bitwise_count(assigns & np.uint32(mask)) & 1)
-               == (0 if sign == 1 else 1))
-    hits = np.nonzero(ok)[0]
-    if len(hits) == 0:
+        odd = 0
+        while mask:  # the set bits of mask, as in _bits, inlined
+            low = mask & -mask
+            odd ^= parity[low.bit_length() - 1]
+            mask ^= low
+        ok &= everything ^ odd if sign == 1 else odd
+    if not ok:
         return None
-    e = int(hits[0])
+    e = (ok & -ok).bit_length() - 1
     return {i: (-1 if (e >> i) & 1 else 1) for i in range(m)}
 
 
@@ -312,14 +341,16 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
                  cands & comm[i] & -(2 << i))
 
     if words:
-        grow((), PauliObservable("I" * words[0].n), (1 << len(words)) - 1)
+        grow((), PauliObservable.from_masks(words[0].n, 0, 0),
+             (1 << len(words)) - 1)
     return sorted(out)
 
 
 def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                  budget: int | None = None):
     """Sets of c contexts that cover each of their observables exactly
-    twice, any two sharing a number of observables in `overlaps`.
+    twice, any two sharing a number of observables in `overlaps`, a
+    nonempty subset of {0, 1}.
 
     Exact cover with multiplicity 2 in the style of Knuth's *Dancing
     Links*, on bitsets: each step branches on the observable covered once
@@ -329,6 +360,8 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
     sorted index tuples, and whether the search completed.
     """
+    if not overlaps or not overlaps <= {0, 1}:
+        raise ValueError(f"overlaps {overlaps} is not a nonempty subset of {{0, 1}}")
     masks = [m for _, m, _ in contexts]
     holds = {}  # observable -> bitset of the contexts holding it
     for ci, m in enumerate(masks):
@@ -336,9 +369,18 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             holds[o] = holds.get(o, 0) | 1 << ci
     everything = (1 << len(masks)) - 1
     # context -> bitset of the contexts it may be picked with
-    compat = [sum(1 << b for b, mb in enumerate(masks)
-                  if b != a and (ma & mb).bit_count() in overlaps)
-              for a, ma in enumerate(masks)]
+    compat = []
+    for a, ma in enumerate(masks):
+        members = list(_bits(ma))
+        share1 = share2 = 0  # contexts sharing >= 1, >= 2 observables with a
+        for k, o in enumerate(members):
+            share1 |= holds[o]
+            for o2 in members[k + 1:]:
+                share2 |= holds[o] & holds[o2]
+        allowed = everything ^ share1 if 0 in overlaps else 0
+        if 1 in overlaps:
+            allowed |= share1 & ~share2
+        compat.append(allowed & ~(1 << a))
     found = []
     nodes = 0
 
@@ -439,21 +481,21 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     ``budget`` caps the number of search-tree nodes; when it is hit the
     results found so far are returned with ``complete=False``.
     """
-    words = all_words(3)
+    words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
     found, complete = _cover_twice(contexts, 5, {1}, budget)
-    configs = []
+    magic = []
     for pent in found:
         obs_idx = sorted({i for ci in pent for i in contexts[ci][0]})
         remap = {w: i for i, w in enumerate(obs_idx)}
         ctxs, signs = zip(*sorted((tuple(remap[i] for i in contexts[ci][0]),
                                    contexts[ci][2]) for ci in pent))
-        if _decide([_mask(c) for c in ctxs], list(signs), 10).colorable:
-            continue
-        configs.append(Configuration(3, tuple(words[i] for i in obs_idx),
-                                     ctxs, "pentagram"))
-    configs.sort(key=lambda c: (tuple(o.word for o in c.observables), c.contexts))
-    return SearchOutcome(tuple(configs), complete)
+        if not _decide([_mask(c) for c in ctxs], list(signs), 10).colorable:
+            magic.append((tuple(obs_idx), ctxs))
+    magic.sort()
+    return SearchOutcome(tuple(
+        Configuration(3, tuple(words[i] for i in obs_idx), ctxs, "pentagram")
+        for obs_idx, ctxs in magic), complete)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Exact n-qubit Pauli words with i^k phase tracking.
 
-A word is a string over {I, X, Y, Z} (qubit 1 = leftmost Kronecker
-factor) plus a phase exponent k meaning i^k.  The string is the printed
-and JSON form; arithmetic runs on two integer bitmasks x and z, where
-bit j is qubit j+1 and the letters are I = (0, 0), X = (1, 0),
-Z = (0, 1), Y = (1, 1).  Commutation is the parity of the binary
-symplectic form; multiplication is xor on the masks plus a popcount phase
-rule in the style of Aaronson & Gottesman, *Improved simulation of
-stabilizer circuits* (2004).  Both are cross-checked against exact matrix
-oracles in the test suite.
+A word is an n-qubit tensor product over {I, X, Y, Z} (qubit 1 = leftmost
+Kronecker factor) times a phase i^k.  It is stored as two integer bitmasks
+x and z, where bit j is qubit j+1 and the letters are I = (0, 0),
+X = (1, 0), Z = (0, 1), Y = (1, 1); the letter string ``word`` is derived
+from the masks, for printing and JSON only.  Commutation is the parity of
+the binary symplectic form; multiplication is xor on the masks plus a
+popcount phase rule in the style of Aaronson & Gottesman, *Improved
+simulation of stabilizer circuits* (2004).  Both are cross-checked against
+exact matrix oracles in the test suite.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 LETTERS = "IXYZ"
 _BITS_LETTER = "IXZY"  # indexed by x | z << 1
@@ -24,29 +23,71 @@ class PauliError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PauliObservable:
-    word: str
-    phase: int = 0  # exponent k of i^k
-    x: int = field(init=False, repr=False, compare=False)
-    z: int = field(init=False, repr=False, compare=False)
+_new = object.__new__
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if not self.word or any(c not in LETTERS for c in self.word):
-            raise PauliError(f"bad Pauli word {self.word!r}")
-        object.__setattr__(self, "phase", self.phase % 4)
+
+class PauliObservable:
+    """An immutable word i^phase * P on n qubits, held as masks (x, z).
+
+    ``PauliObservable("XYZ", phase)`` parses a letter string;
+    ``from_masks(n, x, z, phase)`` builds the same value with no string.
+    Equality and hashing are on (n, x, z, phase).
+    """
+
+    __slots__ = ("n", "x", "z", "phase")
+
+    def __init__(self, word: str, phase: int = 0):
+        if not isinstance(word, str) or not word or \
+                any(c not in LETTERS for c in word):
+            raise PauliError(f"bad Pauli word {word!r}")
         x = z = 0
-        for j, c in enumerate(self.word):
+        for j, c in enumerate(word):
             if c in "XY":
                 x |= 1 << j
             if c in "YZ":
                 z |= 1 << j
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        _set(self, "n", len(word))
+        _set(self, "x", x)
+        _set(self, "z", z)
+        _set(self, "phase", phase % 4)
+
+    @classmethod
+    def from_masks(cls, n: int, x: int, z: int,
+                   phase: int = 0) -> PauliObservable:
+        """The word on n qubits with bitmasks x and z (bit j = qubit j+1)."""
+        if n < 1 or (x | z) >> n:  # also catches a negative mask
+            raise PauliError(f"masks x={x}, z={z} do not fit {n} qubit(s)")
+        self = _new(cls)
+        _set(self, "n", n)
+        _set(self, "x", x)
+        _set(self, "z", z)
+        _set(self, "phase", phase % 4)
+        return self
 
     @property
-    def n(self) -> int:
-        return len(self.word)
+    def word(self) -> str:
+        x, z = self.x, self.z
+        return "".join(_BITS_LETTER[(x >> j & 1) | (z >> j & 1) << 1]
+                       for j in range(self.n))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PauliObservable is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PauliObservable is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # pickle and copy cannot set attributes either
+        return PauliObservable.from_masks, (self.n, self.x, self.z, self.phase)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x == other.x and self.z == other.z
+                and self.phase == other.phase and self.n == other.n)
+
+    def __hash__(self):
+        return hash((self.n, self.x, self.z, self.phase))
 
     def is_identity_word(self) -> bool:
         return not (self.x | self.z)
@@ -89,12 +130,10 @@ def multiply(p: PauliObservable, q: PauliObservable) -> PauliObservable:
     if p.n != q.n:
         raise PauliError("qubit counts differ")
     x, z = p.x ^ q.x, p.z ^ q.z
-    phase = (p.phase + q.phase + (p.x & p.z).bit_count()
-             + (q.x & q.z).bit_count() - (x & z).bit_count()
-             + 2 * (p.z & q.x).bit_count())
-    word = "".join(_BITS_LETTER[(x >> j & 1) | (z >> j & 1) << 1]
-                   for j in range(p.n))
-    return PauliObservable(word, phase)
+    return PauliObservable.from_masks(
+        p.n, x, z, p.phase + q.phase + (p.x & p.z).bit_count()
+        + (q.x & q.z).bit_count() - (x & z).bit_count()
+        + 2 * (p.z & q.x).bit_count())
 
 
 def commutes(p: PauliObservable, q: PauliObservable) -> bool:
@@ -113,6 +152,14 @@ def context_product_sign(ops: list[PauliObservable]) -> int:
             if not commutes(ops[i], ops[j]):
                 raise PauliError(
                     f"context members {ops[i]} and {ops[j]} do not commute")
+    return scalar_sign(ops)
+
+
+def scalar_sign(ops: list[PauliObservable]) -> int:
+    """Sign of the product of ops, which must be exactly +I or -I.
+
+    Commutation is not tested here; ``context_product_sign`` tests it.
+    """
     prod = ops[0]
     for op in ops[1:]:
         prod = multiply(prod, op)

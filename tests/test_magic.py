@@ -118,6 +118,21 @@ def test_verify_rejects_noncommuting_context():
     assert not report.magic
 
 
+def test_verify_notes_match_the_product_sign_errors():
+    """verify_magic tests each pair once, then signs the product; its notes
+    are the texts context_product_sign raises."""
+    obs = tuple(PauliObservable(w) for w in ("XI", "IX", "XX", "ZI"))
+    cfg = Configuration(2, obs, ((0, 1), (0, 1, 2), (0, 3)), "custom")
+    report = rl.verify_magic(cfg)
+    with pytest.raises(rl.PauliError) as err:
+        rl.context_product_sign([obs[0], obs[1]])
+    assert [(c.commuting, c.sign, c.note) for c in report.contexts] == [
+        (True, None, str(err.value)), (True, 1, ""),
+        (False, None, "not pairwise commuting")]
+    assert str(err.value) == "context product XX is not a scalar"
+    assert report.bks is None and not report.magic
+
+
 # --- searches ---------------------------------------------------------------
 
 def test_search_squares():

@@ -5,7 +5,9 @@ literal 1j entries, independent of the exact Gaussian-integer matrices in
 matrix_oracle and of the package's bitmask phase rule.
 """
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -49,6 +51,59 @@ def test_make_pauli_errors():
         rl.make_pauli("X1 Y1", 2)  # qubit specified twice
     with pytest.raises(PauliError):
         rl.PauliObservable("AB")
+
+
+def _all_phased(n_max):
+    return [rl.PauliObservable(p.word, k)
+            for n in range(1, n_max + 1)
+            for p in all_words(n, include_identity=True) for k in range(4)]
+
+
+def test_masks_are_the_value():
+    """from_masks and word parsing build equal, equally hashed values, and
+    the derived word parses back to the same masks."""
+    for p in _all_phased(3):
+        q = rl.PauliObservable.from_masks(p.n, p.x, p.z, p.phase)
+        assert q == p and hash(q) == hash(p)
+        assert q.word == p.word and len(p.word) == p.n
+        assert rl.PauliObservable(p.word, p.phase) == p
+        assert p != rl.PauliObservable(p.word, p.phase + 1)
+    assert rl.PauliObservable("XI") != rl.PauliObservable("XII")
+    assert rl.PauliObservable.from_masks(2, 0b01, 0b11, 6) == \
+        rl.PauliObservable("YZ", 2)
+
+
+def test_multiply_builds_the_parsed_word():
+    words = _all_phased(2) + _all_phased(3)[::3]
+    for p, q in itertools.product(words, repeat=2):
+        if p.n == q.n:
+            r = rl.multiply(p, q)
+            parsed = rl.PauliObservable(r.word, r.phase)
+            assert r == parsed and hash(r) == hash(parsed)
+
+
+def test_words_are_immutable():
+    p = rl.PauliObservable("XY", 1)
+    for name in ("n", "x", "z", "phase", "word", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p == rl.PauliObservable("XY", 1)
+    assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+
+
+@pytest.mark.parametrize("n, x, z", [(0, 0, 0), (2, 4, 0), (2, 0, 7),
+                                     (3, -1, 0)])
+def test_from_masks_rejects_masks_outside_n_qubits(n, x, z):
+    with pytest.raises(PauliError):
+        rl.PauliObservable.from_masks(n, x, z)
+
+
+@pytest.mark.parametrize("word", ["", "XA", 5, ["X", "Y"], None])
+def test_bad_words(word):
+    with pytest.raises(PauliError):
+        rl.PauliObservable(word)
 
 
 def test_str_phases():

@@ -1,17 +1,20 @@
 """The context enumerator, the exact-cover search and the sign-taking BKS
 decider against brute-force oracles: a scan of every size-subset for
-contexts, every subset of c contexts for the search, and every +-1
-assignment for the decider."""
+contexts, every subset of c contexts for the search, and a numpy scan of
+every +-1 assignment for the deciders."""
 
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringline as rl
 from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
-                            _decide)
+                            _decide, _exhaustive_valuation)
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
@@ -120,7 +123,7 @@ def context_families(draw):
     masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1,
                           max_size=12))
     c = draw(st.integers(1, 5))
-    overlaps = draw(st.sets(st.integers(0, 3), min_size=1))
+    overlaps = draw(st.sets(st.integers(0, 1), min_size=1))
     return masks, c, overlaps
 
 
@@ -132,6 +135,89 @@ def test_cover_twice_matches_subset_scan(family):
                                    overlaps)
     assert sorted(found) == oracle_cover_twice(masks, c, overlaps)
     assert complete
+
+
+@pytest.mark.parametrize("overlaps", [set(), {2}, {0, 3}])
+def test_cover_twice_takes_overlaps_of_at_most_one(overlaps):
+    with pytest.raises(ValueError):
+        _cover_twice([((), 0b11, 1)], 1, overlaps)
+
+
+def oracle_exhaustive_valuation(masks, signs, m):
+    """The first +-1 assignment, in assignment order, reproducing every
+    sign, by a numpy popcount scan of all 2^m assignments; None if none."""
+    assigns = np.arange(1 << m, dtype=np.uint32)  # bit i set: observable i is -1
+    ok = np.ones(len(assigns), dtype=bool)
+    for mask, sign in zip(masks, signs):
+        ok &= ((np.bitwise_count(assigns & np.uint32(mask)) & 1)
+               == (0 if sign == 1 else 1))
+    hits = np.nonzero(ok)[0]
+    if len(hits) == 0:
+        return None
+    e = int(hits[0])
+    return {i: (-1 if (e >> i) & 1 else 1) for i in range(m)}
+
+
+@st.composite
+def larger_systems(draw):
+    m = draw(st.integers(1, 14))
+    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1,
+                          max_size=m + 3))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(masks),
+                          max_size=len(masks)))
+    return masks, signs, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(larger_systems())
+def test_exhaustive_valuation_matches_numpy_scan(system):
+    assert _exhaustive_valuation(*system) == oracle_exhaustive_valuation(*system)
+
+
+def _system_at(m, contexts, seed, colorable):
+    """Seeded contexts on m observables, signed by a hidden valuation, with
+    one sign flipped when the system must not be colorable."""
+    rnd = random.Random(seed)
+    masks = [rnd.getrandbits(m) | 1 << rnd.randrange(m)
+             for _ in range(contexts)]
+    hidden = rnd.getrandbits(m)
+    signs = [-1 if (mask & hidden).bit_count() & 1 else 1 for mask in masks]
+    if not colorable:
+        masks.append(masks[0] ^ masks[1])
+        signs.append(signs[0] * signs[1] * -1)
+    return masks, signs
+
+
+@pytest.mark.parametrize("m, contexts, colorable", [
+    (19, 12, True), (19, 25, False), (20, 12, True), (20, 12, False)])
+def test_exhaustive_valuation_at_the_cap(m, contexts, colorable):
+    masks, signs = _system_at(m, contexts, m * contexts, colorable)
+    got = _exhaustive_valuation(masks, signs, m)
+    assert got == oracle_exhaustive_valuation(masks, signs, m)
+    assert (got is not None) == colorable
+    assert _decide(masks, signs, m).colorable == colorable
+
+
+def test_exhaustive_valuation_cap():
+    with pytest.raises(rl.ConfigError):
+        _exhaustive_valuation([1], [1], 21)
+
+
+def test_decision_at_the_cap_is_small():
+    """One cold 20-observable decision: the parity patterns it caches plus
+    a few 2^20-bit integers, well under the 168 MB of a bit matrix."""
+    masks, signs = _system_at(20, 12, 7, True)
+    cfg = rl.Configuration(3, tuple(all_words(3)[:20]), tuple(
+        tuple(i for i in range(20) if mask >> i & 1) for mask in masks),
+        "custom")
+    magic._parities.cache_clear()
+    tracemalloc.start()
+    try:
+        assert rl.bks_decide(cfg, signs).colorable
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @st.composite
