@@ -11,6 +11,7 @@ fail the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -85,7 +86,7 @@ def _render(data: dict, text_lines: list[str], fmt: str,
 
 
 def _grid(cells: list[str], ncols: int) -> list[str]:
-    width = max(len(c) for c in cells) + 2
+    width = max((len(c) for c in cells), default=0) + 2
     rows = []
     for i in range(0, len(cells), ncols):
         rows.append("".join(c.ljust(width) for c in cells[i:i + ncols]).rstrip())
@@ -154,7 +155,7 @@ def run_line(args):
     data = {
         "ring": ring.spec_str(),
         "points": [str(p) for p in catalog.points],
-        "relation": [[pl._REL_CODE[r] for r in row] for row in catalog.relation],
+        "relation": catalog.relation.tolist(),
         "distinguished": {k: sorted(str(p) for p in v)
                           for k, v in subsets.items()},
     }
@@ -532,7 +533,10 @@ def _finish_claims(claims: Claims, data: dict, lines: list[str]):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later main() in the process."""
     ap = argparse.ArgumentParser(
         prog="ringline",
         description="projective ring lines, Pauli contexts and magic "

@@ -107,10 +107,9 @@ def classify_context(context: list[PauliObservable]) -> BasisClassification:
     if any(t != tables[0] for t in tables[1:]):
         raise EntangleError("stabilizer basis is not entropy-homogeneous")
     table = tables[0]
-    singles = [table[(q,)] for q in range(1, n + 1)]
-    if all(v == 0 for v in table.values()):
+    if all(v == 0 for v in table.values()):  # also one qubit: no cuts at all
         cls = "product"
-    elif all(v == 1 for v in singles):
+    elif all(table[(q,)] == 1 for q in range(1, n + 1)):
         cls = "maximally-entangled"
     else:
         cls = "mixed-character"
@@ -140,7 +139,7 @@ def overlap_table(context_a: list[PauliObservable],
     # generators (bits of v below n) with a product of b's (bits from n) that
     # is the same Pauli word; the k = 2n - rank vectors span the subgroup the
     # two stabilizer groups share up to sign.
-    shared = gf2.left_nullspace(symplectic_rows(gens_a + gens_b), 2 * n)
+    shared = gf2.left_nullspace(symplectic_rows(gens_a + gens_b))
     clash = [_product(gens_a, v).phase != _product(gens_b, v >> n).phase
              for v in shared]
     nonzero = Fraction(1, 2 ** (n - len(shared)))

@@ -1,110 +1,71 @@
 """Linear algebra over GF(2) with rows stored as Python int bitmasks.
 
 Bit j of a row bitmask is the entry in column j.  Everything is exact;
-matrices in this package stay tiny (tens of rows), so plain Gaussian
-elimination with a pivot dictionary is all we need.
+matrices in this package stay tiny (tens of rows), so every routine reads
+one Gaussian elimination with a pivot dictionary.  A *combination* is a
+bitmask over row indices: bit i set means row i is xored in.
 """
 
 from __future__ import annotations
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+def eliminate(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Reduce the rows in order against the pivots of the earlier ones.
+
+    Returns (pivots, null): pivots maps each leading column to its reduced
+    row and the combination that produced it, in row order; null lists, in
+    row order, the combinations of rows that reduced to zero, a basis of
+    {y : y A = 0}.
+    """
+    piv: dict[int, tuple[int, int]] = {}
+    null = []
+    for i, row in enumerate(rows):
+        comb = 1 << i
+        while row:
+            p = row.bit_length() - 1
+            if p not in piv:
+                piv[p] = (row, comb)
+                break
+            prow, pcomb = piv[p]
+            row ^= prow
+            comb ^= pcomb
+        else:
+            null.append(comb)
+    return piv, null
 
 
 def rank(rows: list[int]) -> int:
     """Rank of the matrix with the given bitmask rows."""
-    piv: dict[int, int] = {}
-    for row in rows:
-        while row:
-            p = row.bit_length() - 1
-            if p in piv:
-                row ^= piv[p]
-            else:
-                piv[p] = row
-                break
-    return len(piv)
+    return len(eliminate(rows)[0])
 
 
 def independent_indices(rows: list[int]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedy in order."""
-    piv: dict[int, int] = {}
-    out = []
-    for i, row in enumerate(rows):
-        r = row
-        while r:
-            p = r.bit_length() - 1
-            if p in piv:
-                r ^= piv[p]
-            else:
-                piv[p] = r
-                out.append(i)
-                break
-    return out
+    # a pivot's combination has the row it came from as its highest bit
+    return [comb.bit_length() - 1 for _, comb in eliminate(rows)[0].values()]
 
 
-def solve(rows: list[int], rhs: list[int]) -> int | None:
-    """One solution x of A x = b over GF(2), or None if inconsistent.
+def left_nullspace(rows: list[int]) -> list[int]:
+    """Basis of {y : y A = 0} as combinations, in row order."""
+    return eliminate(rows)[1]
 
-    ``rows`` are the rows of A, ``rhs`` the right-hand-side bits.  The
-    solution is returned as a bitmask over the columns (free variables 0).
+
+def solve(rows: list[int], rhs: list[int]) -> tuple[int | None, int | None]:
+    """(x, None) with A x = b over GF(2), or (None, y) with y A = 0 and
+    y . b = 1 when the system is inconsistent.
+
+    ``rows`` are the rows of A, ``rhs`` the right-hand-side bits.  x is a
+    bitmask over the columns (free variables 0); y is the first null
+    combination that is odd on b.
     """
-    piv: dict[int, tuple[int, int]] = {}
-    for mask, b in zip(rows, rhs):
-        b &= 1
-        while mask:
-            p = mask.bit_length() - 1
-            if p in piv:
-                pm, pb = piv[p]
-                mask ^= pm
-                b ^= pb
-            else:
-                piv[p] = (mask, b)
-                break
-        if not mask and b:
-            return None
+    b = sum((bit & 1) << i for i, bit in enumerate(rhs))
+    piv, null = eliminate(rows)
+    for y in null:
+        if (y & b).bit_count() & 1:
+            return None, y
     x = 0
     for p in sorted(piv):  # ascending: lower bits already decided
-        mask, b = piv[p]
-        rest = mask & ~(1 << p)
-        if (b ^ _parity(rest & x)):
+        row, comb = piv[p]
+        if ((comb & b).bit_count() ^ (row & x).bit_count()) & 1:
             x |= 1 << p
-    return x
-
-
-def nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {x : A x = 0} as bitmasks over ``ncols`` columns."""
-    # Treat each column of A as a vector over the rows and track which
-    # combination of original columns produced each reduced vector.
-    piv: dict[int, tuple[int, int]] = {}  # leading row bit -> (vec, comb)
-    basis = []
-    for j in range(ncols):
-        vec = 0
-        for i, row in enumerate(rows):
-            if row & (1 << j):
-                vec |= 1 << i
-        comb = 1 << j
-        while vec:
-            p = vec.bit_length() - 1
-            if p in piv:
-                pv, pc = piv[p]
-                vec ^= pv
-                comb ^= pc
-            else:
-                piv[p] = (vec, comb)
-                break
-        if not vec:
-            basis.append(comb)
-    return basis
-
-
-def left_nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {y : y A = 0} as bitmasks over the row indices."""
-    trows = []
-    for j in range(ncols):
-        r = 0
-        for i, row in enumerate(rows):
-            if row & (1 << j):
-                r |= 1 << i
-        trows.append(r)
-    return nullspace(trows, len(rows))
+    return x, None

@@ -245,23 +245,12 @@ def _exhaustive_valuation(masks: list[int], signs: list[int], m: int):
 
 
 def _gf2_decide(masks: list[int], signs: list[int], m: int):
-    """(valuation or None, certificate or None) via GF(2) linear algebra."""
-    rhs = [0 if s == 1 else 1 for s in signs]
-    x = gf2.solve(masks, rhs)
-    if x is not None:
-        return {i: (-1 if (x >> i) & 1 else 1) for i in range(m)}, None
-    basis = gf2.left_nullspace(masks, m)
-    # first combination of null vectors with odd sign product, deterministic
-    for r in range(1, len(basis) + 1):
-        for combo in itertools.combinations(range(len(basis)), r):
-            y = 0
-            for i in combo:
-                y ^= basis[i]
-            t = sum((y >> c) & 1 for c, b in enumerate(rhs) if b) % 2
-            if t == 1:
-                cert = tuple(c for c in range(len(masks)) if (y >> c) & 1)
-                return None, cert
-    raise DeciderDisagreement("unsolvable system without an odd certificate")
+    """(valuation or None, certificate or None) from one GF(2) solve; the
+    certificate is the first dependent set of contexts with odd sign sum."""
+    x, y = gf2.solve(masks, [0 if s == 1 else 1 for s in signs])
+    if x is None:
+        return None, tuple(_bits(y))
+    return {i: (-1 if (x >> i) & 1 else 1) for i in range(m)}, None
 
 
 def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:

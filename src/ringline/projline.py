@@ -15,9 +15,8 @@ vectorized determinant matrix.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,9 +82,12 @@ def canonicalize(ring: Ring, a, b) -> ProjPoint:
 
 @dataclass(frozen=True)
 class LineCatalog:
+    """The points of a line and their read-only int8 relation matrix:
+    relation[i, j] is 0 equal, 1 neighbour or 2 distant (``_REL_CODE``).
+    The relation follows from the points, so equality ignores it."""
     ring: Ring
     points: tuple[ProjPoint, ...]
-    relation: tuple[tuple[str, ...], ...]
+    relation: np.ndarray = field(compare=False)
 
     def index(self, p: ProjPoint) -> int:
         return self.points.index(p)
@@ -110,10 +112,11 @@ def enumerate_points(ring: Ring) -> LineCatalog:
     points = tuple(ProjPoint(ring, t.els[i], t.els[j])
                    for i, j in zip(pa.tolist(), pb.tolist()))
     det = t.add[t.mul[np.ix_(pa, pb)], t.neg[t.mul[np.ix_(pb, pa)]]]
-    rel = np.where(t.unit[det], _REL_CODE[DISTANT], _REL_CODE[NEIGHBOUR])
+    rel = np.where(t.unit[det], np.int8(_REL_CODE[DISTANT]),
+                   np.int8(_REL_CODE[NEIGHBOUR]))
     np.fill_diagonal(rel, _REL_CODE[EQUAL])
-    names = np.array(list(_REL_CODE), dtype=object)  # names[code] is the relation
-    return LineCatalog(ring, points, tuple(map(tuple, names[rel].tolist())))
+    rel.flags.writeable = False
+    return LineCatalog(ring, points, rel)
 
 
 def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, RingElement]:
@@ -130,16 +133,18 @@ def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, RingElement]:
     return (DISTANT if t.unit[d] else NEIGHBOUR, witness)
 
 
+def _related(catalog: LineCatalog, p: ProjPoint, which: str) -> set[ProjPoint]:
+    row = catalog.relation[catalog.index(p)]
+    return {catalog.points[j]
+            for j in np.flatnonzero(row == _REL_CODE[which]).tolist()}
+
+
 def neighbourhood(catalog: LineCatalog, p: ProjPoint) -> set[ProjPoint]:
-    i = catalog.index(p)
-    return {q for j, q in enumerate(catalog.points)
-            if catalog.relation[i][j] == NEIGHBOUR}
+    return _related(catalog, p, NEIGHBOUR)
 
 
 def distant_points(catalog: LineCatalog, p: ProjPoint) -> set[ProjPoint]:
-    i = catalog.index(p)
-    return {q for j, q in enumerate(catalog.points)
-            if catalog.relation[i][j] == DISTANT}
+    return _related(catalog, p, DISTANT)
 
 
 def distinguished_subsets(catalog: LineCatalog) -> dict[str, set[ProjPoint]]:
@@ -212,7 +217,7 @@ def catalog_json(catalog: LineCatalog) -> str:
     data = {
         "ring": catalog.ring.spec_str(),
         "points": [str(p) for p in catalog.points],
-        "relation": [[_REL_CODE[r] for r in row] for row in catalog.relation],
+        "relation": catalog.relation.tolist(),
     }
     return json.dumps(data, indent=2)
 
@@ -223,8 +228,8 @@ def catalog_dot(catalog: LineCatalog, which: str = DISTANT) -> str:
     names = [str(p) for p in catalog.points]
     lines = [f'graph "{which} graph over {catalog.ring.spec_str()}" {{']
     lines += [f'  "{name}";' for name in names]
-    for i, j in itertools.combinations(range(len(names)), 2):
-        if catalog.relation[i][j] == which:
-            lines.append(f'  "{names[i]}" -- "{names[j]}";')
+    i, j = np.nonzero(np.triu(catalog.relation == _REL_CODE[which]))
+    lines += [f'  "{names[a]}" -- "{names[b]}";'
+              for a, b in zip(i.tolist(), j.tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

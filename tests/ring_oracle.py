@@ -156,16 +156,16 @@ def oracle_canonicalize(ring: PayloadRing, a, b, units) -> tuple:
                key=lambda p: (ring.el_value(p[0]), ring.el_value(p[1])))
 
 
-def oracle_line(ring) -> tuple[list[tuple], list[list[str]]]:
-    """(sorted canonical points as payload pairs, relation as strings),
-    canonicalizing every admissible pair of the ring's payloads."""
+def oracle_line(ring) -> tuple[list[tuple], list[list[int]]]:
+    """(sorted canonical points as payload pairs, relation as codes 0 equal,
+    1 neighbour, 2 distant), canonicalizing every admissible pair of the
+    ring's payloads."""
     ring = MemoRing(ring)
     units = oracle_units(ring)
     seen = {oracle_canonicalize(ring, a, b, units)
             for a, b in itertools.product(ring.elements(), repeat=2)
             if oracle_admissible(ring, a, b, units)}
     points = sorted(seen, key=lambda p: (ring.el_value(p[0]), ring.el_value(p[1])))
-    relation = [["equal" if p == q else
-                 "distant" if oracle_det(ring, *p, *q) in units else "neighbour"
+    relation = [[0 if p == q else 2 if oracle_det(ring, *p, *q) in units else 1
                  for q in points] for p in points]
     return points, relation

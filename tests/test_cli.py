@@ -247,6 +247,35 @@ def test_non_numeric_qubit_count_exit_code(capsys, tmp_path, command):
     assert out == "" and err.startswith("input error: bad configuration JSON")
 
 
+@pytest.mark.parametrize("command, config, want", [
+    ("entangle", {"n": 1, "observables": ["X"], "contexts": [[0]]},
+     "context 1: X -> product\n"),
+    ("verify", {"n": 2, "observables": [], "contexts": [],
+                "geometry": "square"},
+     "configuration: square on 2 qubits\n"
+     "structural error: square needs 9 observables in 6 contexts\n"),
+], ids=["one-qubit-basis", "square-without-cells"])
+def test_edge_config_is_handled(capsys, tmp_path, command, config, want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == cli.EXIT_OK and err == ""
+    assert want in out
+
+
+def test_parser_is_reused_after_a_failed_parse(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("line", "--ring", "gf(2)[x]/(x^2-x)", "--check", "--format", "json")
+    fresh = _run_process(*argv)
+    code, _, err = run(capsys, "verify", "--builtin", "mermin_square",
+                       "--config", "cfg.json")
+    assert code == cli.EXIT_INPUT and "not allowed with" in err
+    code, _, _ = run(capsys, "line", "--ring", "gf(4)", "--graph", "both")
+    assert code == cli.EXIT_INPUT
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def _run_process(*argv, timeout=30):
     """The CLI in a fresh interpreter, killed (and the test failed) after
     `timeout` seconds, so an input that hangs the parser fails the suite."""

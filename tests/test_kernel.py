@@ -111,7 +111,7 @@ def test_sweep_closed_form_and_brute_force():
             brute += 1
             points, relation = oracle_line(ring)
             assert [(p.a, p.b) for p in catalog.points] == points, ring
-            assert [list(row) for row in catalog.relation] == relation, ring
+            assert catalog.relation.tolist() == relation, ring
     assert closed > 500 and brute > 50
 
 

@@ -10,6 +10,7 @@ the package's principal-ideal lookup on the ring tables.
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import ringline as rl
@@ -88,20 +89,24 @@ def test_expected_point_count(r_club, r_tilde, r_tilde_prod, gf4):
 
 # --- relations --------------------------------------------------------------
 
+EQUAL, NEIGHBOUR, DISTANT = 0, 1, 2  # relation codes, as in JSON output
+
+
 def test_relation_symmetry_and_diagonal(club_catalog):
     rel = club_catalog.relation
     n = len(club_catalog)
+    assert rel.dtype == np.int8 and not rel.flags.writeable
     for i in range(n):
-        assert rel[i][i] == rl.EQUAL
+        assert rel[i, i] == EQUAL
         for j in range(i + 1, n):
-            assert rel[i][j] == rel[j][i]
-            assert rel[i][j] in (rl.NEIGHBOUR, rl.DISTANT)
+            assert rel[i, j] == rel[j, i]
+            assert rel[i, j] in (NEIGHBOUR, DISTANT)
 
 
 def test_field_line_has_no_neighbours(gf4):
     cat = rl.enumerate_points(gf4)
     for i, j in itertools.combinations(range(len(cat)), 2):
-        assert cat.relation[i][j] == rl.DISTANT
+        assert cat.relation[i, j] == DISTANT
 
 
 def test_pair_relation_witness(tilde_catalog):
