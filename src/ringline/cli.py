@@ -77,12 +77,30 @@ def _size_cap() -> int:
 def _render(data: dict, text_lines: list[str], fmt: str,
             dot: str | None = None) -> str:
     if fmt == "json":
-        return json.dumps(data, indent=2, default=str) + "\n"
+        if "relation" not in data:
+            return json.dumps(data, indent=2, default=str) + "\n"
+        # json's indenting encoder makes a string per token, seconds for a
+        # line of thousands of points; the relation's rows are written
+        # directly, in the same layout, into the dump of the rest
+        head, tail = json.dumps({**data, "relation": 0}, indent=2,
+                                default=str).split('\n  "relation": 0', 1)
+        return (head + '\n  "relation": ' + _json_rows(data["relation"])
+                + tail + "\n")
     if fmt == "dot":
         if dot is None:
             raise ValueError("dot output is not defined for this command")
         return dot
     return "\n".join(text_lines) + "\n"
+
+
+def _json_rows(rows: list[list[int]]) -> str:
+    """A list of int lists as json.dumps(indent=2) lays out the value of a
+    top-level key."""
+    if not rows:
+        return "[]"
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" if row
+        else "[]" for row in rows) + "\n  ]"
 
 
 def _grid(cells: list[str], ncols: int) -> list[str]:

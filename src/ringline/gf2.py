@@ -58,7 +58,10 @@ def solve(rows: list[int], rhs: list[int]) -> tuple[int | None, int | None]:
     bitmask over the columns (free variables 0); y is the first null
     combination that is odd on b.
     """
-    b = sum((bit & 1) << i for i, bit in enumerate(rhs))
+    b = 0
+    for i, bit in enumerate(rhs):
+        if bit & 1:
+            b |= 1 << i
     piv, null = eliminate(rows)
     for y in null:
         if (y & b).bit_count() & 1:

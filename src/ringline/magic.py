@@ -14,11 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from . import gf2
-from .pauli import (PauliError, PauliObservable, all_words, commutes,
-                    context_product_sign, multiply, scalar_sign)
+from .pauli import (PauliError, PauliObservable, all_words,
+                    anticommuting_pair, commutes, context_product_sign,
+                    scalar_sign)
 
 
 class ConfigError(ValueError):
@@ -38,16 +40,22 @@ class Configuration:
     context_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        m = len(self.observables)
         for ctx in self.contexts:
             if not ctx:
                 raise ConfigError("empty context")
+            seen = 0
+            repeated = False
             for i in ctx:
-                if not isinstance(i, int) or isinstance(i, bool):
+                if type(i) is not int and (not isinstance(i, int)
+                                           or isinstance(i, bool)):
                     raise ConfigError(f"context index {i!r} is not an integer")
-                if not 0 <= i < len(self.observables):
+                if not 0 <= i < m:
                     raise ConfigError(f"context index {i} out of range "
-                                      f"0..{len(self.observables) - 1}")
-            if len(set(ctx)) != len(ctx):
+                                      f"0..{m - 1}")
+                repeated = repeated or bool(seen >> i & 1)
+                seen |= 1 << i
+            if repeated:  # reported after the index checks, as they come first
                 raise ConfigError(f"context {list(ctx)} repeats an observable")
         if not self.context_labels:
             object.__setattr__(self, "context_labels",
@@ -58,32 +66,40 @@ class Configuration:
         return [self.observables[i] for i in self.contexts[ci]]
 
     def structural_errors(self) -> list[str]:
+        n, observables, contexts = self.n, self.observables, self.contexts
+        words = set()
+        phased = mismatched = False
+        for o in observables:
+            words.add((o.n, o.x, o.z))
+            phased = phased or o.phase != 0
+            mismatched = mismatched or o.n != n
         errs = []
-        if len({(o.n, o.x, o.z) for o in self.observables}) \
-                != len(self.observables):
+        if len(words) != len(observables):
             errs.append("duplicate observable")
-        if any(o.phase != 0 for o in self.observables):
+        if phased:
             errs.append("observables must have phase 0")
-        if any(o.n != self.n for o in self.observables):
+        if mismatched:
             errs.append("observable qubit-count mismatch")
-        counts = [0] * len(self.observables)
-        for ctx in self.contexts:
+        if self.geometry == "square":
+            name, m, c, size, twice = ("square", 9, 6, 3,
+                                       "one row and one column")
+        elif self.geometry == "pentagram":
+            name, m, c, size, twice = ("pentagram", 10, 5, 4,
+                                       "exactly 2 contexts")
+        else:
+            return errs
+        if len(observables) != m or len(contexts) != c:
+            errs.append(f"{name} needs {m} observables in {c} contexts")
+            return errs
+        counts = [0] * m
+        for ctx in contexts:
+            if len(ctx) != size:
+                errs.append(f"{name} contexts must have size {size}")
+                return errs
             for i in ctx:
                 counts[i] += 1
-        if self.geometry == "square":
-            if len(self.observables) != 9 or len(self.contexts) != 6:
-                errs.append("square needs 9 observables in 6 contexts")
-            elif any(len(c) != 3 for c in self.contexts):
-                errs.append("square contexts must have size 3")
-            elif any(c != 2 for c in counts):
-                errs.append("each square observable lies in one row and one column")
-        elif self.geometry == "pentagram":
-            if len(self.observables) != 10 or len(self.contexts) != 5:
-                errs.append("pentagram needs 10 observables in 5 contexts")
-            elif any(len(c) != 4 for c in self.contexts):
-                errs.append("pentagram contexts must have size 4")
-            elif any(c != 2 for c in counts):
-                errs.append("each pentagram observable lies in exactly 2 contexts")
+        if counts.count(2) != m:
+            errs.append(f"each {name} observable lies in {twice}")
         return errs
 
 
@@ -167,11 +183,12 @@ def builtin(name: str) -> Configuration:
 
 def verify_magic(cfg: Configuration) -> VerificationReport:
     errs = tuple(cfg.structural_errors())
+    observables, labels = cfg.observables, cfg.context_labels
     reports = []
-    all_good = True
+    signs = []
     for ci, ctx in enumerate(cfg.contexts):
-        ops = cfg.context_ops(ci)
-        comm = all(commutes(a, b) for a, b in itertools.combinations(ops, 2))
+        ops = [observables[i] for i in ctx]
+        comm = anticommuting_pair(ops) is None
         sign = None
         note = ""
         if comm:
@@ -181,10 +198,10 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
                 note = str(e)
         else:
             note = "not pairwise commuting"
-        if sign is None:
-            all_good = False
-        reports.append(ContextReport(cfg.context_labels[ci], comm, sign, note))
-    bks = bks_decide(cfg, [r.sign for r in reports]) if all_good and not errs else None
+        signs.append(sign)
+        reports.append(ContextReport(labels[ci], comm, sign, note))
+    all_good = None not in signs
+    bks = bks_decide(cfg, signs) if all_good and not errs else None
     magic = bks is not None and not bks.colorable
     return VerificationReport(tuple(reports), errs, magic, bks)
 
@@ -195,7 +212,11 @@ def _context_signs(cfg: Configuration) -> list[int]:
 
 
 def _mask(ctx) -> int:
-    return sum(1 << i for i in ctx)
+    """The bitmask of a context's distinct observable indices."""
+    mask = 0
+    for i in ctx:
+        mask |= 1 << i
+    return mask
 
 
 @functools.cache
@@ -249,7 +270,12 @@ def _gf2_decide(masks: list[int], signs: list[int], m: int):
     certificate is the first dependent set of contexts with odd sign sum."""
     x, y = gf2.solve(masks, [0 if s == 1 else 1 for s in signs])
     if x is None:
-        return None, tuple(_bits(y))
+        certificate = []
+        while y:
+            low = y & -y
+            certificate.append(low.bit_length() - 1)
+            y ^= low
+        return None, tuple(certificate)
     return {i: (-1 if (x >> i) & 1 else 1) for i in range(m)}, None
 
 
@@ -273,10 +299,14 @@ def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
         raise DeciderDisagreement(
             "exhaustive and GF(2) BKS deciders disagree on solvability")
     if valuation is not None:
-        negative = _mask(i for i, v in valuation.items() if v == -1)
-        if any((mask & negative).bit_count() & 1 != (sign == -1)
-               for mask, sign in zip(masks, signs)):
-            raise DeciderDisagreement("returned valuation violates a context")
+        negative = 0
+        for i, v in valuation.items():
+            if v == -1:
+                negative |= 1 << i
+        for mask, sign in zip(masks, signs):
+            if (mask & negative).bit_count() & 1 != (sign == -1):
+                raise DeciderDisagreement(
+                    "returned valuation violates a context")
         return BksResult(valuation=valuation)
     odd, prod = 0, 1  # odd: the observables covered an odd number of times
     for ci in certificate:
@@ -305,6 +335,7 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
 
     Grows commuting cliques of size - 1 members over commutation bitsets;
     their product fixes the last member, which must come later in `words`.
+    Products are folded on masks as in ``pauli.scalar_sign``.
     """
     comm = [0] * len(words)
     for i, j in itertools.combinations(range(len(words)), 2):
@@ -314,24 +345,27 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
     at: dict[tuple[int, int], list[int]] = {}
     for i, w in enumerate(words):
         at.setdefault((w.x, w.z), []).append(i)
+    # word i is i^a X^x Z^z with a its phase plus its Y count
+    xza = [(w.x, w.z, w.phase + (w.x & w.z).bit_count()) for w in words]
     out = []
 
-    def grow(members: tuple, prod: PauliObservable, cands: int):
-        # cands: the later words that commute with every member
+    def grow(members: tuple, a: int, x: int, z: int, cands: int):
+        # the members' product is i^a X^x Z^z; cands: the later words
+        # that commute with every member
         if len(members) == size - 1:
-            for last in at.get((prod.x, prod.z), ()):
-                full = multiply(prod, words[last])
-                if cands >> last & 1 and full.phase in (0, 2):
+            for last in at.get((x, z), ()):
+                wx, _, wa = xza[last]
+                full = a + wa + 2 * (z & wx).bit_count()  # product i^full
+                if cands >> last & 1 and full % 2 == 0:
                     idx = members + (last,)
-                    out.append((idx, _mask(idx), 1 if full.phase == 0 else -1))
+                    out.append((idx, _mask(idx), 1 if full % 4 == 0 else -1))
             return
         for i in _bits(cands):
-            grow(members + (i,), multiply(prod, words[i]),
-                 cands & comm[i] & -(2 << i))
+            wx, wz, wa = xza[i]
+            grow(members + (i,), a + wa + 2 * (z & wx).bit_count(),
+                 x ^ wx, z ^ wz, cands & comm[i] & -(2 << i))
 
-    if words:
-        grow((), PauliObservable.from_masks(words[0].n, 0, 0),
-             (1 << len(words)) - 1)
+    grow((), 0, 0, 0, (1 << len(words)) - 1)
     return sorted(out)
 
 
@@ -352,15 +386,15 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     if not overlaps or not overlaps <= {0, 1}:
         raise ValueError(f"overlaps {overlaps} is not a nonempty subset of {{0, 1}}")
     masks = [m for _, m, _ in contexts]
-    holds = {}  # observable -> bitset of the contexts holding it
+    holds = {}  # observable's bit -> bitset of the contexts holding it
     for ci, m in enumerate(masks):
         for o in _bits(m):
-            holds[o] = holds.get(o, 0) | 1 << ci
+            holds[1 << o] = holds.get(1 << o, 0) | 1 << ci
     everything = (1 << len(masks)) - 1
     # context -> bitset of the contexts it may be picked with
     compat = []
     for a, ma in enumerate(masks):
-        members = list(_bits(ma))
+        members = [1 << o for o in _bits(ma)]
         share1 = share2 = 0  # contexts sharing >= 1, >= 2 observables with a
         for k, o in enumerate(members):
             share1 |= holds[o]
@@ -381,19 +415,35 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             return True
         if picked and not once:
             return True
-        options = (min((allowed & holds[o] for o in _bits(once)),
-                       key=int.bit_count) if once else allowed)
-        for ci in _bits(options):
+        if once:  # the first fewest, as min() would pick, lowest bit first
+            options, fewest, rest = 0, -1, once
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cands = allowed & holds[low]
+                k = cands.bit_count()
+                if fewest < 0 or k < fewest:
+                    options, fewest = cands, k
+        else:
+            options = allowed
+        while options:
+            bit = options & -options
+            options ^= bit
+            ci = bit.bit_length() - 1
             nodes += 1
             if budget is not None and nodes > budget:
                 return False
+            mask = masks[ci]
             shut = 0  # contexts through an observable now covered twice
-            for o in _bits(once & masks[ci]):
-                shut |= holds[o]
-            if not extend(picked + (ci,), once ^ masks[ci],
+            twice = once & mask
+            while twice:
+                low = twice & -twice
+                twice ^= low
+                shut |= holds[low]
+            if not extend(picked + (ci,), once ^ mask,
                           allowed & compat[ci] & ~shut):
                 return False
-            allowed &= ~(1 << ci)
+            allowed &= ~bit
         return True
 
     return found, extend((), 0, everything)
@@ -428,12 +478,18 @@ def _magic_grids(words: list[PauliObservable]) -> list[tuple[str, ...]]:
     return grids
 
 
-def _grid_transforms(grid: tuple[str, ...]):
-    rows = [grid[0:3], grid[3:6], grid[6:9]]
-    for mat in (rows, [tuple(r[i] for r in rows) for i in range(3)]):
-        for rp in itertools.permutations(range(3)):
-            for cp in itertools.permutations(range(3)):
-                yield tuple(mat[i][j] for i in rp for j in cp)
+# The 72 row/column permutations, with or without transposition, of a
+# row-major 3x3 grid, each as the getter of its cells in their new order.
+_GRID_TRANSFORMS = tuple(
+    operator.itemgetter(*(mat[i][j] for i in rp for j in cp))
+    for mat in (((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+                ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
+    for rp in itertools.permutations(range(3))
+    for cp in itertools.permutations(range(3)))
+
+
+def _grid_transforms(grid: tuple[str, ...]) -> list[tuple[str, ...]]:
+    return [transform(grid) for transform in _GRID_TRANSFORMS]
 
 
 def _grid_canonical(grid: tuple[str, ...]) -> tuple[str, ...]:
@@ -475,16 +531,28 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     found, complete = _cover_twice(contexts, 5, {1}, budget)
     magic = []
     for pent in found:
-        obs_idx = sorted({i for ci in pent for i in contexts[ci][0]})
-        remap = {w: i for i, w in enumerate(obs_idx)}
-        ctxs, signs = zip(*sorted((tuple(remap[i] for i in contexts[ci][0]),
-                                   contexts[ci][2]) for ci in pent))
-        if not _decide([_mask(c) for c in ctxs], list(signs), 10).colorable:
+        cover = 0
+        for ci in pent:
+            cover |= contexts[ci][1]
+        obs_idx, remap = [], {}  # the observables in word order
+        while cover:
+            low = cover & -cover
+            cover ^= low
+            remap[low.bit_length() - 1] = len(obs_idx)
+            obs_idx.append(low.bit_length() - 1)
+        lines = []
+        for ci in pent:
+            idx, _, sign = contexts[ci]
+            lines.append((tuple([remap[i] for i in idx]), sign))
+        lines.sort()
+        ctxs = tuple([ctx for ctx, _ in lines])
+        if not _decide([_mask(ctx) for ctx in ctxs],
+                       [sign for _, sign in lines], 10).colorable:
             magic.append((tuple(obs_idx), ctxs))
     magic.sort()
-    return SearchOutcome(tuple(
-        Configuration(3, tuple(words[i] for i in obs_idx), ctxs, "pentagram")
-        for obs_idx, ctxs in magic), complete)
+    return SearchOutcome(tuple([
+        Configuration(3, tuple([words[i] for i in obs_idx]), ctxs, "pentagram")
+        for obs_idx, ctxs in magic]), complete)
 
 
 # ---------------------------------------------------------------------------

@@ -142,16 +142,33 @@ def commutes(p: PauliObservable, q: PauliObservable) -> bool:
     return not (p.x & q.z ^ p.z & q.x).bit_count() & 1
 
 
+def anticommuting_pair(ops: list[PauliObservable]
+                       ) -> tuple[PauliObservable, PauliObservable] | None:
+    """The first pair (p, q) of ops, in ``itertools.combinations`` order,
+    that does not commute; None when every pair commutes.
+
+    Raises PauliError at the first pair, in the same order, whose qubit
+    counts differ.
+    """
+    for i, p in enumerate(ops):
+        n, px, pz = p.n, p.x, p.z
+        for q in ops[i + 1:]:
+            if q.n != n:
+                raise PauliError("qubit counts differ")
+            if (px & q.z ^ pz & q.x).bit_count() & 1:
+                return p, q
+    return None
+
+
 def context_product_sign(ops: list[PauliObservable]) -> int:
     """Sign of the scalar product of a pairwise-commuting context.
 
     Raises unless the product is exactly +I or -I.
     """
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutes(ops[i], ops[j]):
-                raise PauliError(
-                    f"context members {ops[i]} and {ops[j]} do not commute")
+    pair = anticommuting_pair(ops)
+    if pair is not None:
+        raise PauliError(
+            f"context members {pair[0]} and {pair[1]} do not commute")
     return scalar_sign(ops)
 
 
@@ -159,15 +176,27 @@ def scalar_sign(ops: list[PauliObservable]) -> int:
     """Sign of the product of ops, which must be exactly +I or -I.
 
     Commutation is not tested here; ``context_product_sign`` tests it.
+    The running product i^a X^x Z^z is folded left to right as three
+    ints, with the rule of ``multiply``: a word adds its phase and its Y
+    count to a, and moving its X part past the Z part so far costs
+    2 |z & x|.
     """
-    prod = ops[0]
-    for op in ops[1:]:
-        prod = multiply(prod, op)
-    if not prod.is_identity_word():
+    n = ops[0].n
+    a = x = z = 0
+    for op in ops:
+        if op.n != n:
+            raise PauliError("qubit counts differ")
+        ox, oz = op.x, op.z
+        a += op.phase + (ox & oz).bit_count() + 2 * (z & ox).bit_count()
+        x ^= ox
+        z ^= oz
+    if x | z:
+        prod = PauliObservable.from_masks(n, x, z, a - (x & z).bit_count())
         raise PauliError(f"context product {prod} is not a scalar")
-    if prod.phase not in (0, 2):
-        raise PauliError(f"context product is i^{prod.phase} * identity")
-    return 1 if prod.phase == 0 else -1
+    a %= 4
+    if a not in (0, 2):
+        raise PauliError(f"context product is i^{a} * identity")
+    return 1 if a == 0 else -1
 
 
 def all_words(n: int, include_identity: bool = False) -> list[PauliObservable]:

@@ -136,6 +136,29 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["size"] == 5
 
 
+@pytest.mark.parametrize("spec", ["gf(2)", "gf(2)[x]/(x^3-x)", "gf(4)xgf(3)",
+                                  "gf(2)xgf(2)xgf(2)xgf(2)xgf(2)"])
+def test_line_json_keeps_the_bytes_of_json_dumps(spec):
+    """The relation is written row by row; the report stays byte for byte
+    what json.dumps(indent=2) makes, up to a 243-point product line."""
+    args = cli.build_parser().parse_args(
+        ["line", "--ring", spec, "--check", "--format", "json"])
+    data, lines, dot, _ = cli.run_line(args)
+    assert "claims" in data  # a key after the relation
+    assert cli._render(data, lines, "json", dot) == \
+        json.dumps(data, indent=2, default=str) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    {"relation": []},
+    {"relation": [[]]},
+    {"a": "relation", "relation": [[], [1, -2, 300]], "z": {"relation": [0]}},
+])
+def test_relation_rows_keep_the_bytes_of_json_dumps(data):
+    assert cli._render(data, [], "json") == \
+        json.dumps(data, indent=2, default=str) + "\n"
+
+
 # --- exit codes -------------------------------------------------------------
 
 def test_input_error_exit_code(capsys):

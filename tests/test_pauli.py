@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ringline as rl
 from matrix_oracle import to_matrix
+from ringline import pauli
 from ringline.pauli import LETTERS, PauliError, all_words, symplectic_rows
 
 _ORACLE_SINGLE = {
@@ -194,6 +195,90 @@ def test_context_product_sign_errors():
     with pytest.raises(PauliError):
         rl.context_product_sign([rl.PauliObservable("XI"),
                                  rl.PauliObservable("IX")])  # product not scalar
+
+
+def chain_scalar_sign(ops):
+    """scalar_sign as a left-to-right chain of multiply calls, one
+    PauliObservable per step."""
+    prod = ops[0]
+    for op in ops[1:]:
+        prod = rl.multiply(prod, op)
+    if not prod.is_identity_word():
+        raise PauliError(f"context product {prod} is not a scalar")
+    if prod.phase not in (0, 2):
+        raise PauliError(f"context product is i^{prod.phase} * identity")
+    return 1 if prod.phase == 0 else -1
+
+
+def pairwise_anticommuting(ops):
+    """anticommuting_pair as pairwise commutes calls in combinations order."""
+    for p, q in itertools.combinations(ops, 2):
+        if not rl.commutes(p, q):
+            return p, q
+    return None
+
+
+def _outcome(fn, ops):
+    try:
+        return "value", fn(ops)
+    except PauliError as e:
+        return "error", str(e)
+
+
+@st.composite
+def word_lists(draw):
+    """1-7 phased words on n <= 4 qubits; often closed by the word that
+    makes the product scalar, and sometimes with one word on other n."""
+    n = draw(st.integers(1, 4))
+    ops = draw(st.lists(_words(n), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        x = z = 0
+        for op in ops:
+            x, z = x ^ op.x, z ^ op.z
+        ops.append(rl.PauliObservable.from_masks(n, x, z,
+                                                 draw(st.integers(0, 3))))
+    if draw(st.integers(0, 3)) == 0:
+        other = draw(st.integers(1, 4).filter(lambda m: m != n))
+        ops.insert(draw(st.integers(0, len(ops))), draw(_words(other)))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_lists())
+def test_scalar_sign_matches_multiply_chain(ops):
+    assert _outcome(pauli.scalar_sign, ops) == \
+        _outcome(chain_scalar_sign, ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_lists())
+def test_anticommuting_pair_matches_pairwise_commutes(ops):
+    got = _outcome(pauli.anticommuting_pair, ops)
+    want = _outcome(pairwise_anticommuting, ops)
+    assert got == want
+    if got[0] == "value" and got[1] is not None:  # the same pair, not a copy
+        assert got[1][0] is want[1][0] and got[1][1] is want[1][1]
+
+
+def test_kernels_cover_every_outcome():
+    """The fold's four endings, and a qubit-count mismatch raised at the
+    first pair that meets it unless an earlier pair anticommutes."""
+    P = rl.PauliObservable
+    cases = {("X", "X"): 1, ("XX", "YY", "ZZ"): -1,
+             ("X", "Y", "Z"): "context product is i^1 * identity",
+             ("XI", "IX"): "context product XX is not a scalar",
+             ("X", "Y"): "context product i*Z is not a scalar"}
+    for words, want in cases.items():
+        ops = [P(w) for w in words]
+        assert _outcome(pauli.scalar_sign, ops) == _outcome(
+            chain_scalar_sign, ops)
+        assert _outcome(pauli.scalar_sign, ops)[1] == want
+    x, z, xx = P("X"), P("Z"), P("XX")
+    assert pauli.anticommuting_pair([x, z, xx]) == (x, z)
+    with pytest.raises(PauliError, match="qubit counts differ"):
+        pauli.anticommuting_pair([x, xx, z])
+    with pytest.raises(PauliError, match="qubit counts differ"):
+        pauli.scalar_sign([x, xx])
 
 
 # --- symplectic rows --------------------------------------------------------

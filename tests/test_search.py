@@ -18,6 +18,7 @@ from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
+from search_oracle import ref_cover_twice, ref_grid_transforms
 
 
 def oracle_contexts(words, size):
@@ -131,10 +132,39 @@ def context_families(draw):
 @given(context_families())
 def test_cover_twice_matches_subset_scan(family):
     masks, c, overlaps = family
-    found, complete = _cover_twice([((), mask, 1) for mask in masks], c,
-                                   overlaps)
+    contexts = [((), mask, 1) for mask in masks]
+    found, complete = _cover_twice(contexts, c, overlaps)
     assert sorted(found) == oracle_cover_twice(masks, c, overlaps)
     assert complete
+    assert (found, complete) == ref_cover_twice(contexts, c, overlaps)[:2]
+
+
+# (qubits, context size, contexts per set, allowed overlaps) of each search
+SEARCHES = {"pentagrams": (3, 4, 5, {1}), "squares": (2, 3, 6, {0, 1})}
+
+
+@pytest.mark.parametrize("kind", SEARCHES)
+def test_cover_twice_keeps_the_reference_order(kind):
+    """The same sets in the same order, and the same cut at every budget:
+    the tree is visited node for node as by the min()-based extender."""
+    n, size, c, overlaps = SEARCHES[kind]
+    contexts = _contexts(all_words(n), size)
+    for budget in (1, 100, 5000):
+        found, complete, _ = ref_cover_twice(contexts, c, overlaps, budget)
+        assert _cover_twice(contexts, c, overlaps, budget) == (found, complete)
+    found, complete, nodes = ref_cover_twice(contexts, c, overlaps)
+    assert complete and _cover_twice(contexts, c, overlaps) == (found, True)
+    assert _cover_twice(contexts, c, overlaps, nodes) == (found, True)
+    assert not _cover_twice(contexts, c, overlaps, nodes - 1)[1]
+
+
+def test_grid_transforms_match_the_reference():
+    grids = [tuple(o.word for o in cfg.observables)
+             for cfg in rl.search_squares()]
+    grids.append(tuple("abcdefghi"))  # nine distinct cells: every move shows
+    for grid in grids:
+        assert magic._grid_transforms(grid) == list(ref_grid_transforms(grid))
+        assert magic._grid_canonical(grid) == min(ref_grid_transforms(grid))
 
 
 @pytest.mark.parametrize("overlaps", [set(), {2}, {0, 3}])
