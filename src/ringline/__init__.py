@@ -2,9 +2,9 @@
 the n-qubit Pauli algebra, and Mermin magic-configuration verification."""
 
 from .rings import (GaloisField, MixedRingError, ProductRing, QuotientRing,
-                    Ring, RingElement, RingError, RingHomomorphism, build_ring,
-                    el, find_isomorphism, jacobson_radical, quotient_by_radical,
-                    ring_arith, validate_hom)
+                    Ring, RingError, RingHomomorphism, build_ring,
+                    find_isomorphism, jacobson_radical, quotient_by_radical,
+                    validate_hom)
 from .projline import (DISTANT, EQUAL, NEIGHBOUR, LineCatalog, LineError,
                        ProjPoint, canonicalize, distant_points,
                        distinguished_subsets, enumerate_points,

@@ -15,13 +15,12 @@ vectorized determinant matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rings import (MixedRingError, ProductRing, Ring, RingElement,
-                    RingHomomorphism, RingTables, jacobson_radical)
+from .rings import (MixedRingError, Ring, RingHomomorphism, RingTables,
+                    jacobson_radical)
 
 EQUAL, NEIGHBOUR, DISTANT = "equal", "neighbour", "distant"
 _REL_CODE = {EQUAL: 0, NEIGHBOUR: 1, DISTANT: 2}
@@ -42,10 +41,6 @@ class ProjPoint:
 
     def __repr__(self):
         return f"<point {self} over {self.ring.spec_str()}>"
-
-    @property
-    def coords(self) -> tuple[RingElement, RingElement]:
-        return (RingElement(self.ring, self.a), RingElement(self.ring, self.b))
 
     def _key(self):
         return (self.ring.el_value(self.a), self.ring.el_value(self.b))
@@ -119,15 +114,15 @@ def enumerate_points(ring: Ring) -> LineCatalog:
     return LineCatalog(ring, points, rel)
 
 
-def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, RingElement]:
-    """('equal'|'neighbour'|'distant', determinant witness)."""
+def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, object]:
+    """('equal'|'neighbour'|'distant', the label of the determinant)."""
     if p.ring != q.ring:
         raise MixedRingError("points on lines over different rings")
     ring = p.ring
     t = ring.tables
     d = t.add[t.mul[t.index[p.a], t.index[q.b]],
               t.neg[t.mul[t.index[p.b], t.index[q.a]]]]
-    witness = RingElement(ring, t.els[d])
+    witness = t.els[d]
     if (p.a, p.b) == (q.a, q.b):
         return (EQUAL, witness)
     return (DISTANT if t.unit[d] else NEIGHBOUR, witness)
@@ -163,42 +158,47 @@ def distinguished_subsets(catalog: LineCatalog) -> dict[str, set[ProjPoint]]:
     }
 
 
-def expected_point_count(ring: Ring) -> int | None:
-    """Closed-form count: q+1 for fields, (q+1)|J| for local rings,
-    multiplicative over explicit products.  None when no form applies."""
-    if isinstance(ring, ProductRing):
-        parts = [expected_point_count(f) for f in ring.factors]
-        if any(p is None for p in parts):
-            return None
-        n = 1
-        for p in parts:
-            n *= p
-        return n
-    J = jacobson_radical(ring)
-    residue = ring.size // len(J)
-    # local iff every non-unit is nilpotent
-    nonunits = ring.size - len(ring.units())
-    if nonunits == len(J):
-        return (residue + 1) * len(J)
-    return None
+def expected_point_count(ring: Ring) -> int:
+    """Closed-form count (Saniga, Planat, Kibler & Pracna, 2007): R is the
+    product of the local rings eR over its primitive idempotents e, and
+    the line has the product of (q+1)|J| points over them, J being the
+    radical (the non-units) of eR and q = |eR|/|J| its residue field size."""
+    t = ring.tables
+    elements = range(t.n)
+    idempotents = [a for a, aa in zip(elements, t.mul.diagonal().tolist())
+                   if aa == a]
+    unit = t.unit.tolist()
+    count = 1
+    for e, row in zip(idempotents, t.mul[idempotents].tolist()):
+        if sum(row[f] == f for f in idempotents) == 2:  # only 0, e in eR
+            # a in eR is a unit of eR iff a + 1 - e is a unit of R, and
+            # (q+1)|J| = |eR| + |J| counts the units once, the rest twice
+            shift = t.add[t.add[t.one, t.neg[e]]].tolist()
+            count *= sum(2 - unit[shift[a]] for a in elements if row[a] == a)
+    return count
 
 
 def induced_point_map(h: RingHomomorphism, src: LineCatalog,
                       dst: LineCatalog) -> dict[ProjPoint, ProjPoint]:
-    """Pointwise image under a ring homomorphism with kernel inside the radical."""
+    """Pointwise image under a ring homomorphism with kernel inside the
+    radical: the images of all points are canonicalized in one pass and
+    looked up among the target points, whose codes ascend."""
     if src.ring != h.source or dst.ring != h.target:
         raise MixedRingError("catalogs do not match the homomorphism")
     radical = set(jacobson_radical(h.source))
     if not h.kernel() <= radical:
         raise LineError("homomorphism kernel exceeds the radical; "
                         "images need not be admissible")
-    out = {}
-    for p in src.points:
-        ia, ib = h.table[p.a], h.table[p.b]
-        if not is_admissible(dst.ring, ia, ib):
-            raise LineError(f"image of {p} is not admissible")
-        out[p] = canonicalize(dst.ring, ia, ib)
-    return out
+    S, T = h.source.tables, h.target.tables
+    ia = h.img[[S.index[p.a] for p in src.points]]
+    ib = h.img[[S.index[p.b] for p in src.points]]
+    admissible = T.unimodular[ia, ib]
+    if not admissible.all():
+        raise LineError(f"image of {src.points[int(np.argmin(admissible))]} "
+                        "is not admissible")
+    codes = [T.index[q.a] * T.n + T.index[q.b] for q in dst.points]
+    at = np.searchsorted(codes, _canonical_codes(T, ia, ib))
+    return dict(zip(src.points, [dst.points[k] for k in at.tolist()]))
 
 
 def jacobson_counterpart(p: ProjPoint, h: RingHomomorphism,
@@ -211,15 +211,6 @@ def jacobson_counterpart(p: ProjPoint, h: RingHomomorphism,
 
 # ---------------------------------------------------------------------------
 # export
-
-
-def catalog_json(catalog: LineCatalog) -> str:
-    data = {
-        "ring": catalog.ring.spec_str(),
-        "points": [str(p) for p in catalog.points],
-        "relation": catalog.relation.tolist(),
-    }
-    return json.dumps(data, indent=2)
 
 
 def catalog_dot(catalog: LineCatalog, which: str = DISTANT) -> str:

@@ -16,9 +16,10 @@ and ``quotient_by_radical`` builds R/J on the least coset representatives.
 Each constructor validates its input and builds the tables by vectorized
 digit arithmetic over its parts' tables; none defines element arithmetic.
 Every operation, structural question (units, zero-divisors, radical,
-homomorphism validity) and printed name is a table lookup.  The payload
-arithmetic the tables are checked against lives in the tests.  Ring sizes
-are capped (default 256) and every answer is exact.
+homomorphism validity) and printed name is a table lookup, and a ring
+homomorphism is an index array from one ring's tables into another's.  The
+payload arithmetic the tables are checked against lives in the tests.  Ring
+sizes are capped (default 256) and every answer is exact.
 """
 
 from __future__ import annotations
@@ -212,10 +213,6 @@ class Ring:
     def elements(self) -> list:
         return list(self.tables.els)
 
-    def sorted_elements(self) -> list:
-        """The elements in ``el_value`` order, which is index order."""
-        return self.elements()
-
     @property
     def zero(self):
         return self.tables.els[self.tables.zero]
@@ -235,17 +232,6 @@ class Ring:
     def neg(self, a):
         t = self.tables
         return t.els[t.neg[t.index[a]]]
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def pow(self, a, e: int):
-        if e < 0:
-            raise RingError("negative exponents unsupported")
-        out = self.one
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
 
     def el_str(self, a) -> str:
         return self.names[self.tables.index[a]]
@@ -404,75 +390,6 @@ class ProductRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# elements as values
-
-
-@dataclass(frozen=True)
-class RingElement:
-    ring: Ring
-    payload: tuple
-
-    def _coerce(self, other) -> "RingElement":
-        if not isinstance(other, RingElement):
-            raise MixedRingError(f"cannot combine {other!r} with a ring element")
-        if other.ring != self.ring:
-            raise MixedRingError(
-                f"operands from different rings: {self.ring.spec_str()} vs "
-                f"{other.ring.spec_str()}")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.ring.add(self.payload, other.payload))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.ring.sub(self.payload, other.payload))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.ring.mul(self.payload, other.payload))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.payload))
-
-    def __pow__(self, e: int):
-        return RingElement(self.ring, self.ring.pow(self.payload, e))
-
-    def __str__(self):
-        return self.ring.el_str(self.payload)
-
-    def __repr__(self):
-        return f"<{self} in {self.ring.spec_str()}>"
-
-    @property
-    def value(self):
-        return self.ring.el_value(self.payload)
-
-
-def el(ring: Ring, name: str) -> RingElement:
-    """Element by printed name, e.g. el(r, 'x^2+x')."""
-    return RingElement(ring, ring.element_from_str(name))
-
-
-def ring_arith(ring: Ring, op: str, *operands):
-    """Dispatch form of the arithmetic: op in {add, mul, neg, sub, pow}."""
-    ops = {"add": ring.add, "mul": ring.mul, "neg": ring.neg, "sub": ring.sub,
-           "pow": ring.pow}
-    if op not in ops:
-        raise RingError(f"unknown op {op!r}")
-    payloads = []
-    for o in operands:
-        if isinstance(o, RingElement):
-            if o.ring != ring:
-                raise MixedRingError("operand from a different ring")
-            payloads.append(o.payload)
-        else:
-            payloads.append(o)
-    return RingElement(ring, ops[op](*payloads))
-
-
-# ---------------------------------------------------------------------------
 # spec-string parser
 #
 # ring := atom ('x' atom)*
@@ -624,27 +541,34 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
 # homomorphisms, radical, quotient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingHomomorphism:
+    """A map of rings as an index array: ``img[i]`` is the target index of
+    source element i.  ``img`` is kept as a read-only intp copy; equality
+    and hashing are by identity (``eq=False``), since an array compares
+    elementwise."""
     source: Ring
     target: Ring
-    table: dict  # payload -> payload
+    img: np.ndarray
+
+    def __post_init__(self):
+        img = np.array(self.img, dtype=np.intp)
+        img.flags.writeable = False
+        object.__setattr__(self, "img", img)
 
     def __call__(self, a):
-        if isinstance(a, RingElement):
-            return RingElement(self.target, self.table[a.payload])
-        return self.table[a]
+        """The image of the element labelled a, as a label."""
+        return self.target.tables.els[self.img[self.source.tables.index[a]]]
 
     def kernel(self) -> set:
-        z = self.target.zero
-        return {a for a in self.source.elements() if self.table[a] == z}
+        els = self.source.tables.els
+        return {els[i] for i in np.flatnonzero(self.img == self.target.tables.zero)}
 
     def compose(self, inner: "RingHomomorphism") -> "RingHomomorphism":
         """self o inner (inner applied first)."""
         if inner.target != self.source:
             raise MixedRingError("composition rings do not match")
-        return RingHomomorphism(inner.source, self.target,
-                                {a: self.table[b] for a, b in inner.table.items()})
+        return RingHomomorphism(inner.source, self.target, self.img[inner.img])
 
 
 def _is_hom(R: RingTables, S: RingTables, img: np.ndarray) -> bool:
@@ -657,10 +581,10 @@ def _is_hom(R: RingTables, S: RingTables, img: np.ndarray) -> bool:
 
 def validate_hom(h: RingHomomorphism) -> bool:
     """Exhaustive check, on the tables: preserves 0, 1, + and *."""
-    R, S, t = h.source.tables, h.target.tables, h.table
-    if set(t) != set(R.els) or not all(t[a] in S.index for a in R.els):
+    R, S, img = h.source.tables, h.target.tables, h.img
+    if img.shape != (R.n,) or img.min() < 0 or img.max() >= S.n:
         return False
-    return _is_hom(R, S, np.array([S.index[t[a]] for a in R.els]))
+    return _is_hom(R, S, img)
 
 
 def jacobson_radical(ring: Ring) -> list:
@@ -687,7 +611,7 @@ def quotient_by_radical(ring: Ring) -> tuple[Ring, RingHomomorphism]:
              f"({ring.spec_str()})/J", [t.els[r] for r in reps],
              [ring.names[r] for r in reps],
              coset_of[t.add[block]], coset_of[t.mul[block]])
-    hom = RingHomomorphism(ring, q, {a: t.els[r] for a, r in zip(t.els, rep)})
+    hom = RingHomomorphism(ring, q, coset_of)
     assert ring.size % len(J) == 0 and q.size == ring.size // len(J)
     return q, hom
 
@@ -706,6 +630,5 @@ def find_isomorphism(A: Ring, B: Ring) -> RingHomomorphism | None:
     for perm in itertools.permutations(b_idx):
         img[a_idx] = perm
         if _is_hom(R, S, img):
-            return RingHomomorphism(A, B, {R.els[i]: S.els[j]
-                                           for i, j in enumerate(img)})
+            return RingHomomorphism(A, B, img)
     return None

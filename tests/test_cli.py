@@ -43,7 +43,9 @@ def test_line_check(capsys):
     code, out, _ = run(capsys, "line", "--ring", "gf(2)[x]/(x^2-x)", "--check")
     assert code == 0
     assert "9 points" in out
-    assert "[PASS]" in out and "[FAIL]" not in out
+    assert "[PASS] closed-form point count matches enumeration: " \
+        "closed form 9, enumeration 9" in out
+    assert "[FAIL]" not in out
 
 
 def test_line_dot(capsys):
@@ -128,6 +130,15 @@ def test_search_pentagrams_budget(capsys):
     assert "PARTIAL" in out
 
 
+def test_search_negative_budget_is_an_input_error(capsys):
+    for kind in ("pentagrams", "squares"):
+        code, out, err = run(capsys, "search", "--kind", kind, "--budget", "-5")
+        assert code == 3 and out == ""
+        assert "argument --budget: must be >= 0, got -5" in err
+    code, out, _ = run(capsys, "search", "--kind", "pentagrams", "--budget", "0")
+    assert code == 0 and "0 result(s) [PARTIAL: budget exhausted]" in out
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, _, _ = run(capsys, "ring", "--ring", "gf(5)", "--format", "json",
@@ -137,7 +148,7 @@ def test_out_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["gf(2)", "gf(2)[x]/(x^3-x)", "gf(4)xgf(3)",
-                                  "gf(2)xgf(2)xgf(2)xgf(2)xgf(2)"])
+                                  "gf(2)xgf(2)xgf(2)xgf(2)xgf(2)", "gf(4)"])
 def test_line_json_keeps_the_bytes_of_json_dumps(spec):
     """The relation is written row by row; the report stays byte for byte
     what json.dumps(indent=2) makes, up to a 243-point product line."""
@@ -145,8 +156,13 @@ def test_line_json_keeps_the_bytes_of_json_dumps(spec):
         ["line", "--ring", spec, "--check", "--format", "json"])
     data, lines, dot, _ = cli.run_line(args)
     assert "claims" in data  # a key after the relation
-    assert cli._render(data, lines, "json", dot) == \
-        json.dumps(data, indent=2, default=str) + "\n"
+    body = cli._render(data, lines, "json", dot)
+    assert body == json.dumps(data, indent=2, default=str) + "\n"
+    if spec == "gf(4)":  # a field's line: q + 1 points, pairwise distant
+        report = json.loads(body)
+        assert len(report["points"]) == 5
+        assert report["relation"] == [[0 if i == j else 2 for j in range(5)]
+                                      for i in range(5)]
 
 
 @pytest.mark.parametrize("data", [

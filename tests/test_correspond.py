@@ -107,11 +107,14 @@ def test_distant_to_unit_point():
 
 
 def test_condensation_images_consistent_with_point_map():
-    rep = co.condensation("jacobson")
     hom = co.club_to_tilde_hom()
-    for p, img in rep.point_images.items():
-        ia, ib = hom.table[p.a], hom.table[p.b]
-        assert rl.canonicalize(hom.target, ia, ib) == img
+    pmap = rl.induced_point_map(hom, co.club_catalog(), co.tilde_catalog())
+    assert list(pmap) == list(co.club_catalog().points)
+    for p, img in pmap.items():
+        assert rl.canonicalize(hom.target, hom(p.a), hom(p.b)) == img
+    for variant in co.VARIANTS:
+        rep = co.condensation(variant)
+        assert rep.point_images == {p: pmap[p] for p in rep.point_images}
 
 
 def test_quotient_hom_is_validated():

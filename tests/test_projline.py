@@ -8,7 +8,6 @@ the package's principal-ideal lookup on the ring tables.
 """
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ import pytest
 import ringline as rl
 from ringline.correspond import (JACOBSON_LAYOUT, NEIGHBOURHOOD_LAYOUT,
                                  club_to_tilde_hom)
-from ringline.projline import LineError, ProjPoint, catalog_dot, catalog_json
+from ringline.projline import LineError, ProjPoint, catalog_dot
 from ring_oracle import PayloadRing, is_admissible_componentwise, oracle_unimodular
 
 
@@ -82,9 +81,11 @@ def test_expected_point_count(r_club, r_tilde, r_tilde_prod, gf4):
     assert rl.expected_point_count(gf4) == 5
     assert rl.expected_point_count(rl.build_ring("gf(8)")) == 9
     assert rl.expected_point_count(r_tilde_prod) == 9
-    # neither ring is local nor an explicit product: no closed form applies
-    assert rl.expected_point_count(r_club) is None
-    assert rl.expected_point_count(r_tilde) is None
+    # products in disguise: gf(2) x gf(2)[x]/(x^2) and gf(2) x gf(2)
+    assert rl.expected_point_count(r_club) == 18
+    assert rl.expected_point_count(r_tilde) == 9
+    # gf(3)[x]/(x^3-x) is gf(3) x gf(3) x gf(3): 4^3 points
+    assert rl.expected_point_count(rl.build_ring("gf(3)[x]/(x^3-x)")) == 64
 
 
 # --- relations --------------------------------------------------------------
@@ -112,10 +113,11 @@ def test_field_line_has_no_neighbours(gf4):
 def test_pair_relation_witness(tilde_catalog):
     p = tilde_catalog.point_by_str("(1,0)")
     q = tilde_catalog.point_by_str("(1,x)")
+    ring = tilde_catalog.ring
     rel, det = rl.pair_relation(p, q)
-    assert rel == rl.NEIGHBOUR and str(det) == "x"
+    assert rel == rl.NEIGHBOUR and ring.el_str(det) == "x"
     rel, det = rl.pair_relation(p, tilde_catalog.point_by_str("(0,1)"))
-    assert rel == rl.DISTANT and str(det) == "1"
+    assert rel == rl.DISTANT and ring.el_str(det) == "1"
 
 
 def test_mixed_ring_points_rejected(club_catalog, tilde_catalog):
@@ -194,11 +196,27 @@ def test_induced_map_preserves_distance(club_catalog):
 def test_induced_map_requires_kernel_in_radical(r_club, club_catalog):
     # collapse everything to zero except the multiplicative identity: the
     # kernel is far larger than the radical and the map must be refused
-    table = {a: (r_club.one if a == r_club.one else r_club.zero)
-             for a in r_club.elements()}
-    bad = rl.RingHomomorphism(r_club, r_club, table)
-    with pytest.raises(LineError):
+    t = r_club.tables
+    img = np.where(np.arange(t.n) == t.one, t.one, t.zero)
+    bad = rl.RingHomomorphism(r_club, r_club, img)
+    with pytest.raises(LineError, match="^homomorphism kernel exceeds the "
+                                        "radical; images need not be admissible$"):
         rl.induced_point_map(bad, club_catalog, club_catalog)
+
+
+def test_induced_map_refuses_the_first_inadmissible_image(r_club, club_catalog):
+    # not a homomorphism: 0 and 1 stay, everything else goes to x, so the
+    # kernel is {0} but pairs of zero divisors land on the pair (x, x)
+    t = r_club.tables
+    x = t.index[r_club.element_from_str("x")]
+    img = np.where(np.isin(np.arange(t.n), [t.zero, t.one]), np.arange(t.n), x)
+    bad = rl.RingHomomorphism(r_club, r_club, img)
+    first = next(p for p in club_catalog.points
+                 if not rl.is_admissible(r_club, bad(p.a), bad(p.b)))
+    assert first != club_catalog.points[0]
+    with pytest.raises(LineError) as err:
+        rl.induced_point_map(bad, club_catalog, club_catalog)
+    assert str(err.value) == f"image of {first} is not admissible"
 
 
 def test_jacobson_counterparts(club_catalog):
@@ -222,15 +240,6 @@ def test_jacobson_counterpart_trivial_over_field(gf4):
 
 
 # --- export -----------------------------------------------------------------
-
-def test_catalog_json(gf4):
-    cat = rl.enumerate_points(gf4)
-    data = json.loads(catalog_json(cat))
-    assert len(data["points"]) == 5
-    assert data["relation"][0][0] == 0
-    assert all(data["relation"][i][j] == 2
-               for i in range(5) for j in range(5) if i != j)
-
 
 def test_catalog_dot(gf4, tilde_catalog):
     dot = catalog_dot(rl.enumerate_points(gf4))
