@@ -346,8 +346,8 @@ def run_entangle(args):
     pairwise = []
     for (la, opsa, _), (lb, opsb, _) in itertools.combinations(
             classifications, 2):
-        mu, _table = en.mutually_unbiased(opsa, opsb)
-        pairwise.append({"contexts": [la, lb], "mutually_unbiased": mu})
+        pairwise.append({"contexts": [la, lb],
+                         "mutually_unbiased": en.mutually_unbiased(opsa, opsb)})
     if args.check and getattr(args, "builtin", None) == "mermin_square":
         by_label = {l: c.classification for l, _, c in classifications}
         for label in ("row 1", "row 2", "column 1", "column 2"):
@@ -356,10 +356,10 @@ def run_entangle(args):
         claims.expect("column 3 basis is maximally entangled",
                       by_label["column 3"] == "maximally-entangled",
                       by_label["column 3"])
-        mu, table = en.mutually_unbiased(cfg.context_ops(0), cfg.context_ops(1))
+        table = en.overlap_table(cfg.context_ops(0), cfg.context_ops(1))
         claims.expect("row 1 and row 2 bases mutually unbiased at 1/4",
-                      mu and all(v == Fraction(1, 4)
-                                 for r in table for v in r))
+                      pairwise[0]["mutually_unbiased"]
+                      and all(v == Fraction(1, 4) for r in table for v in r))
         claims.note("row 3 basis classification",
                     f"computed {by_label['row 3']}; this disagrees with the "
                     "documented expectation that every row basis is a "
@@ -618,8 +618,11 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if getattr(args, "budget", None) is not None and args.budget < 0:
-            ap.error(f"argument --budget: must be >= 0, got {args.budget}")
+        if getattr(args, "budget", None) is not None:
+            if args.budget < 0:
+                ap.error(f"argument --budget: must be >= 0, got {args.budget}")
+            if args.kind == "squares":
+                ap.error("argument --budget: applies to --kind pentagrams only")
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf2
-from .pauli import (PauliError, PauliObservable, commutes, multiply,
+from .pauli import (PauliError, PauliObservable, anticommuting_pair, multiply,
                     symplectic_rows)
 
 
@@ -32,12 +32,27 @@ class StabilizerGroup:
     generators: tuple[tuple[PauliObservable, int], ...]  # (word, sign)
 
     def __post_init__(self):
-        rows = symplectic_rows([g for g, _ in self.generators])
-        if gf2.rank(rows) != len(self.generators):
+        words = [g for g, _ in self.generators]
+        if gf2.rank(symplectic_rows(words)) != len(words):
             raise EntangleError("generators are not independent")
-        for (a, _), (b, _) in itertools.combinations(self.generators, 2):
-            if not commutes(a, b):
-                raise EntangleError("generators do not commute")
+        if anticommuting_pair(words) is not None:
+            raise EntangleError("generators do not commute")
+
+
+def _generators(context: list[PauliObservable]) -> list[PauliObservable]:
+    """The n independent generators of a maximal commuting context; its
+    2^n joint eigenstates differ only in the signs they give these words."""
+    if not context:
+        raise EntangleError("empty context")
+    n = context[0].n
+    pair = anticommuting_pair(context)
+    if pair is not None:
+        raise PauliError(f"{pair[0]} and {pair[1]} do not commute")
+    ind = gf2.independent_indices(symplectic_rows(context))
+    if len(ind) != n:
+        raise EntangleError(
+            f"context generates a 2^{len(ind)}-element group; need rank {n}")
+    return [context[i] for i in ind]
 
 
 def joint_eigenbasis(context: list[PauliObservable]) -> list[StabilizerGroup]:
@@ -46,23 +61,11 @@ def joint_eigenbasis(context: list[PauliObservable]) -> list[StabilizerGroup]:
     States are returned in sign-pattern order: pattern index b flips the
     sign of independent generator i when bit i of b is set.
     """
-    if not context:
-        raise EntangleError("empty context")
-    n = context[0].n
-    for a, b in itertools.combinations(context, 2):
-        if not commutes(a, b):
-            raise PauliError(f"{a} and {b} do not commute")
-    rows = symplectic_rows(context)
-    ind = gf2.independent_indices(rows)
-    if len(ind) != n:
-        raise EntangleError(
-            f"context generates a 2^{len(ind)}-element group; need rank {n}")
-    gens = [context[i] for i in ind]
-    out = []
-    for pattern in range(2 ** n):
-        signs = [(-1 if (pattern >> i) & 1 else 1) for i in range(n)]
-        out.append(StabilizerGroup(n, tuple(zip(gens, signs))))
-    return out
+    gens = _generators(context)
+    n = len(gens)
+    return [StabilizerGroup(n, tuple(
+        (g, -1 if pattern >> i & 1 else 1) for i, g in enumerate(gens)))
+        for pattern in range(2 ** n)]
 
 
 def bipartite_entropy(state: StabilizerGroup, part_a: set[int]) -> int:
@@ -94,26 +97,22 @@ def classify_context(context: list[PauliObservable]) -> BasisClassification:
     """product / maximally-entangled / mixed-character for a maximal context.
 
     'maximally entangled' means every 1-vs-rest bipartition of every basis
-    state carries exactly 1 bit.
+    state carries exactly 1 bit.  Signs do not enter an entropy, so the
+    2^n basis states share the one table computed here.
     """
-    basis = joint_eigenbasis(context)
-    n = basis[0].n
-    parts = [frozenset(c) for size in range(1, n)
-             for c in itertools.combinations(range(1, n + 1), size)]
-    tables = []
-    for state in basis:
-        tables.append({tuple(sorted(p)): bipartite_entropy(state, p)
-                       for p in parts})
-    if any(t != tables[0] for t in tables[1:]):
-        raise EntangleError("stabilizer basis is not entropy-homogeneous")
-    table = tables[0]
+    gens = _generators(context)
+    n = len(gens)
+    state = StabilizerGroup(n, tuple((g, 1) for g in gens))
+    table = {part: bipartite_entropy(state, set(part))
+             for size in range(1, n)
+             for part in itertools.combinations(range(1, n + 1), size)}
     if all(v == 0 for v in table.values()):  # also one qubit: no cuts at all
         cls = "product"
     elif all(table[(q,)] == 1 for q in range(1, n + 1)):
         cls = "maximally-entangled"
     else:
         cls = "mixed-character"
-    return BasisClassification(tuple(context), cls, tuple(tables))
+    return BasisClassification(tuple(context), cls, (table,) * 2 ** n)
 
 
 def _product(ops: list[PauliObservable], mask: int) -> PauliObservable:
@@ -128,13 +127,10 @@ def _product(ops: list[PauliObservable], mask: int) -> PauliObservable:
 def overlap_table(context_a: list[PauliObservable],
                   context_b: list[PauliObservable]) -> list[list[Fraction]]:
     """Exact squared overlaps |<a_i|b_j>|^2 between the two joint eigenbases."""
-    basis_a = joint_eigenbasis(context_a)
-    basis_b = joint_eigenbasis(context_b)
-    n = basis_a[0].n
-    if basis_b[0].n != n:
+    gens_a, gens_b = _generators(context_a), _generators(context_b)
+    n = len(gens_a)
+    if len(gens_b) != n:
         raise EntangleError("dimension mismatch")
-    gens_a = [g for g, _ in basis_a[0].generators]
-    gens_b = [g for g, _ in basis_b[0].generators]
     # Each left-null vector v of the stacked rows pairs a product of a's
     # generators (bits of v below n) with a product of b's (bits from n) that
     # is the same Pauli word; the k = 2n - rank vectors span the subgroup the
@@ -146,9 +142,9 @@ def overlap_table(context_a: list[PauliObservable],
     table = []
     # state index i flips the sign of generator j when bit j of i is set,
     # which flips the sign of every shared Pauli whose v uses generator j
-    for ia in range(len(basis_a)):
+    for ia in range(2 ** n):
         row = []
-        for ib in range(len(basis_b)):
+        for ib in range(2 ** n):
             flips = ia | ib << n
             agree = all(c == (v & flips).bit_count() & 1
                         for v, c in zip(shared, clash))
@@ -158,10 +154,11 @@ def overlap_table(context_a: list[PauliObservable],
 
 
 def mutually_unbiased(context_a: list[PauliObservable],
-                      context_b: list[PauliObservable]
-                      ) -> tuple[bool, list[list[Fraction]]]:
+                      context_b: list[PauliObservable]) -> bool:
     """True iff the two contexts share no Pauli up to sign (k = 0), which
     is exactly when every cross overlap equals 1/2^n."""
-    table = overlap_table(context_a, context_b)
-    n = context_a[0].n
-    return gf2.rank(symplectic_rows(context_a + context_b)) == 2 * n, table
+    gens_a, gens_b = _generators(context_a), _generators(context_b)
+    n = len(gens_a)
+    if len(gens_b) != n:
+        raise EntangleError("dimension mismatch")
+    return gf2.rank(symplectic_rows(gens_a + gens_b)) == 2 * n

@@ -208,7 +208,8 @@ def test_criterion_10_entanglement():
     ok = classes["column 3"] == "maximally-entangled"
     ok &= all(classes[l] == "product"
               for l in ("row 1", "row 2", "column 1", "column 2"))
-    mu, table = rl.mutually_unbiased(cfg.context_ops(0), cfg.context_ops(1))
+    mu = rl.mutually_unbiased(cfg.context_ops(0), cfg.context_ops(1))
+    table = rl.overlap_table(cfg.context_ops(0), cfg.context_ops(1))
     from fractions import Fraction
     ok &= mu and all(v == Fraction(1, 4) for row in table for v in row)
     horiz = rl.classify_context(

@@ -139,6 +139,14 @@ def test_search_negative_budget_is_an_input_error(capsys):
     assert code == 0 and "0 result(s) [PARTIAL: budget exhausted]" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "5"])
+def test_search_squares_refuses_a_budget(capsys, budget):
+    code, out, err = run(capsys, "search", "--kind", "squares",
+                         "--budget", budget)
+    assert code == 3 and out == ""
+    assert "argument --budget: applies to --kind pentagrams only" in err
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, _, _ = run(capsys, "ring", "--ring", "gf(5)", "--format", "json",

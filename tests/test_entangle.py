@@ -31,6 +31,19 @@ def _all_contexts():
             yield cfg.context_ops(ci)
 
 
+@st.composite
+def _maximal_context(draw, n):
+    """First n words of a random ordering that commute with and are
+    independent of the words already taken; every Lagrangian is reachable."""
+    chosen = []
+    for w in draw(st.permutations(all_words(n))):
+        if all(rl.commutes(w, c) for c in chosen) and \
+                gf2.rank(symplectic_rows(chosen + [w])) == len(chosen) + 1:
+            chosen.append(w)
+            if len(chosen) == n:
+                return chosen
+
+
 # --- stabilizer groups ------------------------------------------------------
 
 def test_stabilizer_group_rejects_dependent_generators():
@@ -124,22 +137,67 @@ def test_mixed_character_class():
     assert cls.classification == "mixed-character"
 
 
+def _entropies_match_oracle_per_state(ops):
+    """classify_context computes one table; each of the 2^n signed basis
+    states must have exactly that table under the density-matrix oracle."""
+    n = ops[0].n
+    cls = rl.classify_context(ops)
+    assert len(cls.entropies) == 2 ** n
+    for table, state in zip(cls.entropies, rl.joint_eigenbasis(ops)):
+        assert table == {part: bipartite_entropy_oracle(state, set(part))
+                         for size in range(1, n)
+                         for part in itertools.combinations(range(1, n + 1),
+                                                            size)}
+
+
+def test_classified_entropies_match_oracle_per_state():
+    for ops in _all_contexts():
+        _entropies_match_oracle_per_state(ops)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_random_classified_entropies_match_oracle_per_state(n, data):
+    _entropies_match_oracle_per_state(data.draw(_maximal_context(n)))
+
+
 # --- unbiasedness -----------------------------------------------------------
 
 def test_rows_one_two_mutually_unbiased():
-    mu, table = rl.mutually_unbiased(_ops("XI", "IX", "XX"),
-                                     _ops("IY", "YI", "YY"))
-    assert mu
+    row1, row2 = _ops("XI", "IX", "XX"), _ops("IY", "YI", "YY")
+    assert rl.mutually_unbiased(row1, row2) is True
+    table = rl.overlap_table(row1, row2)
     assert all(v == Fraction(1, 4) for row in table for v in row)
 
 
 def test_overlapping_contexts_not_unbiased():
     # row 1 and column 1 share XI, so some overlaps are 1/2 and others 0
-    mu, table = rl.mutually_unbiased(_ops("XI", "IX", "XX"),
-                                     _ops("XI", "IY", "XY"))
-    assert not mu
+    row1, col1 = _ops("XI", "IX", "XX"), _ops("XI", "IY", "XY")
+    assert rl.mutually_unbiased(row1, col1) is False
+    table = rl.overlap_table(row1, col1)
     flat = sorted({v for row in table for v in row})
     assert flat == [Fraction(0), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    pytest.param((), "empty context", id="empty"),
+    pytest.param(("XI", "ZI"), "XI and ZI do not commute", id="noncommuting"),
+    pytest.param(("XI",), "context generates a 2^1-element group; "
+                 "need rank 2", id="rank-deficient"),
+    pytest.param(("XI", "X"), "qubit counts differ", id="mixed-qubits"),
+    # maximal, but on 1 qubit where the other context has 2
+    pytest.param(("X",), "dimension mismatch", id="different-n"),
+])
+def test_mutually_unbiased_refuses_what_overlap_table_refuses(bad, message):
+    good = _ops("XI", "IX")
+    for pair in ((_ops(*bad), good), (good, _ops(*bad))):
+        with pytest.raises(ValueError) as table_refused:
+            rl.overlap_table(*pair)
+        with pytest.raises(ValueError) as mu_refused:
+            rl.mutually_unbiased(*pair)
+        assert str(table_refused.value) == str(mu_refused.value) == message
+        assert type(table_refused.value) is type(mu_refused.value)
 
 
 def test_overlap_rows_sum_to_one():
@@ -156,19 +214,6 @@ def test_overlaps_match_projector_oracle_on_builtins():
                 overlap_table_oracle(ops_a, ops_b)
 
 
-@st.composite
-def _maximal_context(draw, n):
-    """First n words of a random ordering that commute with and are
-    independent of the words already taken; every Lagrangian is reachable."""
-    chosen = []
-    for w in draw(st.permutations(all_words(n))):
-        if all(rl.commutes(w, c) for c in chosen) and \
-                gf2.rank(symplectic_rows(chosen + [w])) == len(chosen) + 1:
-            chosen.append(w)
-            if len(chosen) == n:
-                return chosen
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -176,7 +221,7 @@ def test_random_overlaps_match_projector_oracle(n, data):
     ops_a, ops_b = data.draw(_maximal_context(n)), data.draw(_maximal_context(n))
     table = rl.overlap_table(ops_a, ops_b)
     assert table == overlap_table_oracle(ops_a, ops_b)
-    mu, _ = rl.mutually_unbiased(ops_a, ops_b)
+    mu = rl.mutually_unbiased(ops_a, ops_b)
     assert mu == all(v == Fraction(1, 2 ** n) for row in table for v in row)
 
 
@@ -184,8 +229,8 @@ def test_five_qubit_z_and_x_bases_unbiased():
     # beyond the n <= 4 cap of the matrix oracle
     z_basis = [PauliObservable("I" * q + "Z" + "I" * (4 - q)) for q in range(5)]
     x_basis = [PauliObservable("I" * q + "X" + "I" * (4 - q)) for q in range(5)]
-    mu, table = rl.mutually_unbiased(z_basis, x_basis)
-    assert mu
+    assert rl.mutually_unbiased(z_basis, x_basis)
+    table = rl.overlap_table(z_basis, x_basis)
     assert len(table) == 32
     assert all(v == Fraction(1, 32) for row in table for v in row)
 
