@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 import os
 import sys
 from fractions import Fraction
@@ -77,15 +78,7 @@ def _size_cap() -> int:
 def _render(data: dict, text_lines: list[str], fmt: str,
             dot: str | None = None) -> str:
     if fmt == "json":
-        if "relation" not in data:
-            return json.dumps(data, indent=2, default=str) + "\n"
-        # json's indenting encoder makes a string per token, seconds for a
-        # line of thousands of points; the relation's rows are written
-        # directly, in the same layout, into the dump of the rest
-        head, tail = json.dumps({**data, "relation": 0}, indent=2,
-                                default=str).split('\n  "relation": 0', 1)
-        return (head + '\n  "relation": ' + _json_rows(data["relation"])
-                + tail + "\n")
+        return _json(data, "\n") + "\n"
     if fmt == "dot":
         if dot is None:
             raise ValueError("dot output is not defined for this command")
@@ -93,14 +86,63 @@ def _render(data: dict, text_lines: list[str], fmt: str,
     return "\n".join(text_lines) + "\n"
 
 
-def _json_rows(rows: list[list[int]]) -> str:
-    """A list of int lists as json.dumps(indent=2) lays out the value of a
-    top-level key."""
-    if not rows:
-        return "[]"
-    return "[\n    " + ",\n    ".join(
-        "[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" if row
-        else "[]" for row in rows) + "\n  ]"
+_INT_ONLY = frozenset({int})
+
+
+def _json(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, default=str) writes it, where
+    indent is the line break and spaces before the line value starts on.
+
+    Python 3.11's json has no C encoder for indented output, and its
+    Python one makes a string per token: far slower for the reports here.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _INT_ONLY.issuperset(map(type, value)):
+            # the repr of a list of exact ints is json's, one space wider
+            body = repr(value if type(value) is list else list(value))[1:-1]
+            return f"[{inner}{body.replace(', ', ',' + inner)}{indent}]"
+        items = []
+        for i, v in enumerate(value):  # a repeated object repeats its text
+            items.append(items[-1] if i and v is value[i - 1]
+                         else _json(v, inner))
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_str(k) if type(k) is str else _json_key(k)}: "
+                 f"{_json(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    else:
+        return _json_str(str(value))
+    # with the brackets on the end items, the join is the one copy made of
+    # a large report
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += indent + brackets[1]
+    return ("," + inner).join(items)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _json_str(key)
+    if key is None or isinstance(key, (int, float)):  # True is "true", 1 "1"
+        return _json_str(json.dumps(key))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _grid(cells: list[str], ncols: int) -> list[str]:
@@ -293,7 +335,9 @@ def run_search(args):
         outcome = mg.search_pentagrams(budget=args.budget)
         results, complete = list(outcome.results), outcome.complete
         orbit = None
-    reverified = all(mg.verify_magic(c).magic for c in results)
+    # JSON shows the re-verification only among the --check claims
+    reverified = (all(mg.verify_magic(c).magic for c in results)
+                  if args.check or args.format == "text" else None)
     builtin_found = _contains_builtin(results, args.kind)
     if args.check:
         claims.expect(f"search {args.kind}: built-in configuration found",
@@ -305,8 +349,7 @@ def run_search(args):
         "count": len(results),
         "complete": complete,
         "builtin_found": builtin_found,
-        "results": [json.loads(mg.config_to_json(c)) for c in results]
-        if args.full else None,
+        "results": [mg.config_dict(c) for c in results] if args.full else None,
     }
     lines = [f"search {args.kind}: {len(results)} result(s)"
              + ("" if complete else " [PARTIAL: budget exhausted]"),
@@ -338,18 +381,18 @@ def _config_key(cfg):
 def run_entangle(args):
     cfg = _load_config(args)
     claims = Claims()
-    classifications = []
+    contexts = []  # (label, ops, generators, class, entropy table)
     for ci in range(len(cfg.contexts)):
         ops = cfg.context_ops(ci)
-        cls = en.classify_context(ops)
-        classifications.append((cfg.context_labels[ci], ops, cls))
-    pairwise = []
-    for (la, opsa, _), (lb, opsb, _) in itertools.combinations(
-            classifications, 2):
-        pairwise.append({"contexts": [la, lb],
-                         "mutually_unbiased": en.mutually_unbiased(opsa, opsb)})
+        gens = en.context_generators(ops)
+        contexts.append((cfg.context_labels[ci], ops, gens,
+                         *en.classify_generators(gens)))
+    pairwise = [{"contexts": [la, lb],
+                 "mutually_unbiased": en.generators_unbiased(ga, gb)}
+                for (la, _, ga, _, _), (lb, _, gb, _, _)
+                in itertools.combinations(contexts, 2)]
+    by_label = {label: cls for label, _, _, cls, _ in contexts}
     if args.check and getattr(args, "builtin", None) == "mermin_square":
-        by_label = {l: c.classification for l, _, c in classifications}
         for label in ("row 1", "row 2", "column 1", "column 2"):
             claims.expect(f"{label} basis is product",
                           by_label[label] == "product", by_label[label])
@@ -365,22 +408,20 @@ def run_entangle(args):
                     "documented expectation that every row basis is a "
                     "product basis")
     if args.check and getattr(args, "builtin", None) == "mermin_pentagram":
-        by_label = {l: c for l, _, c in classifications}
-        horiz = by_label["horizontal"]
         claims.expect("horizontal edge basis is maximally entangled "
                       "(1 bit across every 1-vs-2 bipartition)",
-                      horiz.classification == "maximally-entangled",
-                      horiz.classification)
+                      by_label["horizontal"] == "maximally-entangled",
+                      by_label["horizontal"])
     data = {
         "geometry": cfg.geometry,
+        # the 2^n basis states share one table, so one dict serves them all
         "contexts": [{
             "label": label,
             "observables": [o.word for o in ops],
-            "class": cls.classification,
+            "class": cls,
             "entropies": [{"-".join(map(str, part)): bits
-                           for part, bits in table.items()}
-                          for table in cls.entropies],
-        } for label, ops, cls in classifications],
+                           for part, bits in table.items()}] * 2 ** len(gens),
+        } for label, ops, gens, cls, table in contexts],
         "unbiasedness": pairwise,
     }
     lines = [f"entanglement classification for {cfg.geometry}"]

@@ -32,6 +32,13 @@ class StabilizerGroup:
     generators: tuple[tuple[PauliObservable, int], ...]  # (word, sign)
 
     def __post_init__(self):
+        for g, sign in self.generators:
+            if g.n != self.n:
+                raise EntangleError(
+                    f"generator {g} has {g.n} qubit(s), not {self.n}")
+            if sign not in (1, -1):
+                raise EntangleError(
+                    f"generator {g} has sign {sign!r}, not +1 or -1")
         words = [g for g, _ in self.generators]
         if gf2.rank(symplectic_rows(words)) != len(words):
             raise EntangleError("generators are not independent")
@@ -39,9 +46,14 @@ class StabilizerGroup:
             raise EntangleError("generators do not commute")
 
 
-def _generators(context: list[PauliObservable]) -> list[PauliObservable]:
+def context_generators(context: list[PauliObservable]
+                       ) -> list[PauliObservable]:
     """The n independent generators of a maximal commuting context; its
-    2^n joint eigenstates differ only in the signs they give these words."""
+    2^n joint eigenstates differ only in the signs they give these words.
+
+    Raises EntangleError for an empty or rank-deficient context and
+    PauliError for two words that do not commute or differ in length.
+    """
     if not context:
         raise EntangleError("empty context")
     n = context[0].n
@@ -61,7 +73,7 @@ def joint_eigenbasis(context: list[PauliObservable]) -> list[StabilizerGroup]:
     States are returned in sign-pattern order: pattern index b flips the
     sign of independent generator i when bit i of b is set.
     """
-    gens = _generators(context)
+    gens = context_generators(context)
     n = len(gens)
     return [StabilizerGroup(n, tuple(
         (g, -1 if pattern >> i & 1 else 1) for i, g in enumerate(gens)))
@@ -71,19 +83,27 @@ def joint_eigenbasis(context: list[PauliObservable]) -> list[StabilizerGroup]:
 def bipartite_entropy(state: StabilizerGroup, part_a: set[int]) -> int:
     """Entanglement entropy in bits across part_a vs the rest.
 
-    Qubits are numbered 1..n.  E = |A| - log2 |S_A| where S_A is the
-    subgroup of stabilizers supported entirely inside A; its order is read
-    off a GF(2) rank of the generator matrix restricted to the complement.
+    Qubits are numbered 1..n.  E = |A| - log2 |S_A|, one GF(2) rank (see
+    ``_cut_entropy``).
     """
     n = state.n
     part_a = set(part_a)
     if not part_a or part_a >= set(range(1, n + 1)) or \
             not part_a <= set(range(1, n + 1)):
         raise EntangleError(f"bad bipartition {sorted(part_a)} for n={n}")
-    mask_b = sum(1 << (q - 1) for q in range(1, n + 1) if q not in part_a)
-    rows = [(g.x & mask_b) | (g.z & mask_b) << n for g, _ in state.generators]
+    return _cut_entropy([g for g, _ in state.generators], n,
+                        sum(1 << (q - 1) for q in part_a))
+
+
+def _cut_entropy(words: list[PauliObservable], n: int, mask_a: int) -> int:
+    """E = |A| - log2 |S_A|, where A holds the qubits of mask_a (bit q-1
+    for qubit q) and S_A is the subgroup of the stabilizers generated by
+    words that is supported entirely inside A; its order is read off a
+    GF(2) rank of the generator matrix restricted to the complement."""
+    mask_b = ((1 << n) - 1) ^ mask_a
+    rows = [(g.x & mask_b) | (g.z & mask_b) << n for g in words]
     # 2^(n - rank) group elements restrict trivially to B, i.e. live on A
-    return len(part_a) - (n - gf2.rank(rows))
+    return mask_a.bit_count() - (n - gf2.rank(rows))
 
 
 @dataclass(frozen=True)
@@ -93,26 +113,32 @@ class BasisClassification:
     entropies: tuple[dict, ...]  # per state: {bipartition tuple: bits}
 
 
-def classify_context(context: list[PauliObservable]) -> BasisClassification:
-    """product / maximally-entangled / mixed-character for a maximal context.
+def classify_generators(gens: list[PauliObservable]) -> tuple[str, dict]:
+    """(class, entropy table) of the basis with the n independent commuting
+    generators gens, as ``context_generators`` returns them.
 
-    'maximally entangled' means every 1-vs-rest bipartition of every basis
-    state carries exactly 1 bit.  Signs do not enter an entropy, so the
-    2^n basis states share the one table computed here.
+    The table maps each bipartition, as the tuple of qubits on side A, to
+    its entropy in bits.  Signs do not enter an entropy, so every one of
+    the 2^n basis states has this table.  'maximally entangled' means
+    every 1-vs-rest bipartition carries exactly 1 bit.
     """
-    gens = _generators(context)
     n = len(gens)
-    state = StabilizerGroup(n, tuple((g, 1) for g in gens))
-    table = {part: bipartite_entropy(state, set(part))
+    table = {part: _cut_entropy(gens, n, sum(1 << (q - 1) for q in part))
              for size in range(1, n)
              for part in itertools.combinations(range(1, n + 1), size)}
     if all(v == 0 for v in table.values()):  # also one qubit: no cuts at all
-        cls = "product"
-    elif all(table[(q,)] == 1 for q in range(1, n + 1)):
-        cls = "maximally-entangled"
-    else:
-        cls = "mixed-character"
-    return BasisClassification(tuple(context), cls, (table,) * 2 ** n)
+        return "product", table
+    if all(table[(q,)] == 1 for q in range(1, n + 1)):
+        return "maximally-entangled", table
+    return "mixed-character", table
+
+
+def classify_context(context: list[PauliObservable]) -> BasisClassification:
+    """product / maximally-entangled / mixed-character for a maximal context,
+    with the entropy table of each of its 2^n basis states."""
+    gens = context_generators(context)
+    cls, table = classify_generators(gens)
+    return BasisClassification(tuple(context), cls, (table,) * 2 ** len(gens))
 
 
 def _product(ops: list[PauliObservable], mask: int) -> PauliObservable:
@@ -124,18 +150,25 @@ def _product(ops: list[PauliObservable], mask: int) -> PauliObservable:
     return prod
 
 
+def _stacked_rows(gens_a: list[PauliObservable],
+                  gens_b: list[PauliObservable]) -> list[int]:
+    """Symplectic rows of gens_a followed by gens_b, on the same n."""
+    if len(gens_b) != len(gens_a):
+        raise EntangleError("dimension mismatch")
+    return symplectic_rows(gens_a + gens_b)
+
+
 def overlap_table(context_a: list[PauliObservable],
                   context_b: list[PauliObservable]) -> list[list[Fraction]]:
     """Exact squared overlaps |<a_i|b_j>|^2 between the two joint eigenbases."""
-    gens_a, gens_b = _generators(context_a), _generators(context_b)
+    gens_a = context_generators(context_a)
+    gens_b = context_generators(context_b)
     n = len(gens_a)
-    if len(gens_b) != n:
-        raise EntangleError("dimension mismatch")
     # Each left-null vector v of the stacked rows pairs a product of a's
     # generators (bits of v below n) with a product of b's (bits from n) that
     # is the same Pauli word; the k = 2n - rank vectors span the subgroup the
     # two stabilizer groups share up to sign.
-    shared = gf2.left_nullspace(symplectic_rows(gens_a + gens_b))
+    shared = gf2.left_nullspace(_stacked_rows(gens_a, gens_b))
     clash = [_product(gens_a, v).phase != _product(gens_b, v >> n).phase
              for v in shared]
     nonzero = Fraction(1, 2 ** (n - len(shared)))
@@ -153,12 +186,17 @@ def overlap_table(context_a: list[PauliObservable],
     return table
 
 
+def generators_unbiased(gens_a: list[PauliObservable],
+                        gens_b: list[PauliObservable]) -> bool:
+    """True iff the bases with these generators, as ``context_generators``
+    returns them, share no Pauli up to sign (k = 0): the stacked rows have
+    full rank 2n.  Raises EntangleError when n differs."""
+    return gf2.rank(_stacked_rows(gens_a, gens_b)) == 2 * len(gens_a)
+
+
 def mutually_unbiased(context_a: list[PauliObservable],
                       context_b: list[PauliObservable]) -> bool:
     """True iff the two contexts share no Pauli up to sign (k = 0), which
     is exactly when every cross overlap equals 1/2^n."""
-    gens_a, gens_b = _generators(context_a), _generators(context_b)
-    n = len(gens_a)
-    if len(gens_b) != n:
-        raise EntangleError("dimension mismatch")
-    return gf2.rank(symplectic_rows(gens_a + gens_b)) == 2 * n
+    return generators_unbiased(context_generators(context_a),
+                               context_generators(context_b))

@@ -559,13 +559,18 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
 # JSON wire format
 
 
-def config_to_json(cfg: Configuration) -> str:
-    return json.dumps({
+def config_dict(cfg: Configuration) -> dict:
+    """The JSON object of a configuration, as ``config_to_json`` writes it."""
+    return {
         "n": cfg.n,
         "observables": [o.word for o in cfg.observables],
         "contexts": [list(c) for c in cfg.contexts],
         "geometry": cfg.geometry,
-    }, indent=2)
+    }
+
+
+def config_to_json(cfg: Configuration) -> str:
+    return json.dumps(config_dict(cfg), indent=2)
 
 
 def config_from_json(text: str) -> Configuration:

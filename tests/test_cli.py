@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ringline as rl
 from ringline import cli
@@ -181,6 +184,136 @@ def test_line_json_keeps_the_bytes_of_json_dumps(spec):
 def test_relation_rows_keep_the_bytes_of_json_dumps(data):
     assert cli._render(data, [], "json") == \
         json.dumps(data, indent=2, default=str) + "\n"
+
+
+_TEXT = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\/\x00\x1f\x7f\u2028')))
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(),
+                  st.floats(allow_nan=False))
+_LEAVES = st.one_of(st.none(), st.booleans(), _TEXT, st.floats(),
+                    st.integers(), st.integers(-2 ** 200, 2 ** 200),
+                    st.fractions())  # a Fraction goes through default=str
+_INT_LISTS = st.lists(st.one_of(st.integers(), st.booleans()))
+_VALUES = st.recursive(
+    st.one_of(_LEAVES, _INT_LISTS, _INT_LISTS.map(tuple)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        # one object repeated, as the entropy tables of a basis are
+        st.tuples(inner, st.integers(1, 3)).map(lambda t: [t[0]] * t[1])),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+@example([0, False, 0.0, 1, True, 1.0, "1", "1"])  # equal, yet written apart
+def test_json_writer_keeps_the_bytes_of_json_dumps(value):
+    assert cli._render(value, [], "json") == \
+        json.dumps(value, indent=2, default=str) + "\n"
+
+
+def test_json_writer_refuses_the_keys_json_refuses():
+    with pytest.raises(TypeError) as ours:
+        cli._render({"a": {(1, 2): 0}}, [], "json")
+    with pytest.raises(TypeError) as theirs:
+        json.dumps({"a": {(1, 2): 0}}, indent=2, default=str)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_search_full_results_are_the_config_json(capsys):
+    code, out, _ = run(capsys, "search", "--kind", "squares", "--full",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == [json.loads(rl.config_to_json(c))
+                                          for c in rl.search_squares()]
+
+
+def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
+    """Without --check, JSON output does not show the re-verification, so
+    it is not run; text output and --check still show it."""
+    calls = []
+    verify = cli.mg.verify_magic
+    monkeypatch.setattr(cli.mg, "verify_magic",
+                        lambda cfg: calls.append(cfg) or verify(cfg))
+    code, out, _ = run(capsys, "search", "--kind", "squares", "--format",
+                       "json")
+    assert code == 0 and not calls
+    assert "re-verify" not in out
+    code, out, _ = run(capsys, "search", "--kind", "squares")
+    assert code == 0 and len(calls) == 10
+    assert "all results re-verified magic: True" in out
+    code, out, _ = run(capsys, "search", "--kind", "squares", "--check",
+                       "--format", "json")
+    assert code == 0 and len(calls) == 20
+    assert {"claim": "search squares: all results re-verify as magic",
+            "ok": True, "detail": ""} in json.loads(out)["claims"]["checked"]
+
+
+# --- entangle ---------------------------------------------------------------
+
+def _entangle(*source):
+    """The JSON data of ``ringline entangle`` on one source, and the
+    configuration it read."""
+    args = cli.build_parser().parse_args(["entangle", *source])
+    return cli.run_entangle(args)[0], cli._load_config(args)
+
+
+def _write_config(tmp_path, observables, contexts):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": len(observables[0]),
+                                "observables": observables,
+                                "contexts": contexts}))
+    return str(path)
+
+
+@pytest.mark.parametrize("builtin, seen", [
+    ("mermin_square", {True, False}),
+    ("mermin_pentagram", {False}),  # every two edges share an observable
+    (None, {True, False})])
+def test_entangle_unbiasedness_is_mutually_unbiased(builtin, seen, tmp_path):
+    if builtin:
+        data, cfg = _entangle("--builtin", builtin)
+    else:  # product, entangled and overlapping three-qubit bases
+        data, cfg = _entangle("--config", _write_config(
+            tmp_path, ["ZII", "IZI", "IIZ", "XII", "IXI", "IIX", "XXX", "ZZI",
+                       "IZZ", "YYX", "YXY"],
+            [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 4, 5], [6, 9, 10]]))
+    labels = cfg.context_labels
+    want = [{"contexts": [labels[a], labels[b]],
+             "mutually_unbiased": rl.mutually_unbiased(cfg.context_ops(a),
+                                                       cfg.context_ops(b))}
+            for a, b in itertools.combinations(range(len(labels)), 2)]
+    assert data["unbiasedness"] == want
+    assert {p["mutually_unbiased"] for p in want} == seen
+
+
+@pytest.mark.parametrize("observables, contexts, message", [
+    pytest.param(["XI", "IX", "ZI"], [[0, 1], [0, 2]],
+                 "XI and ZI do not commute", id="noncommuting"),
+    pytest.param(["XI", "IX"], [[0, 1], [0]],
+                 "context generates a 2^1-element group; need rank 2",
+                 id="rank-deficient"),
+    pytest.param(["XI", "IX", "X"], [[0, 1], [0, 2]],
+                 "qubit counts differ", id="mixed-qubits"),
+    pytest.param(["XI", "IX", "X", "ZI", "IZ"], [[0, 1], [2], [3, 4]],
+                 "dimension mismatch", id="different-n"),
+])
+def test_entangle_refuses_as_the_public_functions_do(observables, contexts,
+                                                     message, tmp_path):
+    """run_entangle raises what classifying every context and then testing
+    every pair with the public functions raises first."""
+    path = _write_config(tmp_path, observables, contexts)
+    cfg = rl.config_from_json(Path(path).read_text())
+    ops = [cfg.context_ops(ci) for ci in range(len(contexts))]
+    with pytest.raises(ValueError) as public:
+        for c in ops:
+            rl.classify_context(c)
+        for a, b in itertools.combinations(ops, 2):
+            rl.mutually_unbiased(a, b)
+    with pytest.raises(ValueError) as ours:
+        _entangle("--config", path)
+    assert type(ours.value) is type(public.value)
+    assert str(ours.value) == str(public.value) == message
 
 
 # --- exit codes -------------------------------------------------------------

@@ -58,6 +58,18 @@ def test_stabilizer_group_rejects_noncommuting_generators():
                                (PauliObservable("Z"), 1)))
 
 
+@pytest.mark.parametrize("generators, message", [
+    pytest.param(((PauliObservable("XI"), 5),),
+                 "generator XI has 2 qubit(s), not 3", id="qubit-count"),
+    pytest.param(((PauliObservable("XII"), 1), (PauliObservable("IZI"), 0)),
+                 "generator IZI has sign 0, not +1 or -1", id="sign"),
+])
+def test_stabilizer_group_rejects_malformed_generators(generators, message):
+    with pytest.raises(EntangleError) as refused:
+        rl.StabilizerGroup(3, generators)
+    assert str(refused.value) == message
+
+
 def test_joint_eigenbasis_needs_full_rank():
     with pytest.raises(EntangleError):
         rl.joint_eigenbasis(_ops("XI"))
