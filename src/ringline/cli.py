@@ -250,9 +250,6 @@ def run_verify(args):
     report = mg.verify_magic(cfg)
     claims = Claims()
     result = report.bks
-    if result is None and all(c.sign is not None for c in report.contexts):
-        # structural errors stopped verify_magic short of deciding
-        result = mg.bks_decide(cfg)
     if args.check and getattr(args, "builtin", None):
         expect = _SQUARE_EXPECT if args.builtin == "mermin_square" else _PENT_EXPECT
         for c in report.contexts:
@@ -561,7 +558,7 @@ def run_map(args):
     data = {
         "variant": rep.variant,
         "point_images": {str(k): str(v) for k, v in sorted(
-            rep.point_images.items(), key=lambda kv: kv[0]._key())},
+            rep.point_images.items(), key=lambda kv: (kv[0].a, kv[0].b))},
         "per_edge_images": [{"edge": label, "images": [str(p) for p in pts]}
                             for label, pts in rep.per_edge_images],
         "overall_image": [str(p) for p in rep.overall_image],

@@ -14,10 +14,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .magic import PENTAGRAM_EDGE_SLOTS, Configuration, builtin
 from .pauli import PauliObservable, commutes
-from .projline import (DISTANT, LineCatalog, ProjPoint, distant_points,
-                       enumerate_points, induced_point_map, pair_relation)
+from .projline import (DISTANT, REL_CODE, LineCatalog, ProjPoint,
+                       distant_points, enumerate_points, induced_point_map)
 from .rings import (RingHomomorphism, build_ring, find_isomorphism,
                     quotient_by_radical)
 
@@ -124,13 +126,17 @@ class GraphComparison:
     mismatches: tuple[tuple[int, int], ...]
 
 
-def _compare(observables, points) -> GraphComparison:
+def _distant(catalog: LineCatalog, points) -> np.ndarray:
+    """The distant mask among points of the catalog, read off its relation."""
+    at = [catalog.index(p) for p in points]
+    return catalog.relation[np.ix_(at, at)] == REL_CODE[DISTANT]
+
+
+def _compare(observables, catalog: LineCatalog, points) -> GraphComparison:
     n = len(observables)
     comm = tuple(tuple(i != j and commutes(observables[i], observables[j])
                        for j in range(n)) for i in range(n))
-    dist = tuple(tuple(i != j and
-                       pair_relation(points[i], points[j])[0] == DISTANT
-                       for j in range(n)) for i in range(n))
+    dist = tuple(map(tuple, _distant(catalog, points).tolist()))
     mism = tuple((i, j) for i, j in itertools.combinations(range(n), 2)
                  if comm[i][j] != dist[i][j])
     return GraphComparison(comm, dist, not mism, mism)
@@ -146,7 +152,7 @@ def square_correspondence(permutation: tuple[int, ...] | None = None
         points = tuple(points[i] for i in permutation)
     slots = tuple(f"({r},{c})" for r in range(1, 4) for c in range(1, 4))
     bij = SlotBijection(slots, cfg.observables, points)
-    return bij, _compare(cfg.observables, points)
+    return bij, _compare(cfg.observables, tilde_catalog(), points)
 
 
 PENT_SLOT_NAMES = ("top", "far-left", "mid-left", "mid-right", "far-right",
@@ -164,7 +170,7 @@ def pentagram_correspondence(variant: str,
     if permutation is not None:
         points = tuple(points[i] for i in permutation)
     bij = SlotBijection(PENT_SLOT_NAMES, cfg.observables, points)
-    return bij, _compare(cfg.observables, points)
+    return bij, _compare(cfg.observables, club_catalog(), points)
 
 
 def edge_star_points(variant: str = "jacobson"
@@ -174,10 +180,10 @@ def edge_star_points(variant: str = "jacobson"
     out = []
     for label, slots in PENTAGRAM_EDGE_SLOTS:
         edge = [points[i] for i in slots]
-        stars = tuple(p for p in edge
-                      if all(q == p or pair_relation(p, q)[0] == DISTANT
-                             for q in edge))
-        out.append((label, stars))
+        distant = _distant(club_catalog(), edge)
+        np.fill_diagonal(distant, True)
+        out.append((label, tuple(p for p, row in zip(edge, distant)
+                                 if row.all())))
     return out
 
 
@@ -199,14 +205,15 @@ def condensation(variant: str) -> CondensationReport:
     pmap = induced_point_map(club_to_tilde_hom(), src, dst)
     points = pentagram_layout_points(variant)
     images = {p: pmap[p] for p in points}
-    per_edge = []
-    for label, slots in PENTAGRAM_EDGE_SLOTS:
-        imgs = sorted({images[points[i]] for i in slots}, key=lambda p: p._key())
-        per_edge.append((label, tuple(imgs)))
-    overall = sorted(set(images.values()), key=lambda p: p._key())
-    unit_point = dst.point_by_str("(1,1)")
-    distant = sorted(distant_points(dst, unit_point), key=lambda p: p._key())
+
+    def ordered(pts):
+        return tuple(sorted(pts, key=lambda p: (p.a, p.b)))
+
+    per_edge = tuple((label, ordered({images[points[i]] for i in slots}))
+                     for label, slots in PENTAGRAM_EDGE_SLOTS)
+    overall = ordered(set(images.values()))
+    distant = ordered(distant_points(dst, dst.point_by_str("(1,1)")))
     return CondensationReport(
-        variant, images, tuple(per_edge), tuple(overall), tuple(distant),
+        variant, images, per_edge, overall, distant,
         tuple(p for p in overall if p not in distant),
         tuple(p for p in distant if p not in overall))

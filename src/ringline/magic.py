@@ -116,7 +116,7 @@ class VerificationReport:
     contexts: tuple[ContextReport, ...]
     structural_errors: tuple[str, ...]
     magic: bool
-    bks: BksResult | None = None  # decided only for sound configurations
+    bks: BksResult | None = None  # decided whenever every sign is known
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,8 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
             note = "not pairwise commuting"
         signs.append(sign)
         reports.append(ContextReport(labels[ci], comm, sign, note))
-    all_good = None not in signs
-    bks = bks_decide(cfg, signs) if all_good and not errs else None
-    magic = bks is not None and not bks.colorable
+    bks = bks_decide(cfg, signs) if None not in signs else None
+    magic = not errs and bks is not None and not bks.colorable
     return VerificationReport(tuple(reports), errs, magic, bks)
 
 

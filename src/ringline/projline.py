@@ -7,10 +7,12 @@ the line are unit-scaling orbits of admissible pairs, represented by the
 lexicographically least pair of the orbit.  Two points are *distant* when
 their cross-determinant is a unit and *neighbours* otherwise.
 
-Everything runs on the ring's index tables (``Ring.tables``): admissibility
-is looked up per pair of principal ideals, each admissible pair's canonical
-code is the least ``u*a, u*b`` over the units u, and the relation is one
-vectorized determinant matrix.
+Everything runs on the ring's index tables (``Ring.tables``), and a point's
+coordinates are element indices: admissibility is looked up per pair of
+principal ideals, each admissible pair's canonical code is the least
+``u*a, u*b`` over the units u, and the relation is one vectorized
+determinant matrix.  Index order is value order, so points sort by
+``(a, b)``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .rings import (MixedRingError, Ring, RingHomomorphism, RingTables,
                     jacobson_radical)
 
 EQUAL, NEIGHBOUR, DISTANT = "equal", "neighbour", "distant"
-_REL_CODE = {EQUAL: 0, NEIGHBOUR: 1, DISTANT: 2}
+REL_CODE = {EQUAL: 0, NEIGHBOUR: 1, DISTANT: 2}
 
 
 class LineError(ValueError):
@@ -33,8 +35,8 @@ class LineError(ValueError):
 @dataclass(frozen=True)
 class ProjPoint:
     ring: Ring
-    a: tuple
-    b: tuple
+    a: int
+    b: int
 
     def __str__(self):
         return f"({self.ring.el_str(self.a)},{self.ring.el_str(self.b)})"
@@ -42,16 +44,12 @@ class ProjPoint:
     def __repr__(self):
         return f"<point {self} over {self.ring.spec_str()}>"
 
-    def _key(self):
-        return (self.ring.el_value(self.a), self.ring.el_value(self.b))
 
-
-def is_admissible(ring: Ring, a, b) -> bool:
+def is_admissible(ring: Ring, a: int, b: int) -> bool:
     """True iff aR + bR = R, i.e. some (c, d) completes (a, b) to a unit
     determinant; a unit coordinate decides it at once."""
     t = ring.tables
-    i, j = t.index[a], t.index[b]
-    return bool(t.unit[i] or t.unit[j] or t.unimodular[i, j])
+    return bool(t.unit[a] or t.unit[b] or t.unimodular[a, b])
 
 
 def _canonical_codes(t: RingTables, a, b):
@@ -65,20 +63,20 @@ def _canonical_codes(t: RingTables, a, b):
     return best
 
 
-def canonicalize(ring: Ring, a, b) -> ProjPoint:
+def canonicalize(ring: Ring, a: int, b: int) -> ProjPoint:
     """Lexicographically least representative of the unit-scaling orbit."""
     if not is_admissible(ring, a, b):
         raise LineError(
             f"pair ({ring.el_str(a)},{ring.el_str(b)}) is not admissible")
     t = ring.tables
-    code = int(_canonical_codes(t, t.index[a], t.index[b]))
-    return ProjPoint(ring, t.els[code // t.n], t.els[code % t.n])
+    code = int(_canonical_codes(t, a, b))
+    return ProjPoint(ring, code // t.n, code % t.n)
 
 
 @dataclass(frozen=True)
 class LineCatalog:
     """The points of a line and their read-only int8 relation matrix:
-    relation[i, j] is 0 equal, 1 neighbour or 2 distant (``_REL_CODE``).
+    relation[i, j] is 0 equal, 1 neighbour or 2 distant (``REL_CODE``).
     The relation follows from the points, so equality ignores it."""
     ring: Ring
     points: tuple[ProjPoint, ...]
@@ -104,34 +102,31 @@ def enumerate_points(ring: Ring) -> LineCatalog:
     a, b = np.nonzero(t.unimodular)  # row-major: a*n + b ascends
     canonical = _canonical_codes(t, a, b) == a * t.n + b
     pa, pb = a[canonical], b[canonical]
-    points = tuple(ProjPoint(ring, t.els[i], t.els[j])
+    points = tuple(ProjPoint(ring, i, j)
                    for i, j in zip(pa.tolist(), pb.tolist()))
     det = t.add[t.mul[np.ix_(pa, pb)], t.neg[t.mul[np.ix_(pb, pa)]]]
-    rel = np.where(t.unit[det], np.int8(_REL_CODE[DISTANT]),
-                   np.int8(_REL_CODE[NEIGHBOUR]))
-    np.fill_diagonal(rel, _REL_CODE[EQUAL])
+    rel = np.where(t.unit[det], np.int8(REL_CODE[DISTANT]),
+                   np.int8(REL_CODE[NEIGHBOUR]))
+    np.fill_diagonal(rel, REL_CODE[EQUAL])
     rel.flags.writeable = False
     return LineCatalog(ring, points, rel)
 
 
-def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, object]:
-    """('equal'|'neighbour'|'distant', the label of the determinant)."""
+def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, int]:
+    """('equal'|'neighbour'|'distant', the determinant)."""
     if p.ring != q.ring:
         raise MixedRingError("points on lines over different rings")
-    ring = p.ring
-    t = ring.tables
-    d = t.add[t.mul[t.index[p.a], t.index[q.b]],
-              t.neg[t.mul[t.index[p.b], t.index[q.a]]]]
-    witness = t.els[d]
+    t = p.ring.tables
+    d = int(t.add[t.mul[p.a, q.b], t.neg[t.mul[p.b, q.a]]])
     if (p.a, p.b) == (q.a, q.b):
-        return (EQUAL, witness)
-    return (DISTANT if t.unit[d] else NEIGHBOUR, witness)
+        return (EQUAL, d)
+    return (DISTANT if t.unit[d] else NEIGHBOUR, d)
 
 
 def _related(catalog: LineCatalog, p: ProjPoint, which: str) -> set[ProjPoint]:
     row = catalog.relation[catalog.index(p)]
     return {catalog.points[j]
-            for j in np.flatnonzero(row == _REL_CODE[which]).tolist()}
+            for j in np.flatnonzero(row == REL_CODE[which]).tolist()}
 
 
 def neighbourhood(catalog: LineCatalog, p: ProjPoint) -> set[ProjPoint]:
@@ -189,14 +184,14 @@ def induced_point_map(h: RingHomomorphism, src: LineCatalog,
     if not h.kernel() <= radical:
         raise LineError("homomorphism kernel exceeds the radical; "
                         "images need not be admissible")
-    S, T = h.source.tables, h.target.tables
-    ia = h.img[[S.index[p.a] for p in src.points]]
-    ib = h.img[[S.index[p.b] for p in src.points]]
+    T = h.target.tables
+    ia = h.img[[p.a for p in src.points]]
+    ib = h.img[[p.b for p in src.points]]
     admissible = T.unimodular[ia, ib]
     if not admissible.all():
         raise LineError(f"image of {src.points[int(np.argmin(admissible))]} "
                         "is not admissible")
-    codes = [T.index[q.a] * T.n + T.index[q.b] for q in dst.points]
+    codes = [q.a * T.n + q.b for q in dst.points]
     at = np.searchsorted(codes, _canonical_codes(T, ia, ib))
     return dict(zip(src.points, [dst.points[k] for k in at.tolist()]))
 
@@ -219,7 +214,7 @@ def catalog_dot(catalog: LineCatalog, which: str = DISTANT) -> str:
     names = [str(p) for p in catalog.points]
     lines = [f'graph "{which} graph over {catalog.ring.spec_str()}" {{']
     lines += [f'  "{name}";' for name in names]
-    i, j = np.nonzero(np.triu(catalog.relation == _REL_CODE[which]))
+    i, j = np.nonzero(np.triu(catalog.relation == REL_CODE[which]))
     lines += [f'  "{names[a]}" -- "{names[b]}";'
               for a, b in zip(i.tolist(), j.tolist())]
     lines.append("}")

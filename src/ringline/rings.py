@@ -1,10 +1,9 @@
 """Small finite commutative rings with unity, built exactly.
 
 A ring is one table-backed ``Ring``: integer ``add``/``mul`` index tables
-(``Ring.tables``) plus one label and one printed name per element.  The
-labels are canonical immutable payloads (nested tuples of small ints), so
-equality of labels is equality of elements; element i is the i-th label,
-and ``el_value`` is that index.  Three constructors build rings:
+(``Ring.tables``) plus one printed name per element.  An element is its
+index, a plain int: every operation takes and returns indices, and index
+order is value order.  Three constructors build rings:
 
   * ``GaloisField(p, k)`` -- GF(p^k), coefficient vectors modulo an
     irreducible polynomial (auto-selected lexicographically if not given);
@@ -15,6 +14,9 @@ and ``el_value`` is that index.  Three constructors build rings:
 and ``quotient_by_radical`` builds R/J on the least coset representatives.
 Each constructor validates its input and builds the tables by vectorized
 digit arithmetic over its parts' tables; none defines element arithmetic.
+The constructors also record each element's payload label (a nested tuple
+of small ints, ``RingTables.els``) as construction data for the tests'
+payload arithmetic; nothing here reads a label once the ring is built.
 Every operation, structural question (units, zero-divisors, radical,
 homomorphism validity) and printed name is a table lookup, and a ring
 homomorphism is an index array from one ring's tables into another's.  The
@@ -142,17 +144,16 @@ def _digit_labels(coeffs: list, d: int) -> list[tuple]:
 
 
 class RingTables:
-    """A ring in index form: element i is ``els[i]``.
+    """A ring in index form: element i has payload label ``els[i]``.
 
     ``add`` and ``mul`` are n x n index tables, ``neg`` the additive
     inverses, ``unit`` the unit mask; ``zero`` and ``one`` are the indices
-    of the two identities and ``index`` maps labels back to indices.
+    of the two identities.
     """
 
     def __init__(self, els: list, add: np.ndarray, mul: np.ndarray):
         self.els = els
         self.n = len(els)
-        self.index = {a: i for i, a in enumerate(els)}
         self.add, self.mul = add, mul
         identity = np.arange(self.n)
         self.zero = int(np.argmax((add == identity).all(axis=1)))
@@ -183,10 +184,11 @@ class RingTables:
 
 
 class Ring:
-    """A finite commutative ring: index tables, element labels and names.
+    """A finite commutative ring whose elements are the indices 0..size-1.
 
-    ``els`` are the element labels in index order, ``names`` their printed
-    forms (distinct, without spaces), ``add``/``mul`` the index tables.
+    ``els`` are the elements' payload labels in index order (construction
+    data only), ``names`` their printed forms (distinct, without spaces),
+    ``add``/``mul`` the index tables.
     """
 
     def __init__(self, spec_key: tuple, spec_text: str, els: list,
@@ -195,8 +197,9 @@ class Ring:
         self._spec_text = spec_text
         self.tables = RingTables(els, add, mul)
         self.size = len(els)
+        self.zero, self.one = self.tables.zero, self.tables.one
         self.names = names
-        self._by_name = dict(zip(names, els))
+        self._by_name = {name: i for i, name in enumerate(names)}
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec_key == other.spec_key
@@ -210,73 +213,55 @@ class Ring:
     def spec_str(self) -> str:
         return self._spec_text
 
-    def elements(self) -> list:
-        return list(self.tables.els)
+    def elements(self) -> list[int]:
+        return list(range(self.size))
 
-    @property
-    def zero(self):
-        return self.tables.els[self.tables.zero]
+    def add(self, a: int, b: int) -> int:
+        return int(self.tables.add[a, b])
 
-    @property
-    def one(self):
-        return self.tables.els[self.tables.one]
+    def mul(self, a: int, b: int) -> int:
+        return int(self.tables.mul[a, b])
 
-    def add(self, a, b):
-        t = self.tables
-        return t.els[t.add[t.index[a], t.index[b]]]
+    def neg(self, a: int) -> int:
+        return int(self.tables.neg[a])
 
-    def mul(self, a, b):
-        t = self.tables
-        return t.els[t.mul[t.index[a], t.index[b]]]
+    def el_str(self, a: int) -> str:
+        return self.names[a]
 
-    def neg(self, a):
-        t = self.tables
-        return t.els[t.neg[t.index[a]]]
-
-    def el_str(self, a) -> str:
-        return self.names[self.tables.index[a]]
-
-    def el_value(self, a) -> int:
-        """Total-order key: the element's index."""
-        return self.tables.index[a]
-
-    def element_from_str(self, s: str):
+    def element_from_str(self, s: str) -> int:
         """Look an element up by its printed form (whitespace-insensitive)."""
         try:
             return self._by_name[s.replace(" ", "")]
         except KeyError:
             raise RingError(f"no element {s!r} in {self.spec_str()}") from None
 
-    def classify(self, a) -> tuple[str, object | None]:
+    def classify(self, a: int) -> tuple[str, int | None]:
         """('zero', None) | ('unit', inverse) | ('zero-divisor', annihilator).
 
         The annihilator is the least nonzero one; the three classes
         partition any finite commutative ring.
         """
         t = self.tables
-        i = t.index[a]
-        if i == t.zero:
+        if a == t.zero:
             return ("zero", None)
-        row = t.mul[i]
-        if t.unit[i]:
-            return ("unit", t.els[np.argmax(row == t.one)])
+        row = t.mul[a]
+        if t.unit[a]:
+            return ("unit", int(np.argmax(row == t.one)))
         ann = np.flatnonzero(row == t.zero)
         ann = ann[ann != t.zero]
         if not len(ann):
             raise AssertionError("finite commutative ring trichotomy violated")
-        return ("zero-divisor", t.els[ann[0]])
+        return ("zero-divisor", int(ann[0]))
 
-    def units(self) -> list:
-        t = self.tables
-        return [t.els[i] for i in np.flatnonzero(t.unit)]
+    def units(self) -> list[int]:
+        return np.flatnonzero(self.tables.unit).tolist()
 
-    def zero_divisors(self) -> list:
+    def zero_divisors(self) -> list[int]:
         t = self.tables
-        return [t.els[i] for i in np.flatnonzero(~t.unit) if i != t.zero]
+        return [i for i in np.flatnonzero(~t.unit).tolist() if i != t.zero]
 
-    def is_unit(self, a) -> bool:
-        t = self.tables
-        return bool(t.unit[t.index[a]])
+    def is_unit(self, a: int) -> bool:
+        return bool(self.tables.unit[a])
 
 
 class GaloisField(Ring):
@@ -305,38 +290,43 @@ class GaloisField(Ring):
         if k > 1:
             add, mul = _poly_tables(add, mul, -r % p, modulus)
         els = _digit_labels(range(p), k)
-        names = [str(a[0]) if k == 1 else poly_str(a) for a in els]
+        digits = [str(v) for v in range(p)]
+        names = [poly_str(a, digits) for a in els]
         super().__init__(("gf", p, k, modulus),
                          f"gf({p})" if k == 1 else f"gf({p}^{k})",
                          els, names, add, mul)
 
 
-def poly_str(c: tuple[int, ...], var: str = "x",
-             coeff_str=lambda v: str(v), coeff_is_zero=lambda v: v == 0,
-             coeff_is_one=lambda v: v == 1) -> str:
+def poly_str(c: tuple[int, ...], names: list[str], var: str = "x") -> str:
+    """The polynomial with little-endian coefficient indices c, printed with
+    ``names[v]`` for coefficient v; index 0 is zero and 1 is one, as in
+    every GF(p^k)."""
     terms = []
     for i in range(len(c) - 1, -1, -1):
         v = c[i]
-        if coeff_is_zero(v):
+        if v == 0:
             continue
         if i == 0:
-            terms.append(coeff_str(v))
+            terms.append(names[v])
         else:
             xs = var if i == 1 else f"{var}^{i}"
-            terms.append(xs if coeff_is_one(v) else f"{coeff_str(v)}*{xs}")
+            terms.append(xs if v == 1 else f"{names[v]}*{xs}")
     return "+".join(terms) if terms else "0"
 
 
 class QuotientRing(Ring):
-    """F[x]/(f) for a field F and monic f; labels are tuples of F labels."""
+    """F[x]/(f) for a field F and monic f, given as little-endian F indices;
+    labels are tuples of F labels."""
 
-    def __init__(self, base: GaloisField, modulus: tuple, spec_text: str | None = None,
-                 size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, base: GaloisField, modulus: tuple[int, ...],
+                 spec_text: str | None = None, size_cap: int = DEFAULT_SIZE_CAP):
         if not isinstance(base, GaloisField):
             raise RingError("quotient base must be a Galois field")
         modulus = tuple(modulus)
         if len(modulus) < 2:
             raise RingError("modulus must have degree >= 1")
+        if not all(0 <= c < base.size for c in modulus):
+            raise RingError("modulus coefficients must be base-field indices")
         if modulus[-1] != base.one:
             raise RingError("modulus must be monic")
         self.base = base
@@ -345,17 +335,13 @@ class QuotientRing(Ring):
         if base.size ** self.deg > size_cap:
             raise RingError(f"quotient ring exceeds size cap {size_cap}")
         F = base.tables
-        add, mul = _poly_tables(F.add, F.mul, F.neg,
-                                tuple(F.index[c] for c in modulus))
+        add, mul = _poly_tables(F.add, F.mul, F.neg, modulus)
         els = _digit_labels(F.els, self.deg)
-        names = [poly_str(a,
-                          coeff_str=lambda v: (base.el_str(v) if base.k == 1
-                                               else "(" + base.el_str(v) + ")"),
-                          coeff_is_zero=lambda v: v == base.zero,
-                          coeff_is_one=lambda v: v == base.one)
-                 for a in els]
+        coeffs = base.names if base.k == 1 else [f"({n})" for n in base.names]
+        names = [poly_str(a, coeffs)
+                 for a in _digit_labels(range(base.size), self.deg)]
         if not spec_text:
-            mod = poly_str(tuple(base.el_value(c) for c in modulus))
+            mod = poly_str(modulus, [str(v) for v in range(base.size)])
             spec_text = f"{base.spec_str()}[x]/({mod})"
         super().__init__(("quot", base.spec_key, modulus), spec_text,
                          els, names, add, mul)
@@ -517,7 +503,7 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             if not within_cap(field.size, deg):
                 raise RingError(f"quotient ring exceeds size cap {size_cap}")
             # integer c (already mod p) lifts to c * 1, the element of index c
-            fcoeffs = [field.tables.els[coeffs.get(i, 0)] for i in range(deg + 1)]
+            fcoeffs = [coeffs.get(i, 0) for i in range(deg + 1)]
             if fcoeffs[-1] == field.zero:
                 fail("modulus has zero leading coefficient")
             if fcoeffs[-1] != field.one:
@@ -556,13 +542,11 @@ class RingHomomorphism:
         img.flags.writeable = False
         object.__setattr__(self, "img", img)
 
-    def __call__(self, a):
-        """The image of the element labelled a, as a label."""
-        return self.target.tables.els[self.img[self.source.tables.index[a]]]
+    def __call__(self, a: int) -> int:
+        return int(self.img[a])
 
-    def kernel(self) -> set:
-        els = self.source.tables.els
-        return {els[i] for i in np.flatnonzero(self.img == self.target.tables.zero)}
+    def kernel(self) -> set[int]:
+        return set(np.flatnonzero(self.img == self.target.zero).tolist())
 
     def compose(self, inner: "RingHomomorphism") -> "RingHomomorphism":
         """self o inner (inner applied first)."""
@@ -587,7 +571,7 @@ def validate_hom(h: RingHomomorphism) -> bool:
     return _is_hom(R, S, img)
 
 
-def jacobson_radical(ring: Ring) -> list:
+def jacobson_radical(ring: Ring) -> list[int]:
     """Nilpotent elements (= Jacobson radical for finite commutative rings).
 
     a is nilpotent iff a^(2^k) = 0 for 2^k > |R|: repeated table squaring.
@@ -596,18 +580,18 @@ def jacobson_radical(ring: Ring) -> list:
     power = np.arange(t.n)
     for _ in range(t.n.bit_length()):
         power = t.mul[power, power]
-    return [t.els[i] for i in np.flatnonzero(power == t.zero)]
+    return np.flatnonzero(power == t.zero).tolist()
 
 
 def quotient_by_radical(ring: Ring) -> tuple[Ring, RingHomomorphism]:
     """Quotient ring on lexicographically minimal coset reps + surjection."""
     t = ring.tables
-    J = [t.index[j] for j in jacobson_radical(ring)]
+    J = jacobson_radical(ring)
     rep = t.add[:, J].min(axis=1)  # least member of a + J; index order is value order
     reps = np.flatnonzero(rep == np.arange(t.n))
     coset_of = np.searchsorted(reps, rep)
     block = np.ix_(reps, reps)
-    q = Ring(("coset", ring.spec_key, tuple(t.els[j] for j in J)),
+    q = Ring(("coset", ring.spec_key, tuple(J)),
              f"({ring.spec_str()})/J", [t.els[r] for r in reps],
              [ring.names[r] for r in reps],
              coset_of[t.add[block]], coset_of[t.mul[block]])

@@ -3,12 +3,14 @@
 ``PayloadRing(ring)`` recomputes a ring's arithmetic from its construction
 data alone: GF(p^k) as polynomials over the integers mod p reduced by its
 modulus, F[x]/(f) as polynomials over ``PayloadRing(F)`` reduced by f, and
-a product componentwise.  Nothing here reads ``Ring.tables`` or the ring's
-table-backed ``add``/``mul``/``neg``: units come from scanning products,
-admissibility from scanning every determinant completion (c, d) or every
-coefficient pair (s, t), and points from canonicalizing every admissible
-pair.  The package computes the same answers on its index tables, so the
-two share no code path below the element labels.
+a product componentwise.  Its elements are the payload labels the
+constructors record (``RingTables.els``); the package's elements are their
+indices.  Beyond those labels nothing here reads ``Ring.tables`` or the
+ring's table-backed ``add``/``mul``/``neg``: units come from scanning
+products, admissibility from scanning every determinant completion (c, d)
+or every coefficient pair (s, t), and points from canonicalizing every
+admissible pair.  The package computes the same answers on its index
+tables, so the two share no code path below the element labels.
 """
 
 import functools
@@ -54,13 +56,16 @@ class PayloadRing:
             self._elements = list(itertools.product(
                 *[f.elements() for f in self.factors]))
         else:
-            if isinstance(ring, QuotientRing):
+            if isinstance(ring, QuotientRing):  # modulus as base indices
                 self.coeff = MemoRing(ring.base)
+                self.modulus = tuple(ring.base.tables.els[c]
+                                     for c in ring.modulus)
             elif isinstance(ring, GaloisField):  # GF(p) has modulus x
                 self.coeff = IntegersMod(ring.p)
+                self.modulus = ring.modulus
             else:
                 raise TypeError(f"no construction data for {ring!r}")
-            self.modulus, d = ring.modulus, len(ring.modulus) - 1
+            d = len(self.modulus) - 1
             C = self.coeff
             self.zero = (C.zero,) * d
             self.one = (C.one,) + (C.zero,) * (d - 1)

@@ -59,7 +59,7 @@ def test_tables_match_payload_arithmetic(ring):
         for j, b in enumerate(t.els):
             assert t.els[t.add[i, j]] == payload.add(a, b)
             assert t.els[t.mul[i, j]] == payload.mul(a, b)
-    assert set(ring.units()) == oracle_units(payload)
+    assert {t.els[i] for i in ring.units()} == oracle_units(payload)
 
 
 @settings(max_examples=20, deadline=None)
@@ -67,13 +67,15 @@ def test_tables_match_payload_arithmetic(ring):
 def test_admissibility_matches_ideal_oracle(ring, data):
     # a unit coordinate short-circuits, so one coordinate is always a non-unit
     memo = MemoRing(ring)
+    index = {a: i for i, a in enumerate(ring.tables.els)}
     nonunits = sorted(set(memo.elements()) - oracle_units(memo),
                       key=memo.el_value)
     for _ in range(3):
         a = data.draw(st.sampled_from(nonunits))
         b = data.draw(st.sampled_from(memo.elements()))
-        assert rl.is_admissible(ring, a, b) == oracle_unimodular(memo, a, b)
-        assert rl.is_admissible(ring, b, a) == oracle_unimodular(memo, b, a)
+        i, j = index[a], index[b]
+        assert rl.is_admissible(ring, i, j) == oracle_unimodular(memo, a, b)
+        assert rl.is_admissible(ring, j, i) == oracle_unimodular(memo, b, a)
 
 
 def _quotients():
@@ -107,7 +109,8 @@ def test_sweep_closed_form_and_brute_force():
         if ring.size <= 9:
             brute += 1
             points, relation = oracle_line(ring)
-            assert [(p.a, p.b) for p in catalog.points] == points, ring
+            els = ring.tables.els
+            assert [(els[p.a], els[p.b]) for p in catalog.points] == points, ring
             assert catalog.relation.tolist() == relation, ring
     assert brute > 50
 
@@ -116,6 +119,50 @@ def test_sweep_names_round_trip():
     for ring in _sweep():
         for a in ring.elements():
             assert ring.element_from_str(ring.el_str(a)) == a, ring
+
+
+def test_single_pair_paths_agree_with_the_tables():
+    """On every sweep ring of at most 16 elements, the one-pair and
+    one-element functions agree with the vectorized catalog and tables:
+    each admissible pair canonicalizes to a catalog point (and together
+    they reach them all), ``pair_relation`` reads as ``catalog.relation``,
+    and ``add``/``mul``/``neg``/``classify`` return plain ints."""
+    codes = {rl.EQUAL: 0, rl.NEIGHBOUR: 1, rl.DISTANT: 2}
+    for ring in _sweep():
+        if ring.size > 16:
+            continue
+        t, catalog = ring.tables, rl.enumerate_points(ring)
+        points, reached = set(catalog.points), set()
+        for a, b in itertools.product(ring.elements(), repeat=2):
+            assert rl.is_admissible(ring, a, b) == t.unimodular[a, b], ring
+            if t.unimodular[a, b]:
+                p = rl.canonicalize(ring, a, b)
+                assert p in points and type(p.a) is type(p.b) is int, ring
+                reached.add(p)
+            else:
+                with pytest.raises(rl.LineError):
+                    rl.canonicalize(ring, a, b)
+        assert reached == points, ring
+        for (i, p), (j, q) in itertools.combinations_with_replacement(
+                enumerate(catalog.points), 2):
+            rel, det = rl.pair_relation(p, q)
+            assert codes[rel] == catalog.relation[i, j], (ring, p, q)
+            assert type(det) is int
+        add, mul, neg = t.add.tolist(), t.mul.tolist(), t.neg.tolist()
+        for a in ring.elements():
+            assert ring.element_from_str(ring.el_str(a)) == a, ring
+            assert type(ring.neg(a)) is int and ring.neg(a) == neg[a]
+            for b in ring.elements():
+                assert type(ring.add(a, b)) is int and ring.add(a, b) == add[a][b]
+                assert type(ring.mul(a, b)) is int and ring.mul(a, b) == mul[a][b]
+            kind, w = ring.classify(a)
+            if kind == "unit":
+                assert type(w) is int and ring.mul(a, w) == ring.one, ring
+            elif kind == "zero-divisor":
+                assert type(w) is int and w != ring.zero, ring
+                assert ring.mul(a, w) == ring.zero, ring
+            else:
+                assert (a, w) == (ring.zero, None), ring
 
 
 def test_sweep_radical_quotient():
@@ -129,11 +176,12 @@ def test_sweep_radical_quotient():
         assert rl.validate_hom(hom), ring
         assert hom.kernel() == set(radical), ring
         payload, t = PayloadRing(ring), q.tables
+        index = {a: i for i, a in enumerate(ring.tables.els)}
         assert (t.add == t.add.T).all() and (t.mul == t.mul.T).all(), ring
         for i, j in itertools.combinations_with_replacement(range(t.n), 2):
-            a, b = t.els[i], t.els[j]
-            assert t.els[t.add[i, j]] == hom(payload.add(a, b)), ring
-            assert t.els[t.mul[i, j]] == hom(payload.mul(a, b)), ring
+            a, b = t.els[i], t.els[j]  # R/J's labels are those of R's reps
+            assert t.add[i, j] == hom(index[payload.add(a, b)]), ring
+            assert t.mul[i, j] == hom(index[payload.mul(a, b)]), ring
 
 
 @pytest.mark.parametrize("spec,points", [("gf(2)[x]/(x^8)", 384),

@@ -110,6 +110,18 @@ def test_structural_errors():
     assert any("9 observables" in e for e in short.structural_errors())
 
 
+def test_verify_decides_despite_structural_errors():
+    """A duplicate observable is a structural error: verify_magic still
+    decides colorability on the known signs, but reports no magic."""
+    square = rl.builtin("mermin_square")
+    cfg = Configuration(2, square.observables + square.observables[:1],
+                        square.contexts, "custom")
+    report = rl.verify_magic(cfg)
+    assert report.structural_errors == ("duplicate observable",)
+    assert report.bks == rl.bks_decide(cfg) and not report.bks.colorable
+    assert not report.magic
+
+
 def test_verify_rejects_noncommuting_context():
     cfg = Configuration(1, (PauliObservable("X"), PauliObservable("Y")),
                         ((0, 1),), "custom")

@@ -21,9 +21,10 @@ from ring_oracle import PayloadRing, is_admissible_componentwise, oracle_unimodu
 
 def test_admissibility_matches_ideal_oracle(r_club, r_tilde, gf4):
     for ring in (r_club, r_tilde, gf4):
-        payload = PayloadRing(ring)
-        for a, b in itertools.product(payload.elements(), repeat=2):
-            assert rl.is_admissible(ring, a, b) == oracle_unimodular(payload, a, b)
+        payload, els = PayloadRing(ring), ring.tables.els
+        for a, b in itertools.product(ring.elements(), repeat=2):
+            assert rl.is_admissible(ring, a, b) == \
+                oracle_unimodular(payload, els[a], els[b])
 
 
 def test_admissibility_examples(r_tilde):
@@ -35,9 +36,10 @@ def test_admissibility_examples(r_tilde):
 
 
 def test_product_componentwise_cross_oracle(r_tilde_prod):
+    els = r_tilde_prod.tables.els
     for a, b in itertools.product(r_tilde_prod.elements(), repeat=2):
         assert rl.is_admissible(r_tilde_prod, a, b) == \
-            is_admissible_componentwise(r_tilde_prod, a, b)
+            is_admissible_componentwise(r_tilde_prod, els[a], els[b])
 
 
 # --- canonical points -------------------------------------------------------
@@ -208,7 +210,7 @@ def test_induced_map_refuses_the_first_inadmissible_image(r_club, club_catalog):
     # not a homomorphism: 0 and 1 stay, everything else goes to x, so the
     # kernel is {0} but pairs of zero divisors land on the pair (x, x)
     t = r_club.tables
-    x = t.index[r_club.element_from_str("x")]
+    x = r_club.element_from_str("x")
     img = np.where(np.isin(np.arange(t.n), [t.zero, t.one]), np.arange(t.n), x)
     bad = rl.RingHomomorphism(r_club, r_club, img)
     first = next(p for p in club_catalog.points

@@ -195,7 +195,7 @@ def test_units_lift_through_quotient(r_club):
 def _swap(ring, a, b):
     """The index permutation exchanging the elements named a and b."""
     img = np.arange(ring.size)
-    i, j = (ring.el_value(ring.element_from_str(s)) for s in (a, b))
+    i, j = map(ring.element_from_str, (a, b))
     img[i], img[j] = j, i
     return img
 
