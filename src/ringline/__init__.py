@@ -15,7 +15,8 @@ from .pauli import (PauliError, PauliObservable, all_words, commutes,
 from .magic import (BksResult, Configuration, ConfigError, DeciderDisagreement,
                     VerificationReport, bks_decide, builtin, config_from_json,
                     config_to_json, infer_contexts, search_pentagrams,
-                    search_squares, square_orbit_report, verify_magic)
+                    search_squares, square_orbit_report, verify_magic,
+                    verify_many)
 from .entangle import (BasisClassification, StabilizerGroup, bipartite_entropy,
                        classify_context, joint_eigenbasis, mutually_unbiased,
                        overlap_table)

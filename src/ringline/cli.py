@@ -333,7 +333,7 @@ def run_search(args):
         results, complete = list(outcome.results), outcome.complete
         orbit = None
     # JSON shows the re-verification only among the --check claims
-    reverified = (all(mg.verify_magic(c).magic for c in results)
+    reverified = (all(r.magic for r in mg.verify_many(results))
                   if args.check or args.format == "text" else None)
     builtin_found = _contains_builtin(results, args.kind)
     if args.check:

@@ -14,8 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import gf2
 from .pauli import (PauliError, PauliObservable, all_words,
@@ -31,7 +34,13 @@ class DeciderDisagreement(RuntimeError):
     """The exhaustive and GF(2) BKS deciders disagreed; a bug, never policy."""
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=64)
+def _default_labels(count: int) -> tuple[str, ...]:
+    """The labels "context 1" .. "context count", one tuple per count."""
+    return tuple([f"context {i + 1}" for i in range(count)])
+
+
+@dataclass(frozen=True, slots=True)
 class Configuration:
     n: int
     observables: tuple[PauliObservable, ...]
@@ -45,7 +54,6 @@ class Configuration:
             if not ctx:
                 raise ConfigError("empty context")
             seen = 0
-            repeated = False
             for i in ctx:
                 if type(i) is not int and (not isinstance(i, int)
                                            or isinstance(i, bool)):
@@ -53,14 +61,13 @@ class Configuration:
                 if not 0 <= i < m:
                     raise ConfigError(f"context index {i} out of range "
                                       f"0..{m - 1}")
-                repeated = repeated or bool(seen >> i & 1)
                 seen |= 1 << i
-            if repeated:  # reported after the index checks, as they come first
+            # a repeat is reported after the index checks, as they come first
+            if seen.bit_count() != len(ctx):
                 raise ConfigError(f"context {list(ctx)} repeats an observable")
         if not self.context_labels:
             object.__setattr__(self, "context_labels",
-                               tuple(f"context {i+1}"
-                                     for i in range(len(self.contexts))))
+                               _default_labels(len(self.contexts)))
 
     def context_ops(self, ci: int) -> list[PauliObservable]:
         return [self.observables[i] for i in self.contexts[ci]]
@@ -103,7 +110,7 @@ class Configuration:
         return errs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextReport:
     label: str
     commuting: bool
@@ -182,27 +189,56 @@ def builtin(name: str) -> Configuration:
 
 
 def verify_magic(cfg: Configuration) -> VerificationReport:
-    errs = tuple(cfg.structural_errors())
-    observables, labels = cfg.observables, cfg.context_labels
-    reports = []
-    signs = []
-    for ci, ctx in enumerate(cfg.contexts):
-        ops = [observables[i] for i in ctx]
-        comm = anticommuting_pair(ops) is None
-        sign = None
-        note = ""
-        if comm:
-            try:
-                sign = scalar_sign(ops)
-            except PauliError as e:
-                note = str(e)
-        else:
-            note = "not pairwise commuting"
-        signs.append(sign)
-        reports.append(ContextReport(labels[ci], comm, sign, note))
-    bks = bks_decide(cfg, signs) if None not in signs else None
-    magic = not errs and bks is not None and not bks.colorable
-    return VerificationReport(tuple(reports), errs, magic, bks)
+    return verify_many([cfg])[0]
+
+
+def verify_many(configs) -> list[VerificationReport]:
+    """``verify_magic`` of each configuration, in order.
+
+    Each configuration gets its own structural check, commutation test
+    and context signs from its words.  Configurations with the same
+    observable count, context masks and signs pose the same BKS system,
+    so they share one decision (and its ``BksResult``), made by
+    ``bks_decide`` on the first of them.  Equal context reports are one
+    object.  Nothing is kept between calls.
+    """
+    decided = {}  # (observable count, masks, signs) -> BksResult
+    made = {}  # (label, commuting, sign, note) -> the one ContextReport
+    out = []
+    for cfg in configs:
+        errs = tuple(cfg.structural_errors())
+        observables, labels = cfg.observables, cfg.context_labels
+        reports = []
+        masks = []
+        signs = []
+        for ci, ctx in enumerate(cfg.contexts):
+            masks.append(_mask(ctx))
+            ops = [observables[i] for i in ctx]
+            comm = anticommuting_pair(ops) is None
+            sign = None
+            note = ""
+            if comm:
+                try:
+                    sign = scalar_sign(ops)
+                except PauliError as e:
+                    note = str(e)
+            else:
+                note = "not pairwise commuting"
+            signs.append(sign)
+            fields = (labels[ci], comm, sign, note)
+            report = made.get(fields)
+            if report is None:
+                report = made[fields] = ContextReport(*fields)
+            reports.append(report)
+        bks = None
+        if None not in signs:
+            key = (len(observables), tuple(masks), tuple(signs))
+            bks = decided.get(key)
+            if bks is None:
+                bks = decided[key] = bks_decide(cfg, signs)
+        magic = not errs and bks is not None and not bks.colorable
+        out.append(VerificationReport(tuple(reports), errs, magic, bks))
+    return out
 
 
 def _context_signs(cfg: Configuration) -> list[int]:
@@ -405,13 +441,10 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
         compat.append(allowed & ~(1 << a))
     found = []
     nodes = 0
+    limit = math.inf if budget is None else budget
 
     def extend(picked: tuple, once: int, allowed: int) -> bool:
         nonlocal nodes
-        if len(picked) == c:
-            if not once:
-                found.append(tuple(sorted(picked)))
-            return True
         if picked and not once:
             return True
         if once:  # the first fewest, as min() would pick, lowest bit first
@@ -423,16 +456,23 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                 k = cands.bit_count()
                 if fewest < 0 or k < fewest:
                     options, fewest = cands, k
+                    if not k:
+                        break
         else:
             options = allowed
+        last = len(picked) == c - 1  # a context placed here closes the set
         while options:
             bit = options & -options
             options ^= bit
             ci = bit.bit_length() - 1
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 return False
             mask = masks[ci]
+            if last:
+                if once == mask:
+                    found.append(tuple(sorted(picked + (ci,))))
+                continue
             shut = 0  # contexts through an observable now covered twice
             twice = once & mask
             while twice:
@@ -524,34 +564,48 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
 
     ``budget`` caps the number of search-tree nodes; when it is hit the
     results found so far are returned with ``complete=False``.
+
+    Every candidate is decided, but candidates whose remapped contexts and
+    signs coincide pose one system, decided once per call; results with
+    the same contexts share one tuple of them.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
     found, complete = _cover_twice(contexts, 5, {1}, budget)
-    magic = []
-    for pent in found:
-        cover = 0
-        for ci in pent:
-            cover |= contexts[ci][1]
-        obs_idx, remap = [], {}  # the observables in word order
-        while cover:
-            low = cover & -cover
-            cover ^= low
-            remap[low.bit_length() - 1] = len(obs_idx)
-            obs_idx.append(low.bit_length() - 1)
-        lines = []
-        for ci in pent:
-            idx, _, sign = contexts[ci]
-            lines.append((tuple([remap[i] for i in idx]), sign))
-        lines.sort()
-        ctxs = tuple([ctx for ctx, _ in lines])
-        if not _decide([_mask(ctx) for ctx in ctxs],
-                       [sign for _, sign in lines], 10).colorable:
-            magic.append((tuple(obs_idx), ctxs))
-    magic.sort()
-    return SearchOutcome(tuple([
-        Configuration(3, tuple([words[i] for i in obs_idx]), ctxs, "pentagram")
-        for obs_idx, ctxs in magic]), complete)
+    # Row r of `held` lists the observables of candidate r context by
+    # context.  A candidate's contexts come in index order, which is the
+    # order of their observable tuples, and hold each of its 10 observables
+    # twice; renumbering the observables by rank keeps that order, so each
+    # row's remapped contexts are already sorted.  Indices < 63 fit int8.
+    pents = np.array(found, dtype=np.intp).reshape(-1, 5)
+    held = np.array([idx for idx, _, _ in contexts],
+                    dtype=np.int8)[pents].reshape(-1, 20)
+    signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
+    obs = np.sort(held, axis=1)[:, ::2]
+    rank = (held[:, :, None] > obs[:, None, :]).sum(axis=2, dtype=np.int8)
+    order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
+    shapes = {}  # remapped contexts, flat -> the one tuple of them
+    decided = {}  # (remapped contexts, signs) -> colorable
+    results = []
+    for start in range(0, len(order), 1024):  # lists for 1024 rows at a time
+        block = order[start:start + 1024]
+        for obs_idx, flat, sign in zip(obs[block].tolist(),
+                                       rank[block].tolist(),
+                                       signs[block].tolist()):
+            flat, sign = tuple(flat), tuple(sign)
+            colorable = decided.get((flat, sign))
+            if colorable is None:
+                colorable = decided[flat, sign] = _decide(
+                    [_mask(flat[k:k + 4]) for k in range(0, 20, 4)],
+                    list(sign), 10).colorable
+            if colorable:
+                continue
+            ctxs = shapes.get(flat)
+            if ctxs is None:
+                ctxs = shapes[flat] = tuple(zip(*[iter(flat)] * 4))
+            results.append(Configuration(
+                3, tuple([words[i] for i in obs_idx]), ctxs, "pentagram"))
+    return SearchOutcome(tuple(results), complete)
 
 
 # ---------------------------------------------------------------------------

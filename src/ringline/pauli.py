@@ -4,19 +4,27 @@ A word is an n-qubit tensor product over {I, X, Y, Z} (qubit 1 = leftmost
 Kronecker factor) times a phase i^k.  It is stored as two integer bitmasks
 x and z, where bit j is qubit j+1 and the letters are I = (0, 0),
 X = (1, 0), Z = (0, 1), Y = (1, 1); the letter string ``word`` is derived
-from the masks, for printing and JSON only.  Commutation is the parity of
-the binary symplectic form; multiplication is xor on the masks plus a
-popcount phase rule in the style of Aaronson & Gottesman, *Improved
-simulation of stabilizer circuits* (2004).  Both are cross-checked against
+from the masks, and cached per (n, x, z), for printing and JSON only.
+Commutation is the parity of the binary symplectic form; multiplication is
+xor on the masks plus a popcount phase rule in the style of Aaronson &
+Gottesman, *Improved simulation of stabilizer circuits* (2004).  Both are cross-checked against
 exact matrix oracles in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 LETTERS = "IXYZ"
 _BITS_LETTER = "IXZY"  # indexed by x | z << 1
+
+
+@functools.lru_cache(maxsize=4096)
+def _word(n: int, x: int, z: int) -> str:
+    """The letter string of the n-qubit word with masks x and z."""
+    return "".join([_BITS_LETTER[(x >> j & 1) | (z >> j & 1) << 1]
+                    for j in range(n)])
 
 
 class PauliError(ValueError):
@@ -67,9 +75,7 @@ class PauliObservable:
 
     @property
     def word(self) -> str:
-        x, z = self.x, self.z
-        return "".join(_BITS_LETTER[(x >> j & 1) | (z >> j & 1) << 1]
-                       for j in range(self.n))
+        return _word(self.n, self.x, self.z)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PauliObservable is immutable; cannot set {name!r}")

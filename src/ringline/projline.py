@@ -48,14 +48,15 @@ class ProjPoint:
 def is_admissible(ring: Ring, a: int, b: int) -> bool:
     """True iff aR + bR = R, i.e. some (c, d) completes (a, b) to a unit
     determinant; a unit coordinate decides it at once."""
+    a, b = ring.element(a), ring.element(b)
     t = ring.tables
     return bool(t.unit[a] or t.unit[b] or t.unimodular[a, b])
 
 
-def _canonical_codes(t: RingTables, a, b):
-    """Per pair of indices (a[i], b[i]), or for one pair (a, b), the least
-    code u*a * n + u*b over the units u: the code of the orbit's
-    lexicographically least pair."""
+def _canonical_codes(t: RingTables, a: np.ndarray, b: np.ndarray):
+    """Per pair of indices (a[i], b[i]), the least code u*a * n + u*b over
+    the units u: the code of the orbit's lexicographically least pair.
+    One unit at a time keeps the temporaries at the size of a."""
     best = None
     for u in np.flatnonzero(t.unit):
         code = t.mul[u, a] * t.n + t.mul[u, b]
@@ -68,8 +69,8 @@ def canonicalize(ring: Ring, a: int, b: int) -> ProjPoint:
     if not is_admissible(ring, a, b):
         raise LineError(
             f"pair ({ring.el_str(a)},{ring.el_str(b)}) is not admissible")
-    t = ring.tables
-    code = int(_canonical_codes(t, a, b))
+    t = ring.tables  # the least code u*a * n + u*b, over the unit column
+    code = int((t.mul[t.unit, a] * t.n + t.mul[t.unit, b]).min())
     return ProjPoint(ring, code // t.n, code % t.n)
 
 

@@ -27,6 +27,7 @@ sizes are capped (default 256) and every answer is exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -216,17 +217,29 @@ class Ring:
     def elements(self) -> list[int]:
         return list(range(self.size))
 
+    def element(self, a) -> int:
+        """a as an element index; RingError unless 0 <= a < size (indexing
+        would wrap a negative index or raise IndexError past the end)."""
+        try:
+            i = operator.index(a)
+        except TypeError:
+            raise RingError(f"element index {a!r} is not an integer") from None
+        if not 0 <= i < self.size:
+            raise RingError(f"element index {i} out of range 0..{self.size - 1}"
+                            f" in {self.spec_str()}")
+        return i
+
     def add(self, a: int, b: int) -> int:
-        return int(self.tables.add[a, b])
+        return int(self.tables.add[self.element(a), self.element(b)])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.tables.mul[a, b])
+        return int(self.tables.mul[self.element(a), self.element(b)])
 
     def neg(self, a: int) -> int:
-        return int(self.tables.neg[a])
+        return int(self.tables.neg[self.element(a)])
 
     def el_str(self, a: int) -> str:
-        return self.names[a]
+        return self.names[self.element(a)]
 
     def element_from_str(self, s: str) -> int:
         """Look an element up by its printed form (whitespace-insensitive)."""
@@ -242,6 +255,7 @@ class Ring:
         partition any finite commutative ring.
         """
         t = self.tables
+        a = self.element(a)
         if a == t.zero:
             return ("zero", None)
         row = t.mul[a]
@@ -261,7 +275,7 @@ class Ring:
         return [i for i in np.flatnonzero(~t.unit).tolist() if i != t.zero]
 
     def is_unit(self, a: int) -> bool:
-        return bool(self.tables.unit[a])
+        return bool(self.tables.unit[self.element(a)])
 
 
 class GaloisField(Ring):

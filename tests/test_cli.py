@@ -232,9 +232,9 @@ def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
     """Without --check, JSON output does not show the re-verification, so
     it is not run; text output and --check still show it."""
     calls = []
-    verify = cli.mg.verify_magic
-    monkeypatch.setattr(cli.mg, "verify_magic",
-                        lambda cfg: calls.append(cfg) or verify(cfg))
+    verify = cli.mg.verify_many
+    monkeypatch.setattr(cli.mg, "verify_many",
+                        lambda cfgs: calls.extend(cfgs) or verify(cfgs))
     code, out, _ = run(capsys, "search", "--kind", "squares", "--format",
                        "json")
     assert code == 0 and not calls

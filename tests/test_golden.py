@@ -105,6 +105,16 @@ GOLDEN = [
      0, "bf75d53a904ac4d1b9caee84ea216c30c27cfc7e329b5ce035d0c40bca3a8e49"),
     (('search', '--kind', 'squares', '--check', '--full', '--format', 'json'),
      0, "644e6f81f90d6528d1cdee0b0c97e7d5b416b23d1771e5a7f4e54248107bde0e"),
+    # taken before the pentagram search shared decisions and shapes among
+    # its results; --full pins the order and contents of all 12096
+    (('search', '--kind', 'pentagrams', '--check', '--format', 'json'),
+     0, "ab8126f5522e33bc86ed0c58ed271aef452c9ca1a85426eddae25201322dfd8c"),
+    (('search', '--kind', 'pentagrams', '--full', '--format', 'json'),
+     0, "c24e15e0213aa7ce5a79e4c8884305a8ebae3d46244468c02061a8b61d96604b"),
+    (('search', '--kind', 'pentagrams', '--budget', '5000', '--format', 'text'),
+     0, "95bcf13a4405d4ad2e145635bb6ae0fcffc17d84a7df4e3e098875b06909cb0a"),
+    (('search', '--kind', 'pentagrams', '--budget', '5000', '--format', 'json'),
+     0, "81b983b4e283e9528b38763a6b750efebc44f80e03256be5f04acd3323855c0c"),
 ]
 
 

@@ -237,3 +237,38 @@ def test_compose_matches_applying_in_turn(r_club):
         assert composed(a) == h(surjection(a))
     with pytest.raises(rl.MixedRingError):
         surjection.compose(h)
+
+
+# --- element indices ----------------------------------------------------------
+
+BAD_INDICES = [-1, -8, 8, 9]  # -1 would wrap to the last element; 8 = size
+
+
+@pytest.mark.parametrize("bad", BAD_INDICES)
+@pytest.mark.parametrize("call", [
+    lambda ring, bad: ring.add(bad, 1),
+    lambda ring, bad: ring.add(1, bad),
+    lambda ring, bad: ring.mul(bad, 1),
+    lambda ring, bad: ring.mul(1, bad),
+    lambda ring, bad: ring.neg(bad),
+    lambda ring, bad: ring.el_str(bad),
+    lambda ring, bad: ring.classify(bad),
+    lambda ring, bad: rl.is_admissible(ring, bad, 1),
+    lambda ring, bad: rl.is_admissible(ring, 1, bad),
+    lambda ring, bad: rl.canonicalize(ring, bad, 1),
+    lambda ring, bad: rl.canonicalize(ring, 1, bad),
+], ids=["add-a", "add-b", "mul-a", "mul-b", "neg", "el_str", "classify",
+        "is_admissible-a", "is_admissible-b", "canonicalize-a",
+        "canonicalize-b"])
+def test_bad_element_index_is_a_ring_error(r_club, call, bad):
+    """An index outside 0..size-1 is refused, not wrapped or left to
+    numpy's IndexError; a ring of 8 elements takes 0..7."""
+    assert r_club.size == 8
+    with pytest.raises(RingError, match=f"element index {bad} out of range"):
+        call(r_club, bad)
+
+
+def test_non_integer_element_index_is_a_ring_error(r_club):
+    with pytest.raises(RingError, match="is not an integer"):
+        r_club.add("x", 1)
+    assert r_club.add(np.int64(7), True) == r_club.add(7, 1)

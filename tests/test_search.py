@@ -296,3 +296,75 @@ def test_decider_core_rejects_a_false_answer(monkeypatch, gf2_answer, signs):
     monkeypatch.setattr(magic, "_gf2_decide", lambda *args: gf2_answer)
     with pytest.raises(DeciderDisagreement):
         _decide(SQUARE_MASKS, signs, 9)
+
+
+# --- decisions shared within one request --------------------------------------
+
+def _lying_gf2(masks, signs, m):
+    """A GF(2) decider that finds every system colorable."""
+    return {i: 1 for i in range(m)}, None
+
+
+def test_shared_search_decisions_still_cross_check(monkeypatch):
+    monkeypatch.setattr(magic, "_gf2_decide", _lying_gf2)
+    with pytest.raises(DeciderDisagreement):
+        rl.search_pentagrams()
+
+
+def test_shared_verify_decisions_still_cross_check(monkeypatch,
+                                                   pentagram_search):
+    results = list(pentagram_search.results[:3])
+    monkeypatch.setattr(magic, "_gf2_decide", _lying_gf2)
+    with pytest.raises(DeciderDisagreement):
+        rl.verify_many(results)
+    with pytest.raises(DeciderDisagreement):
+        rl.verify_magic(results[0])
+
+
+def test_verify_many_matches_one_at_a_time(pentagram_search):
+    for results in (rl.search_squares(), pentagram_search.results[::97]):
+        assert rl.verify_many(results) == [rl.verify_magic(c) for c in results]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(magic, name)
+    monkeypatch.setattr(magic, name,
+                        lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_verify_many_decides_each_distinct_system_once(monkeypatch):
+    """Same masks and signs share a decision; the same masks with other
+    signs get their own."""
+    square = rl.builtin("mermin_square")
+    z_grid = rl.Configuration(2, tuple(PauliObservable(w) for w in (
+        "ZI", "IZ", "ZZ", "IZ", "ZI", "ZZ", "ZZ", "ZZ", "II")),
+        square.contexts, "square")  # every context has sign +1
+    wider = rl.Configuration(2, z_grid.observables + (PauliObservable("XZ"),),
+                             z_grid.contexts, "custom")  # one more valued
+    calls = _counting(monkeypatch, "bks_decide")
+    first, other, again, more = rl.verify_many([square, z_grid, square, wider])
+    assert [args[0] for args in calls] == [square, z_grid, wider]
+    assert [c.sign for c in other.contexts] == [1] * 6
+    assert not first.bks.colorable and other.bks.colorable
+    assert again.bks is first.bks and again == first
+    assert all(a is b for a, b in zip(again.contexts, first.contexts))
+    assert len(other.bks.valuation) == 9 and len(more.bks.valuation) == 10
+    assert [first, other, more] == [rl.verify_magic(c)
+                                    for c in (square, z_grid, wider)]
+
+
+def test_search_decides_each_distinct_system_once(monkeypatch):
+    calls = _counting(monkeypatch, "_decide")
+    results = rl.search_pentagrams(budget=20000).results
+    calls = calls[:]  # the search's own; verify_many below decides again
+    systems = {(c.contexts, tuple(r.sign for r in report.contexts))
+               for c, report in zip(results, rl.verify_many(results))}
+    assert len(results) > len(systems) == len(calls)
+    assert {(tuple(map(magic._mask, c)), tuple(s)) for c, s in systems} == \
+        {(tuple(masks), tuple(signs)) for masks, signs, _ in calls}
+    # results of one shape share one contexts tuple, and one label tuple
+    assert len({id(c.contexts) for c in results}) == \
+        len({c.contexts for c in results})
+    assert len({id(c.context_labels) for c in results}) == 1
