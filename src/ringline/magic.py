@@ -214,16 +214,17 @@ def verify_many(configs) -> list[VerificationReport]:
         for ci, ctx in enumerate(cfg.contexts):
             masks.append(_mask(ctx))
             ops = [observables[i] for i in ctx]
-            comm = anticommuting_pair(ops) is None
+            try:
+                comm = anticommuting_pair(ops) is None
+                note = "" if comm else "not pairwise commuting"
+            except PauliError as e:  # qubit counts differ: a structural error
+                comm, note = False, str(e)
             sign = None
-            note = ""
             if comm:
                 try:
                     sign = scalar_sign(ops)
                 except PauliError as e:
                     note = str(e)
-            else:
-                note = "not pairwise commuting"
             signs.append(sign)
             fields = (labels[ci], comm, sign, note)
             report = made.get(fields)

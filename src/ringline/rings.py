@@ -14,9 +14,6 @@ order is value order.  Three constructors build rings:
 and ``quotient_by_radical`` builds R/J on the least coset representatives.
 Each constructor validates its input and builds the tables by vectorized
 digit arithmetic over its parts' tables; none defines element arithmetic.
-The constructors also record each element's payload label (a nested tuple
-of small ints, ``RingTables.els``) as construction data for the tests'
-payload arithmetic; nothing here reads a label once the ring is built.
 Every operation, structural question (units, zero-divisors, radical,
 homomorphism validity) and printed name is a table lookup, and a ring
 homomorphism is an index array from one ring's tables into another's.  The
@@ -27,7 +24,9 @@ sizes are capped (default 256) and every answer is exact.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -145,16 +144,15 @@ def _digit_labels(coeffs: list, d: int) -> list[tuple]:
 
 
 class RingTables:
-    """A ring in index form: element i has payload label ``els[i]``.
+    """A ring in index form on the elements 0..n-1.
 
     ``add`` and ``mul`` are n x n index tables, ``neg`` the additive
     inverses, ``unit`` the unit mask; ``zero`` and ``one`` are the indices
     of the two identities.
     """
 
-    def __init__(self, els: list, add: np.ndarray, mul: np.ndarray):
-        self.els = els
-        self.n = len(els)
+    def __init__(self, add: np.ndarray, mul: np.ndarray):
+        self.n = len(add)
         self.add, self.mul = add, mul
         identity = np.arange(self.n)
         self.zero = int(np.argmax((add == identity).all(axis=1)))
@@ -187,17 +185,16 @@ class RingTables:
 class Ring:
     """A finite commutative ring whose elements are the indices 0..size-1.
 
-    ``els`` are the elements' payload labels in index order (construction
-    data only), ``names`` their printed forms (distinct, without spaces),
-    ``add``/``mul`` the index tables.
+    ``names`` are the elements' printed forms in index order (distinct,
+    without spaces), ``add``/``mul`` the index tables.
     """
 
-    def __init__(self, spec_key: tuple, spec_text: str, els: list,
-                 names: list[str], add: np.ndarray, mul: np.ndarray):
+    def __init__(self, spec_key: tuple, spec_text: str, names: list[str],
+                 add: np.ndarray, mul: np.ndarray):
         self.spec_key = spec_key
         self._spec_text = spec_text
-        self.tables = RingTables(els, add, mul)
-        self.size = len(els)
+        self.tables = RingTables(add, mul)
+        self.size = self.tables.n
         self.zero, self.one = self.tables.zero, self.tables.one
         self.names = names
         self._by_name = {name: i for i, name in enumerate(names)}
@@ -279,7 +276,8 @@ class Ring:
 
 
 class GaloisField(Ring):
-    """GF(p^k); labels are little-endian coefficient tuples of length k."""
+    """GF(p^k); element v is the polynomial whose little-endian
+    coefficients are the base-p digits of v."""
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None,
                  size_cap: int = DEFAULT_SIZE_CAP):
@@ -303,12 +301,11 @@ class GaloisField(Ring):
         add, mul = np.add.outer(r, r) % p, np.multiply.outer(r, r) % p
         if k > 1:
             add, mul = _poly_tables(add, mul, -r % p, modulus)
-        els = _digit_labels(range(p), k)
         digits = [str(v) for v in range(p)]
-        names = [poly_str(a, digits) for a in els]
+        names = [poly_str(a, digits) for a in _digit_labels(range(p), k)]
         super().__init__(("gf", p, k, modulus),
                          f"gf({p})" if k == 1 else f"gf({p}^{k})",
-                         els, names, add, mul)
+                         names, add, mul)
 
 
 def poly_str(c: tuple[int, ...], names: list[str], var: str = "x") -> str:
@@ -330,7 +327,8 @@ def poly_str(c: tuple[int, ...], names: list[str], var: str = "x") -> str:
 
 class QuotientRing(Ring):
     """F[x]/(f) for a field F and monic f, given as little-endian F indices;
-    labels are tuples of F labels."""
+    element v is the polynomial whose little-endian coefficients are the
+    F elements of the base-|F| digits of v."""
 
     def __init__(self, base: GaloisField, modulus: tuple[int, ...],
                  spec_text: str | None = None, size_cap: int = DEFAULT_SIZE_CAP):
@@ -350,7 +348,6 @@ class QuotientRing(Ring):
             raise RingError(f"quotient ring exceeds size cap {size_cap}")
         F = base.tables
         add, mul = _poly_tables(F.add, F.mul, F.neg, modulus)
-        els = _digit_labels(F.els, self.deg)
         coeffs = base.names if base.k == 1 else [f"({n})" for n in base.names]
         names = [poly_str(a, coeffs)
                  for a in _digit_labels(range(base.size), self.deg)]
@@ -358,12 +355,12 @@ class QuotientRing(Ring):
             mod = poly_str(modulus, [str(v) for v in range(base.size)])
             spec_text = f"{base.spec_str()}[x]/({mod})"
         super().__init__(("quot", base.spec_key, modulus), spec_text,
-                         els, names, add, mul)
+                         names, add, mul)
 
 
 class ProductRing(Ring):
-    """Direct product; labels are tuples of factor labels, in mixed radix
-    with the first factor most significant."""
+    """Direct product; element indices are the factors' indices in mixed
+    radix with the first factor most significant."""
 
     def __init__(self, factors: list[Ring], size_cap: int = DEFAULT_SIZE_CAP):
         if len(factors) < 2:
@@ -381,157 +378,95 @@ class ProductRing(Ring):
             d = (idx // stride) % f.size
             add += f.tables.add[d[:, None], d[None, :]] * stride
             mul += f.tables.mul[d[:, None], d[None, :]] * stride
-        els = list(itertools.product(*[f.tables.els for f in factors]))
         names = ["(" + ",".join(n) + ")"
                  for n in itertools.product(*[f.names for f in factors])]
         super().__init__(("prod",) + tuple(f.spec_key for f in factors),
                          "x".join(f.spec_str() for f in factors),
-                         els, names, add, mul)
+                         names, add, mul)
 
 
 # ---------------------------------------------------------------------------
-# spec-string parser
+# spec-string parser (case and spaces are ignored)
 #
 # ring := atom ('x' atom)*
-# atom := 'gf(' p ['^' k] ')' [ '[x]/(' poly ')' ]
-# poly := sum of terms 'c', 'x', 'c*x^e', with +/- and coefficients mod p
+# atom := 'gf(' q ['^' k] ')' ['[x]/(' poly ')']
+# poly := one or more terms, each after any run of '+'/'-' signs
+# term := c ['*'] | [c ['*']] 'x' ['^' e]
+#
+# q is a prime, or a prime power when '^k' is absent.  A sign holds until the
+# next sign (x^2-x1 is x^2 - x - 1), a trailing sign is ignored, like terms
+# add up mod p, and the modulus must be monic of degree >= 1.
+
+_ATOM = re.compile(r"gf\((\d+)(?:\^(\d+))?\)(?:\[x\]/\(([^()]*)\))?(x(?=gf\())?")
+_TERM = re.compile(r"([+-]*)(?:(\d+)\*?)?(x(?:\^(\d+))?)?")
+
+
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with p prime and p ** k == q, or None."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q, k = q // p, k + 1
+    return (p, k) if q == 1 else None
 
 
 def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     text = spec_text.lower().replace(" ", "")
-    pos = 0
-    factors = []
 
     def fail(msg):
         raise RingError(f"cannot parse ring spec {spec_text!r}: {msg}")
 
-    def read_int(s, i):
-        """(value, end) of the digit run at s[i:]; value None if empty."""
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
+    def num(digits):
         try:
-            return (int(s[i:j]) if j > i else None), j
+            return int(digits)
         except ValueError:  # past Python's limit on digits in an int string
-            fail(f"number too long at position {i}")
-
-    def parse_int():
-        nonlocal pos
-        value, end = read_int(text, pos)
-        if value is None:
-            fail(f"expected integer at position {pos}")
-        pos = end
-        return value
+            fail(f"number too long ({len(digits)} digits)")
 
     def within_cap(q, k):  # q ** k <= size_cap, never computing a huge power
         return q < 2 or (k <= size_cap.bit_length() and q ** k <= size_cap)
 
-    def expect(tok):
-        nonlocal pos
-        if not text.startswith(tok, pos):
-            fail(f"expected {tok!r} at position {pos}")
-        pos += len(tok)
+    def terms(poly):  # {exponent: integer coefficient}
+        coeffs, sign, pos = {}, 1, 0
+        while pos < len(poly):
+            signs, c, xs, e = (m := _TERM.match(poly, pos)).groups()
+            if signs:
+                sign = -1 if signs[-1] == "-" else 1
+            if c is None and xs is None:  # no term: only signs may end poly
+                if m.end() < len(poly):
+                    fail(f"unexpected {poly[m.end()]!r} in modulus")
+                break
+            exp = (num(e) if e else 1) if xs else 0
+            coeffs[exp] = coeffs.get(exp, 0) + sign * (num(c) if c else 1)
+            pos = m.end()
+        return coeffs or fail("empty modulus polynomial")
 
-    def parse_poly_text(ptext, p):
-        # returns {exponent: coefficient mod p}
-        coeffs: dict[int, int] = {}
-        i = 0
-        sign = 1
-        if not ptext:
-            fail("empty modulus polynomial")
-        while i < len(ptext):
-            ch = ptext[i]
-            if ch == "+":
-                sign = 1
-                i += 1
-                continue
-            if ch == "-":
-                sign = -1
-                i += 1
-                continue
-            # term: [coeff]['*']['x'['^'exp]]
-            start = i
-            c, i = read_int(ptext, i)
-            if c is None:
-                c = 1
-            elif i < len(ptext) and ptext[i] == "*":
-                i += 1
-            e = 0
-            if i < len(ptext) and ptext[i] == "x":
-                e = 1
-                i += 1
-                if i < len(ptext) and ptext[i] == "^":
-                    e, i = read_int(ptext, i + 1)
-                    if e is None:
-                        fail("missing exponent")
-            if i == start:
-                fail(f"unexpected {ptext[i]!r} in modulus")
-            coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
-        if not coeffs:
-            fail("empty modulus polynomial")
-        return coeffs
-
-    def parse_atom():
-        nonlocal pos
-        expect("gf(")
-        p = parse_int()
-        k = 1
-        if pos < len(text) and text[pos] == "^":
-            pos += 1
-            k = parse_int()
-        expect(")")
-        if p > size_cap or not within_cap(p, k):
-            raise RingError(f"GF({p}^{k}) exceeds size cap {size_cap}")
-        if not is_prime(p):
-            # gf(q) with q a prime power means GF(q)
-            if k != 1:
-                fail(f"{p} is not prime")
-            base = 2
-            while base * base <= p:
-                kk, q = 0, p
-                while q % base == 0:
-                    q //= base
-                    kk += 1
-                if q == 1:
-                    p, k = base, kk
-                    break
-                base += 1
-            else:
-                fail(f"{p} is not a prime power")
-        field = GaloisField(p, k, size_cap=size_cap)
-        if text.startswith("[x]/(", pos):
-            pos += len("[x]/(")
-            depth = 1
-            start = pos
-            while pos < len(text) and depth:
-                if text[pos] == "(":
-                    depth += 1
-                elif text[pos] == ")":
-                    depth -= 1
-                pos += 1
-            if depth:
-                fail("unbalanced parentheses in modulus")
-            ptext = text[start:pos - 1]
-            coeffs = parse_poly_text(ptext, field.p)
-            deg = max(coeffs)
-            if not within_cap(field.size, deg):
+    atoms, pos, more = [], 0, True
+    while more:  # an 'x' separator promises one more atom
+        if not (m := _ATOM.match(text, pos)):
+            fail(f"expected an atom gf(...) at position {pos}")
+        poly = None if m[3] is None else terms(m[3])
+        atoms.append((num(m[1]), num(m[2] or "1"), poly))
+        pos, more = m.end(), m[4]
+    if pos < len(text):
+        fail(f"unexpected input at position {pos}")
+    factors = []
+    for q, k, coeffs in atoms:
+        if q > size_cap or not within_cap(q, k):
+            raise RingError(f"GF({q}^{k}) exceeds size cap {size_cap}")
+        if not (pk := _prime_power(q)) or (k != 1 and pk[1] != 1):
+            fail(f"{q} is not {'a prime power' if k == 1 else 'prime'}")
+        ring = GaloisField(pk[0], pk[1] * k, size_cap=size_cap)
+        if coeffs is not None:
+            if not within_cap(ring.size, deg := max(coeffs)):
                 raise RingError(f"quotient ring exceeds size cap {size_cap}")
-            # integer c (already mod p) lifts to c * 1, the element of index c
-            fcoeffs = [coeffs.get(i, 0) for i in range(deg + 1)]
-            if fcoeffs[-1] == field.zero:
-                fail("modulus has zero leading coefficient")
-            if fcoeffs[-1] != field.one:
+            # integer c mod p lifts to c * 1, the element of index c
+            f = tuple(coeffs.get(i, 0) % ring.p for i in range(deg + 1))
+            if f[-1] != ring.one:
                 fail("modulus must be monic")
-            return QuotientRing(field, tuple(fcoeffs), size_cap=size_cap)
-        return field
-
-    factors.append(parse_atom())
-    while pos < len(text):
-        if text[pos] == "x" and text.startswith("gf(", pos + 1):
-            pos += 1
-            factors.append(parse_atom())
-        else:
-            fail(f"unexpected input at position {pos}")
+            ring = QuotientRing(ring, f, size_cap=size_cap)
+        factors.append(ring)
     if len(factors) == 1:
         return factors[0]
     return ProductRing(factors, size_cap=size_cap)
@@ -606,8 +541,7 @@ def quotient_by_radical(ring: Ring) -> tuple[Ring, RingHomomorphism]:
     coset_of = np.searchsorted(reps, rep)
     block = np.ix_(reps, reps)
     q = Ring(("coset", ring.spec_key, tuple(J)),
-             f"({ring.spec_str()})/J", [t.els[r] for r in reps],
-             [ring.names[r] for r in reps],
+             f"({ring.spec_str()})/J", [ring.names[r] for r in reps],
              coset_of[t.add[block]], coset_of[t.mul[block]])
     hom = RingHomomorphism(ring, q, coset_of)
     assert ring.size % len(J) == 0 and q.size == ring.size // len(J)

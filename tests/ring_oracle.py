@@ -3,10 +3,10 @@
 ``PayloadRing(ring)`` recomputes a ring's arithmetic from its construction
 data alone: GF(p^k) as polynomials over the integers mod p reduced by its
 modulus, F[x]/(f) as polynomials over ``PayloadRing(F)`` reduced by f, and
-a product componentwise.  Its elements are the payload labels the
-constructors record (``RingTables.els``); the package's elements are their
-indices.  Beyond those labels nothing here reads ``Ring.tables`` or the
-ring's table-backed ``add``/``mul``/``neg``: units come from scanning
+a product componentwise.  Its elements are payload labels listed in value
+order, so the package's element i is the i-th of them.  Nothing here reads
+``Ring.tables`` or the ring's table-backed ``add``/``mul``/``neg``: units
+come from scanning
 products, admissibility from scanning every determinant completion (c, d)
 or every coefficient pair (s, t), and points from canonicalizing every
 admissible pair.  The package computes the same answers on its index
@@ -58,8 +58,8 @@ class PayloadRing:
         else:
             if isinstance(ring, QuotientRing):  # modulus as base indices
                 self.coeff = MemoRing(ring.base)
-                self.modulus = tuple(ring.base.tables.els[c]
-                                     for c in ring.modulus)
+                base_els = self.coeff.elements()
+                self.modulus = tuple(base_els[c] for c in ring.modulus)
             elif isinstance(ring, GaloisField):  # GF(p) has modulus x
                 self.coeff = IntegersMod(ring.p)
                 self.modulus = ring.modulus

@@ -443,6 +443,28 @@ def test_edge_config_is_handled(capsys, tmp_path, command, config, want):
     assert want in out
 
 
+def test_mixed_qubit_counts_are_reported_by_verify(capsys, tmp_path):
+    """verify reports a context of mixed qubit counts as a structural
+    error; bks and entangle, which need every context's product, refuse."""
+    path = _write_config(tmp_path, ["XI", "IX", "XXX"], [[0, 1, 2]])
+    code, out, err = run(capsys, "verify", "--config", path)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == ("configuration: custom on 2 qubits\n"
+                   "  XI IX XXX\n"
+                   "context 1: XI IX XXX [NOT commuting, sign ??]"
+                   " (qubit counts differ)\n"
+                   "structural error: observable qubit-count mismatch\n"
+                   "magic: False\n")
+    code, out, err = run(capsys, "verify", "--config", path, "--format", "json")
+    data = json.loads(out)
+    assert code == cli.EXIT_OK and data["bks"] is None and not data["magic"]
+    assert data["contexts"][0]["note"] == "qubit counts differ"
+    for command in ("bks", "entangle"):
+        code, out, err = run(capsys, command, "--config", path)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: qubit counts differ\n"
+
+
 def test_parser_is_reused_after_a_failed_parse(capsys):
     assert cli.build_parser() is cli.build_parser()
     argv = ("line", "--ring", "gf(2)[x]/(x^2-x)", "--check", "--format", "json")

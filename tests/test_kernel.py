@@ -1,7 +1,8 @@
 """The ring table kernel against payload arithmetic and brute-force oracles.
 
 The payload arithmetic is ``ring_oracle.PayloadRing``, which recomputes each
-ring from its construction data and never reads the tables.
+ring from its construction data and never reads the tables; its elements in
+value order are the labels of the ring's indices.
 
 Random rings are GF(p^k)[x]/(f) for random monic f, Galois fields and
 two-factor products, all of at most 32 elements.  The sweep covers every
@@ -52,14 +53,15 @@ def small_rings(draw):
 @given(small_rings())
 def test_tables_match_payload_arithmetic(ring):
     t, payload = ring.tables, PayloadRing(ring)
-    assert t.els == payload.elements()
-    assert (t.els[t.zero], t.els[t.one]) == (payload.zero, payload.one)
-    for i, a in enumerate(t.els):
-        assert t.els[t.neg[i]] == payload.neg(a)
-        for j, b in enumerate(t.els):
-            assert t.els[t.add[i, j]] == payload.add(a, b)
-            assert t.els[t.mul[i, j]] == payload.mul(a, b)
-    assert {t.els[i] for i in ring.units()} == oracle_units(payload)
+    els = payload.elements()
+    assert t.n == ring.size == len(els)
+    assert (els[t.zero], els[t.one]) == (payload.zero, payload.one)
+    for i, a in enumerate(els):
+        assert els[t.neg[i]] == payload.neg(a)
+        for j, b in enumerate(els):
+            assert els[t.add[i, j]] == payload.add(a, b)
+            assert els[t.mul[i, j]] == payload.mul(a, b)
+    assert {els[i] for i in ring.units()} == oracle_units(payload)
 
 
 @settings(max_examples=20, deadline=None)
@@ -67,7 +69,7 @@ def test_tables_match_payload_arithmetic(ring):
 def test_admissibility_matches_ideal_oracle(ring, data):
     # a unit coordinate short-circuits, so one coordinate is always a non-unit
     memo = MemoRing(ring)
-    index = {a: i for i, a in enumerate(ring.tables.els)}
+    index = {a: i for i, a in enumerate(memo.elements())}
     nonunits = sorted(set(memo.elements()) - oracle_units(memo),
                       key=memo.el_value)
     for _ in range(3):
@@ -109,7 +111,7 @@ def test_sweep_closed_form_and_brute_force():
         if ring.size <= 9:
             brute += 1
             points, relation = oracle_line(ring)
-            els = ring.tables.els
+            els = PayloadRing(ring).elements()
             assert [(els[p.a], els[p.b]) for p in catalog.points] == points, ring
             assert catalog.relation.tolist() == relation, ring
     assert brute > 50
@@ -176,10 +178,13 @@ def test_sweep_radical_quotient():
         assert rl.validate_hom(hom), ring
         assert hom.kernel() == set(radical), ring
         payload, t = PayloadRing(ring), q.tables
-        index = {a: i for i, a in enumerate(ring.tables.els)}
+        els = payload.elements()
+        index = {a: i for i, a in enumerate(els)}
+        # R/J's element i is named as its rep in R, so it has the rep's label
+        q_els = [els[ring.element_from_str(name)] for name in q.names]
         assert (t.add == t.add.T).all() and (t.mul == t.mul.T).all(), ring
         for i, j in itertools.combinations_with_replacement(range(t.n), 2):
-            a, b = t.els[i], t.els[j]  # R/J's labels are those of R's reps
+            a, b = q_els[i], q_els[j]
             assert t.add[i, j] == hom(index[payload.add(a, b)]), ring
             assert t.mul[i, j] == hom(index[payload.mul(a, b)]), ring
 

@@ -21,7 +21,8 @@ from ring_oracle import PayloadRing, is_admissible_componentwise, oracle_unimodu
 
 def test_admissibility_matches_ideal_oracle(r_club, r_tilde, gf4):
     for ring in (r_club, r_tilde, gf4):
-        payload, els = PayloadRing(ring), ring.tables.els
+        payload = PayloadRing(ring)
+        els = payload.elements()
         for a, b in itertools.product(ring.elements(), repeat=2):
             assert rl.is_admissible(ring, a, b) == \
                 oracle_unimodular(payload, els[a], els[b])
@@ -36,7 +37,7 @@ def test_admissibility_examples(r_tilde):
 
 
 def test_product_componentwise_cross_oracle(r_tilde_prod):
-    els = r_tilde_prod.tables.els
+    els = PayloadRing(r_tilde_prod).elements()
     for a, b in itertools.product(r_tilde_prod.elements(), repeat=2):
         assert rl.is_admissible(r_tilde_prod, a, b) == \
             is_admissible_componentwise(r_tilde_prod, els[a], els[b])
