@@ -26,26 +26,6 @@ class EntangleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
-    n: int
-    generators: tuple[tuple[PauliObservable, int], ...]  # (word, sign)
-
-    def __post_init__(self):
-        for g, sign in self.generators:
-            if g.n != self.n:
-                raise EntangleError(
-                    f"generator {g} has {g.n} qubit(s), not {self.n}")
-            if sign not in (1, -1):
-                raise EntangleError(
-                    f"generator {g} has sign {sign!r}, not +1 or -1")
-        words = [g for g, _ in self.generators]
-        if gf2.rank(symplectic_rows(words)) != len(words):
-            raise EntangleError("generators are not independent")
-        if anticommuting_pair(words) is not None:
-            raise EntangleError("generators do not commute")
-
-
 def context_generators(context: list[PauliObservable]
                        ) -> list[PauliObservable]:
     """The n independent generators of a maximal commuting context; its
@@ -65,34 +45,6 @@ def context_generators(context: list[PauliObservable]
         raise EntangleError(
             f"context generates a 2^{len(ind)}-element group; need rank {n}")
     return [context[i] for i in ind]
-
-
-def joint_eigenbasis(context: list[PauliObservable]) -> list[StabilizerGroup]:
-    """The 2^n common eigenstates of a maximal commuting context.
-
-    States are returned in sign-pattern order: pattern index b flips the
-    sign of independent generator i when bit i of b is set.
-    """
-    gens = context_generators(context)
-    n = len(gens)
-    return [StabilizerGroup(n, tuple(
-        (g, -1 if pattern >> i & 1 else 1) for i, g in enumerate(gens)))
-        for pattern in range(2 ** n)]
-
-
-def bipartite_entropy(state: StabilizerGroup, part_a: set[int]) -> int:
-    """Entanglement entropy in bits across part_a vs the rest.
-
-    Qubits are numbered 1..n.  E = |A| - log2 |S_A|, one GF(2) rank (see
-    ``_cut_entropy``).
-    """
-    n = state.n
-    part_a = set(part_a)
-    if not part_a or part_a >= set(range(1, n + 1)) or \
-            not part_a <= set(range(1, n + 1)):
-        raise EntangleError(f"bad bipartition {sorted(part_a)} for n={n}")
-    return _cut_entropy([g for g, _ in state.generators], n,
-                        sum(1 << (q - 1) for q in part_a))
 
 
 def _cut_entropy(words: list[PauliObservable], n: int, mask_a: int) -> int:

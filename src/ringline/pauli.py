@@ -14,7 +14,6 @@ exact matrix oracles in the test suite.
 from __future__ import annotations
 
 import functools
-import re
 
 LETTERS = "IXYZ"
 _BITS_LETTER = "IXZY"  # indexed by x | z << 1
@@ -104,29 +103,6 @@ class PauliObservable:
 
     def __repr__(self):
         return f"<Pauli {self}>"
-
-
-def make_pauli(spec: str, n: int) -> PauliObservable:
-    """Parse 'XYI' (compact word) or 'X1 Y2' (letter+qubit index) forms."""
-    spec = spec.strip().upper()
-    if not spec:
-        return PauliObservable("I" * n)
-    if re.fullmatch(f"[{LETTERS}]+", spec):
-        if len(spec) != n:
-            raise PauliError(f"word {spec!r} has length {len(spec)}, not {n}")
-        return PauliObservable(spec)
-    letters = ["I"] * n
-    for tok in spec.split():
-        m = re.fullmatch(f"([{LETTERS}])([0-9]+)", tok)
-        if not m:
-            raise PauliError(f"bad token {tok!r} in {spec!r}")
-        letter, idx = m.group(1), int(m.group(2))
-        if not 1 <= idx <= n:
-            raise PauliError(f"qubit index {idx} out of range 1..{n}")
-        if letters[idx - 1] != "I":
-            raise PauliError(f"qubit {idx} specified twice in {spec!r}")
-        letters[idx - 1] = letter
-    return PauliObservable("".join(letters))
 
 
 def multiply(p: PauliObservable, q: PauliObservable) -> PauliObservable:

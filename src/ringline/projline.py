@@ -197,14 +197,6 @@ def induced_point_map(h: RingHomomorphism, src: LineCatalog,
     return dict(zip(src.points, [dst.points[k] for k in at.tolist()]))
 
 
-def jacobson_counterpart(p: ProjPoint, h: RingHomomorphism,
-                         src: LineCatalog, dst: LineCatalog) -> set[ProjPoint]:
-    """Other points in the same fiber of the induced quotient-line map."""
-    pmap = induced_point_map(h, src, dst)
-    image = pmap[p]
-    return {q for q in src.points if pmap[q] == image and q != p}
-
-
 # ---------------------------------------------------------------------------
 # export
 

@@ -43,15 +43,21 @@ class MixedRingError(RingError):
     """Operands drawn from different rings."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, k) with p prime and p ** k == q, or None; p is prime iff this
+    is (p, 1)."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q, k = q // p, k + 1
+    return (p, k) if q == 1 else None
+
+
+def within_cap(q: int, k: int, size_cap: int) -> bool:
+    """q ** k <= size_cap, never computing a huge power."""
+    return q < 2 or (k <= size_cap.bit_length() and q ** k <= size_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +125,21 @@ def _poly_tables(add, mul, neg, modulus: tuple[int, ...]):
 
     ``modulus`` holds the monic f's coefficients as F indices, little-endian.
     Element v of the quotient has the base-|F| digits of v as the indices of
-    its coefficients, little-endian.
+    its coefficients, little-endian.  a * b is the sum over j of b_j times
+    a * x^j, built in d multiply-by-x passes.
     """
     q, d = len(neg), len(modulus) - 1
     weights = q ** np.arange(d)
     digits = (np.arange(q ** d)[:, None] // weights) % q
-    left, right = digits[:, None, :], digits[None, :, :]
-    sums = add[left, right] @ weights
-    coeff = [0] * (2 * d - 1)
-    for i in range(d):
-        for j in range(d):
-            coeff[i + j] = add[coeff[i + j], mul[left[..., i], right[..., j]]]
-    for top in range(2 * d - 2, d - 1, -1):  # subtract lead * x^(top-d) * f
-        lead = coeff[top]
-        for i in range(d):
-            coeff[top - d + i] = add[coeff[top - d + i], neg[mul[lead, modulus[i]]]]
-    return sums, sum(coeff[i] * weights[i] for i in range(d))
+    sums = add[digits[:, None, :], digits[None, :, :]] @ weights
+    scaled = mul[:, digits] @ weights  # scaled[c, v] = c * v
+    low = neg[list(modulus[:-1])] @ weights  # x^d = -(f - x^d)
+    times_x = sums[digits[:, :-1] @ weights[1:], scaled[digits[:, -1], low]]
+    prod, power = np.zeros_like(sums), np.arange(q ** d)  # power = a * x^j
+    for j in range(d):
+        prod = sums[prod, scaled[digits[None, :, j], power[:, None]]]
+        power = times_x[power]
+    return sums, prod
 
 
 def _digit_labels(coeffs: list, d: int) -> list[tuple]:
@@ -281,12 +286,12 @@ class GaloisField(Ring):
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None,
                  size_cap: int = DEFAULT_SIZE_CAP):
-        if not is_prime(p):
-            raise RingError(f"{p} is not prime")
         if k < 1:
             raise RingError("extension degree must be >= 1")
-        if p ** k > size_cap:
+        if not within_cap(p, k, size_cap):  # before trial division up to sqrt p
             raise RingError(f"GF({p}^{k}) exceeds size cap {size_cap}")
+        if _prime_power(p) != (p, 1):
+            raise RingError(f"{p} is not prime")
         if k == 1:
             modulus = (0, 1)  # x; unused
         elif modulus is None:
@@ -344,7 +349,7 @@ class QuotientRing(Ring):
         self.base = base
         self.modulus = modulus
         self.deg = len(modulus) - 1
-        if base.size ** self.deg > size_cap:
+        if not within_cap(base.size, self.deg, size_cap):
             raise RingError(f"quotient ring exceeds size cap {size_cap}")
         F = base.tables
         add, mul = _poly_tables(F.add, F.mul, F.neg, modulus)
@@ -401,17 +406,6 @@ _ATOM = re.compile(r"gf\((\d+)(?:\^(\d+))?\)(?:\[x\]/\(([^()]*)\))?(x(?=gf\())?"
 _TERM = re.compile(r"([+-]*)(?:(\d+)\*?)?(x(?:\^(\d+))?)?")
 
 
-def _prime_power(q: int) -> tuple[int, int] | None:
-    """(p, k) with p prime and p ** k == q, or None."""
-    if q < 2:
-        return None
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k = 0
-    while q % p == 0:
-        q, k = q // p, k + 1
-    return (p, k) if q == 1 else None
-
-
 def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     text = spec_text.lower().replace(" ", "")
 
@@ -423,9 +417,6 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
             return int(digits)
         except ValueError:  # past Python's limit on digits in an int string
             fail(f"number too long ({len(digits)} digits)")
-
-    def within_cap(q, k):  # q ** k <= size_cap, never computing a huge power
-        return q < 2 or (k <= size_cap.bit_length() and q ** k <= size_cap)
 
     def terms(poly):  # {exponent: integer coefficient}
         coeffs, sign, pos = {}, 1, 0
@@ -453,13 +444,13 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
         fail(f"unexpected input at position {pos}")
     factors = []
     for q, k, coeffs in atoms:
-        if q > size_cap or not within_cap(q, k):
+        if q > size_cap or not within_cap(q, k, size_cap):
             raise RingError(f"GF({q}^{k}) exceeds size cap {size_cap}")
         if not (pk := _prime_power(q)) or (k != 1 and pk[1] != 1):
             fail(f"{q} is not {'a prime power' if k == 1 else 'prime'}")
         ring = GaloisField(pk[0], pk[1] * k, size_cap=size_cap)
         if coeffs is not None:
-            if not within_cap(ring.size, deg := max(coeffs)):
+            if not within_cap(ring.size, deg := max(coeffs), size_cap):
                 raise RingError(f"quotient ring exceeds size cap {size_cap}")
             # integer c mod p lifts to c * 1, the element of index c
             f = tuple(coeffs.get(i, 0) % ring.p for i in range(deg + 1))

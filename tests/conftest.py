@@ -15,6 +15,12 @@ def record_acceptance(num, title, ok, detail=""):
     return ok
 
 
+def counterparts(pmap, p):
+    """The Jacobson counterparts of p: the other points of its fibre under
+    an induced point map."""
+    return {q for q, image in pmap.items() if image == pmap[p] and q != p}
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_RESULTS:
         terminalreporter.section("acceptance criteria")

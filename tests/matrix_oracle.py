@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ringline.entangle import EntangleError, StabilizerGroup, joint_eigenbasis
+from ringline.entangle import EntangleError, context_generators
 from ringline.pauli import PauliError, PauliObservable
 
 
@@ -128,11 +128,21 @@ def to_matrix(p: PauliObservable, cap: int = 4) -> GaussMat:
     return _word_matrix(p.word).times_i_power(p.phase)
 
 
-def projector(state: StabilizerGroup) -> GaussMat:
-    """2^n times the rank-one projector onto the stabilized state."""
-    dim = 2 ** state.n
+def signed_states(context) -> list[list[tuple[PauliObservable, int]]]:
+    """The 2^n joint eigenstates of a maximal context, each as its n
+    (generator, sign) pairs over ``context_generators``, in sign-pattern
+    order: state b flips the sign of generator i when bit i of b is set."""
+    gens = context_generators(context)
+    return [[(g, -1 if b >> i & 1 else 1) for i, g in enumerate(gens)]
+            for b in range(2 ** len(gens))]
+
+
+def projector(state: list[tuple[PauliObservable, int]]) -> GaussMat:
+    """2^n times the rank-one projector onto the state stabilized by the
+    signed generators."""
+    dim = 2 ** state[0][0].n
     p = GaussMat.identity(dim)
-    for g, sign in state.generators:
+    for g, sign in state:
         p = p @ (GaussMat.identity(dim) + to_matrix(g).scaled(sign))
     # accumulated product of n factors (I + sG)/... carries 2^n scale
     return p
@@ -140,9 +150,9 @@ def projector(state: StabilizerGroup) -> GaussMat:
 
 def overlap_table_oracle(context_a, context_b) -> list[list[Fraction]]:
     """|<a_i|b_j>|^2 as Tr(P_a P_b) of the integer-scaled projectors."""
-    basis_a = joint_eigenbasis(context_a)
-    basis_b = joint_eigenbasis(context_b)
-    denom = 4 ** basis_a[0].n
+    basis_a = signed_states(context_a)
+    basis_b = signed_states(context_b)
+    denom = 4 ** len(basis_a[0])
     table = []
     for sa in basis_a:
         pa = projector(sa)
@@ -156,14 +166,15 @@ def overlap_table_oracle(context_a, context_b) -> list[list[Fraction]]:
     return table
 
 
-def bipartite_entropy_oracle(state: StabilizerGroup, part_a: set[int]) -> int:
+def bipartite_entropy_oracle(state: list[tuple[PauliObservable, int]],
+                             part_a: set[int]) -> int:
     """Reduced-density-matrix oracle: entropy = log2 rank(rho_A).
 
     Valid because stabilizer reduced states have flat spectra; the flatness
     is not assumed silently -- rho_A^2 is checked to be rho_A / rank up to
     the integer scaling used here.
     """
-    n = state.n
+    n = state[0][0].n
     part_a = set(part_a)
     proj = projector(state)  # 2^n * rho
     keep = sorted(part_a)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import ringline as rl
-from conftest import record_acceptance
-from matrix_oracle import bipartite_entropy_oracle
+from conftest import counterparts, record_acceptance
+from matrix_oracle import bipartite_entropy_oracle, signed_states
 from ringline import cli
 from ringline import correspond as co
 from ringline.magic import SQUARE_WORDS, _grid_canonical
@@ -97,8 +97,8 @@ def test_criterion_05_neighbourhood(club_catalog):
     ok = rl.neighbourhood(club_catalog, base) == layout - {base}
     hom = co.club_to_tilde_hom()
     tilde_cat = rl.enumerate_points(hom.target)
-    other = rl.jacobson_counterpart(base, hom, club_catalog, tilde_cat)
-    ok &= {str(p) for p in other} == {"(1,x^2+x)"}
+    pmap = rl.induced_point_map(hom, club_catalog, tilde_cat)
+    ok &= {str(p) for p in counterparts(pmap, base)} == {"(1,x^2+x)"}
     check(5, "neighbourhood of (1,0) is the nine layout points; "
              "counterpart (1,x^2+x)", ok)
 
@@ -109,14 +109,13 @@ def test_criterion_06_ten_point_structure(club_catalog):
     subs = rl.distinguished_subsets(club_catalog)
     hom = co.club_to_tilde_hom()
     tilde_cat = rl.enumerate_points(hom.target)
-    counterparts = set()
+    pmap = rl.induced_point_map(hom, club_catalog, tilde_cat)
+    others = set()
     for p in subs["gf2_subline"]:
-        counterparts |= rl.jacobson_counterpart(p, hom, club_catalog,
-                                                tilde_cat)
+        others |= counterparts(pmap, p)
     layout = {club_catalog.point_by_str(f"({a},{b})")
               for a, b in co.JACOBSON_LAYOUT}
-    ok = layout == subs["gf2_subline"] | counterparts | \
-        subs["both_zero_divisor"]
+    ok = layout == subs["gf2_subline"] | others | subs["both_zero_divisor"]
     stars = dict(co.edge_star_points("jacobson"))
     strs = {k: tuple(str(p) for p in v) for k, v in stars.items()}
     ok &= strs["edge top/lower-left"] == ("(1,1)",)
@@ -187,13 +186,15 @@ def test_criterion_09_oracle_equivalence():
                 mats[p.word] @ mats[q.word], mats[q.word] @ mats[p.word])
     for name in ("mermin_square", "mermin_pentagram"):
         cfg = rl.builtin(name)
-        parts = [set(c) for size in range(1, cfg.n)
+        parts = [c for size in range(1, cfg.n)
                  for c in itertools.combinations(range(1, cfg.n + 1), size)]
         for ci in range(len(cfg.contexts)):
-            for state in rl.joint_eigenbasis(cfg.context_ops(ci)):
+            ops = cfg.context_ops(ci)
+            entropies = rl.classify_context(ops).entropies
+            for b, state in enumerate(signed_states(ops)):
                 for part in parts:
-                    ok &= rl.bipartite_entropy(state, part) == \
-                        bipartite_entropy_oracle(state, part)
+                    ok &= entropies[b][part] == \
+                        bipartite_entropy_oracle(state, set(part))
     check(9, "algebra agrees with the matrix oracle; entropies with the "
              "density-matrix oracle (n <= 3)", ok)
 

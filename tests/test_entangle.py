@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringline as rl
-from matrix_oracle import (bipartite_entropy_oracle, overlap_table_oracle,
-                           projector)
+from matrix_oracle import (GaussMat, bipartite_entropy_oracle,
+                           overlap_table_oracle, projector, signed_states)
 from ringline import gf2
-from ringline.entangle import EntangleError
+from ringline.entangle import EntangleError, context_generators
 from ringline.pauli import PauliObservable, all_words, symplectic_rows
 
 
@@ -44,46 +44,21 @@ def _maximal_context(draw, n):
                 return chosen
 
 
-# --- stabilizer groups ------------------------------------------------------
-
-def test_stabilizer_group_rejects_dependent_generators():
-    with pytest.raises(EntangleError):
-        rl.StabilizerGroup(2, ((PauliObservable("XI"), 1),
-                               (PauliObservable("XI"), -1)))
-
-
-def test_stabilizer_group_rejects_noncommuting_generators():
-    with pytest.raises(EntangleError):
-        rl.StabilizerGroup(1, ((PauliObservable("X"), 1),
-                               (PauliObservable("Z"), 1)))
-
-
-@pytest.mark.parametrize("generators, message", [
-    pytest.param(((PauliObservable("XI"), 5),),
-                 "generator XI has 2 qubit(s), not 3", id="qubit-count"),
-    pytest.param(((PauliObservable("XII"), 1), (PauliObservable("IZI"), 0)),
-                 "generator IZI has sign 0, not +1 or -1", id="sign"),
-])
-def test_stabilizer_group_rejects_malformed_generators(generators, message):
-    with pytest.raises(EntangleError) as refused:
-        rl.StabilizerGroup(3, generators)
-    assert str(refused.value) == message
-
+# --- eigenbases -------------------------------------------------------------
 
 def test_joint_eigenbasis_needs_full_rank():
     with pytest.raises(EntangleError):
-        rl.joint_eigenbasis(_ops("XI"))
+        context_generators(_ops("XI"))
 
 
 def test_joint_eigenbasis_projectors_resolve_identity():
-    basis = rl.joint_eigenbasis(_ops("XX", "YY", "ZZ"))
+    basis = signed_states(_ops("XX", "YY", "ZZ"))
     assert len(basis) == 4
     total = projector(basis[0])
     for state in basis[1:]:
         total = total + projector(state)
     # sum of the four rank-one projectors, each carried at 4x scale
-    ident = projector(rl.StabilizerGroup(2, ()))
-    assert total == ident.scaled(4)
+    assert total == GaussMat.identity(4).scaled(4)
 
 
 # --- entropy: primary path vs density-matrix oracle -------------------------
@@ -91,32 +66,23 @@ def test_joint_eigenbasis_projectors_resolve_identity():
 def test_entropy_matches_oracle_everywhere():
     for ops in _all_contexts():
         n = ops[0].n
-        parts = [set(c) for size in range(1, n)
+        parts = [c for size in range(1, n)
                  for c in itertools.combinations(range(1, n + 1), size)]
-        for state in rl.joint_eigenbasis(ops):
+        entropies = rl.classify_context(ops).entropies
+        for b, state in enumerate(signed_states(ops)):
             for part in parts:
-                assert rl.bipartite_entropy(state, part) == \
-                    bipartite_entropy_oracle(state, part)
+                assert entropies[b][part] == \
+                    bipartite_entropy_oracle(state, set(part))
 
 
 def test_entropy_examples():
-    bell = rl.joint_eigenbasis(_ops("XX", "ZZ"))[0]
-    assert rl.bipartite_entropy(bell, {1}) == 1
-    product = rl.joint_eigenbasis(_ops("XI", "IX"))[0]
-    assert rl.bipartite_entropy(product, {1}) == 0
-    ghz = rl.joint_eigenbasis(_ops("XXX", "ZZI", "IZZ"))[0]
-    for part in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}):
-        assert rl.bipartite_entropy(ghz, part) == 1
-
-
-def test_entropy_rejects_improper_bipartition():
-    bell = rl.joint_eigenbasis(_ops("XX", "ZZ"))[0]
-    with pytest.raises(EntangleError):
-        rl.bipartite_entropy(bell, set())
-    with pytest.raises(EntangleError):
-        rl.bipartite_entropy(bell, {1, 2})
-    with pytest.raises(EntangleError):
-        rl.bipartite_entropy(bell, {3})
+    bell = rl.classify_context(_ops("XX", "ZZ")).entropies[0]
+    assert bell[(1,)] == 1
+    product = rl.classify_context(_ops("XI", "IX")).entropies[0]
+    assert product[(1,)] == 0
+    ghz = rl.classify_context(_ops("XXX", "ZZI", "IZZ")).entropies[0]
+    for part in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
+        assert ghz[part] == 1
 
 
 # --- classification ---------------------------------------------------------
@@ -155,7 +121,7 @@ def _entropies_match_oracle_per_state(ops):
     n = ops[0].n
     cls = rl.classify_context(ops)
     assert len(cls.entropies) == 2 ** n
-    for table, state in zip(cls.entropies, rl.joint_eigenbasis(ops)):
+    for table, state in zip(cls.entropies, signed_states(ops)):
         assert table == {part: bipartite_entropy_oracle(state, set(part))
                          for size in range(1, n)
                          for part in itertools.combinations(range(1, n + 1),

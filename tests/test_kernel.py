@@ -8,11 +8,13 @@ Random rings are GF(p^k)[x]/(f) for random monic f, Galois fields and
 two-factor products, all of at most 32 elements.  The sweep covers every
 monic f over every GF(q) with q^deg f <= 32, and every two-factor product
 of at most 32 elements whose factors are fields or quotients of degree >= 2
-(a degree-1 quotient is a relabelled field).
+(a degree-1 quotient is a relabelled field).  Four larger fields, up to
+256 elements, are checked on a seeded sample of pairs.
 """
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,19 @@ def test_tables_match_payload_arithmetic(ring):
             assert els[t.add[i, j]] == payload.add(a, b)
             assert els[t.mul[i, j]] == payload.mul(a, b)
     assert {els[i] for i in ring.units()} == oracle_units(payload)
+
+
+@pytest.mark.parametrize("spec", ["gf(64)", "gf(128)", "gf(243)", "gf(256)"])
+def test_large_field_tables_match_payload_on_sampled_pairs(spec):
+    ring = rl.build_ring(spec)
+    t, payload = ring.tables, PayloadRing(ring)
+    els = payload.elements()
+    rng = random.Random(ring.size)
+    for _ in range(2000):
+        i, j = rng.randrange(ring.size), rng.randrange(ring.size)
+        assert els[t.neg[i]] == payload.neg(els[i])
+        assert els[t.add[i, j]] == payload.add(els[i], els[j])
+        assert els[t.mul[i, j]] == payload.mul(els[i], els[j])
 
 
 @settings(max_examples=20, deadline=None)

@@ -36,24 +36,6 @@ def oracle_matrix(p):
 
 # --- construction and parsing ----------------------------------------------
 
-def test_make_pauli_forms():
-    assert rl.make_pauli("XYI", 3).word == "XYI"
-    assert rl.make_pauli("x1 y2", 3).word == "XYI"
-    assert rl.make_pauli("Y3", 3).word == "IIY"
-    assert rl.make_pauli("", 2).word == "II"
-
-
-def test_make_pauli_errors():
-    with pytest.raises(PauliError):
-        rl.make_pauli("XY", 3)  # wrong length
-    with pytest.raises(PauliError):
-        rl.make_pauli("X0", 2)  # index out of range
-    with pytest.raises(PauliError):
-        rl.make_pauli("X1 Y1", 2)  # qubit specified twice
-    with pytest.raises(PauliError):
-        rl.PauliObservable("AB")
-
-
 def _all_phased(n_max):
     return [rl.PauliObservable(p.word, k)
             for n in range(1, n_max + 1)

@@ -16,6 +16,7 @@ import ringline as rl
 from ringline.correspond import (JACOBSON_LAYOUT, NEIGHBOURHOOD_LAYOUT,
                                  club_to_tilde_hom)
 from ringline.projline import LineError, ProjPoint, catalog_dot
+from conftest import counterparts
 from ring_oracle import PayloadRing, is_admissible_componentwise, oracle_unimodular
 
 
@@ -156,13 +157,13 @@ def test_ten_point_layout_is_union_of_distinguished_sets(club_catalog):
     subs = rl.distinguished_subsets(club_catalog)
     hom = club_to_tilde_hom()
     tilde_cat = rl.enumerate_points(hom.target)
-    counterparts = set()
+    pmap = rl.induced_point_map(hom, club_catalog, tilde_cat)
+    others = set()
     for p in subs["gf2_subline"]:
-        counterparts |= rl.jacobson_counterpart(p, hom, club_catalog, tilde_cat)
+        others |= counterparts(pmap, p)
     layout = {club_catalog.point_by_str(f"({a},{b})")
               for a, b in JACOBSON_LAYOUT}
-    assert layout == \
-        subs["gf2_subline"] | counterparts | subs["both_zero_divisor"]
+    assert layout == subs["gf2_subline"] | others | subs["both_zero_divisor"]
 
 
 # --- induced point maps -----------------------------------------------------
@@ -225,10 +226,10 @@ def test_induced_map_refuses_the_first_inadmissible_image(r_club, club_catalog):
 def test_jacobson_counterparts(club_catalog):
     hom = club_to_tilde_hom()
     tilde_cat = rl.enumerate_points(hom.target)
+    pmap = rl.induced_point_map(hom, club_catalog, tilde_cat)
     def other(s):
-        p = club_catalog.point_by_str(s)
         return {str(q) for q in
-                rl.jacobson_counterpart(p, hom, club_catalog, tilde_cat)}
+                counterparts(pmap, club_catalog.point_by_str(s))}
     assert other("(1,0)") == {"(1,x^2+x)"}
     assert other("(0,1)") == {"(x^2+x,1)"}
     assert other("(1,1)") == {"(1,x^2+x+1)"}
@@ -238,8 +239,9 @@ def test_jacobson_counterpart_trivial_over_field(gf4):
     cat = rl.enumerate_points(gf4)
     _, hom = rl.quotient_by_radical(gf4)
     qcat = rl.enumerate_points(hom.target)
+    pmap = rl.induced_point_map(hom, cat, qcat)
     for p in cat.points:
-        assert rl.jacobson_counterpart(p, hom, cat, qcat) == set()
+        assert counterparts(pmap, p) == set()
 
 
 # --- export -----------------------------------------------------------------

@@ -6,6 +6,7 @@ with the package.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ def test_build_ring_errors():
         rl.GaloisField(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(RingError):
         build_ring("gf(2)[x]/(x^9)", size_cap=256)  # 512 elements
+
+
+def test_field_over_the_cap_is_refused_before_any_big_work():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RingError, match="size cap"):
+            rl.GaloisField(3, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10  # 3 ** 10**6 alone is a 1.6-million-bit int
+    # a trial division up to the square root of this prime runs for minutes
+    with pytest.raises(RingError, match="size cap"):
+        rl.GaloisField(2 ** 61 - 1)
 
 
 def test_structural_equality():
