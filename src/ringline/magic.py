@@ -68,46 +68,78 @@ class Configuration:
         if not self.context_labels:
             object.__setattr__(self, "context_labels",
                                _default_labels(len(self.contexts)))
+        elif len(self.context_labels) != len(self.contexts):
+            raise ConfigError(f"{len(self.context_labels)} context label(s) "
+                              f"for {len(self.contexts)} context(s)")
+
+    def _with_observables(self, observables: tuple) -> Configuration:
+        """This configuration with as many other observables in its places.
+
+        Nothing is validated again: the contexts, checked when this one was
+        built, index the same number of observables.
+        """
+        if len(observables) != len(self.observables):
+            raise ConfigError(f"{len(observables)} observable(s) in place "
+                              f"of {len(self.observables)}")
+        out = object.__new__(Configuration)
+        put = object.__setattr__
+        put(out, "n", self.n)
+        put(out, "observables", observables)
+        put(out, "contexts", self.contexts)
+        put(out, "geometry", self.geometry)
+        put(out, "context_labels", self.context_labels)
+        return out
 
     def context_ops(self, ci: int) -> list[PauliObservable]:
         return [self.observables[i] for i in self.contexts[ci]]
 
     def structural_errors(self) -> list[str]:
-        n, observables, contexts = self.n, self.observables, self.contexts
-        words = set()
-        phased = mismatched = False
-        for o in observables:
-            words.add((o.n, o.x, o.z))
-            phased = phased or o.phase != 0
-            mismatched = mismatched or o.n != n
-        errs = []
-        if len(words) != len(observables):
-            errs.append("duplicate observable")
-        if phased:
-            errs.append("observables must have phase 0")
-        if mismatched:
-            errs.append("observable qubit-count mismatch")
-        if self.geometry == "square":
-            name, m, c, size, twice = ("square", 9, 6, 3,
-                                       "one row and one column")
-        elif self.geometry == "pentagram":
-            name, m, c, size, twice = ("pentagram", 10, 5, 4,
-                                       "exactly 2 contexts")
-        else:
-            return errs
-        if len(observables) != m or len(contexts) != c:
-            errs.append(f"{name} needs {m} observables in {c} contexts")
-            return errs
-        counts = [0] * m
-        for ctx in contexts:
-            if len(ctx) != size:
-                errs.append(f"{name} contexts must have size {size}")
-                return errs
-            for i in ctx:
-                counts[i] += 1
-        if counts.count(2) != m:
-            errs.append(f"each {name} observable lies in {twice}")
-        return errs
+        return (_observable_errors(self.n, _word_keys(self.observables))
+                + _shape_errors(self.geometry, len(self.observables),
+                                self.contexts))
+
+
+def _word_keys(observables) -> list[tuple[int, int, int, int]]:
+    """Each observable as its (n, x, z, phase), the fields of its equality."""
+    return [(o.n, o.x, o.z, o.phase) for o in observables]
+
+
+def _observable_errors(n: int, keys: list[tuple]) -> list[str]:
+    """The structural errors of n-qubit observables given by their
+    ``_word_keys``: a duplicate word, a phase, another qubit count."""
+    errs = []
+    phased = any([k[3] for k in keys])
+    # with no phases the keys are the words themselves
+    if len({k[:3] for k in keys} if phased else set(keys)) != len(keys):
+        errs.append("duplicate observable")
+    if phased:
+        errs.append("observables must have phase 0")
+    if any([k[0] != n for k in keys]):
+        errs.append("observable qubit-count mismatch")
+    return errs
+
+
+def _shape_errors(geometry: str, m: int, contexts) -> list[str]:
+    """The structural errors of m observables in `contexts` for a geometry."""
+    if geometry == "square":
+        name, want, c, size, twice = ("square", 9, 6, 3,
+                                      "one row and one column")
+    elif geometry == "pentagram":
+        name, want, c, size, twice = ("pentagram", 10, 5, 4,
+                                      "exactly 2 contexts")
+    else:
+        return []
+    if m != want or len(contexts) != c:
+        return [f"{name} needs {want} observables in {c} contexts"]
+    counts = [0] * m
+    for ctx in contexts:
+        if len(ctx) != size:
+            return [f"{name} contexts must have size {size}"]
+        for i in ctx:
+            counts[i] += 1
+    if counts.count(2) != m:
+        return [f"each {name} observable lies in {twice}"]
+    return []
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +203,7 @@ def infer_contexts(observables: list[PauliObservable],
 
 def builtin(name: str) -> Configuration:
     if name == "mermin_square":
-        return _grid_config(SQUARE_WORDS)
+        return _grid_config(tuple(PauliObservable(w) for w in SQUARE_WORDS))
     if name == "mermin_pentagram":
         obs = tuple(PauliObservable(w) for w in PENTAGRAM_WORDS)
         inferred = {frozenset(c) for c in infer_contexts(list(obs), 4)}
@@ -195,51 +227,94 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
 def verify_many(configs) -> list[VerificationReport]:
     """``verify_magic`` of each configuration, in order.
 
-    Each configuration gets its own structural check, commutation test
-    and context signs from its words.  Configurations with the same
-    observable count, context masks and signs pose the same BKS system,
-    so they share one decision (and its ``BksResult``), made by
-    ``bks_decide`` on the first of them.  Equal context reports are one
-    object.  Nothing is kept between calls.
+    Each configuration gets its own structural check and is read from its
+    own words: each context is keyed by its observables in order, as
+    (n, x, z, phase).  Within one call, every distinct key gets one
+    commutation test and one sign, shared by all the contexts that have
+    it; every distinct tuple of contexts gets its masks and its shape
+    check once.  Configurations with the same observable count, context
+    masks and signs pose the same BKS system, so they share one decision
+    (and its ``BksResult``), made by ``bks_decide`` on the first of them.
+    Equal context reports are one object.  Nothing is kept between calls.
     """
-    decided = {}  # (observable count, masks, signs) -> BksResult
+    # (geometry, observable count, contexts) -> (masks, pickers, shape errors)
+    shapes = {}
+    pickers = {}  # context -> its picker, one per distinct context
+    known = {}  # context key -> the first equal key, the one kept
+    checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
+    reported = {}  # (label, context key) -> the one ContextReport
+    decided = {}  # (observable count, masks, signs) -> BksResult
     out = []
     for cfg in configs:
-        errs = tuple(cfg.structural_errors())
-        observables, labels = cfg.observables, cfg.context_labels
+        observables, contexts = cfg.observables, cfg.contexts
+        shape_key = (cfg.geometry, len(observables), contexts)
+        shape = shapes.get(shape_key)
+        if shape is None:
+            for ctx in contexts:
+                if ctx not in pickers:
+                    pickers[ctx] = _picker(ctx)
+            shape = shapes[shape_key] = (
+                tuple([_mask(ctx) for ctx in contexts]),
+                [pickers[ctx] for ctx in contexts],
+                _shape_errors(*shape_key))
+        masks, picks, shape_errs = shape
+        keys = _word_keys(observables)
+        errs = tuple(_observable_errors(cfg.n, keys) + shape_errs)
         reports = []
-        masks = []
         signs = []
-        for ci, ctx in enumerate(cfg.contexts):
-            masks.append(_mask(ctx))
-            ops = [observables[i] for i in ctx]
-            try:
-                comm = anticommuting_pair(ops) is None
-                note = "" if comm else "not pairwise commuting"
-            except PauliError as e:  # qubit counts differ: a structural error
-                comm, note = False, str(e)
-            sign = None
-            if comm:
-                try:
-                    sign = scalar_sign(ops)
-                except PauliError as e:
-                    note = str(e)
-            signs.append(sign)
-            fields = (labels[ci], comm, sign, note)
-            report = made.get(fields)
+        for label, ctx, pick in zip(cfg.context_labels, contexts, picks):
+            key = pick(keys)
+            report = reported.get((label, key))
             if report is None:
-                report = made[fields] = ContextReport(*fields)
+                key = known.setdefault(key, key)  # kept once, not per label
+                fields = (label, *_context_check(checked, key, ctx,
+                                                 observables))
+                report = made.get(fields)
+                if report is None:
+                    report = made[fields] = ContextReport(*fields)
+                reported[label, key] = report
             reports.append(report)
+            signs.append(report.sign)
         bks = None
         if None not in signs:
-            key = (len(observables), tuple(masks), tuple(signs))
-            bks = decided.get(key)
+            decision = (len(observables), masks, tuple(signs))
+            bks = decided.get(decision)
             if bks is None:
-                bks = decided[key] = bks_decide(cfg, signs)
+                bks = decided[decision] = bks_decide(cfg, signs)
         magic = not errs and bks is not None and not bks.colorable
         out.append(VerificationReport(tuple(reports), errs, magic, bks))
     return out
+
+
+def _picker(ctx):
+    """The function from a list to the tuple of its items at ctx's indices."""
+    if len(ctx) == 1:  # itemgetter of one index returns the bare item
+        i, = ctx
+        return lambda items: (items[i],)
+    return operator.itemgetter(*ctx)
+
+
+def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
+    """(commuting, sign, note) of the context ctx, whose words have the
+    ``_word_keys`` key; computed once per key in ``checked``."""
+    check = checked.get(key)
+    if check is not None:
+        return check
+    ops = [observables[i] for i in ctx]
+    try:
+        comm = anticommuting_pair(ops) is None
+        note = "" if comm else "not pairwise commuting"
+    except PauliError as e:  # qubit counts differ: a structural error
+        comm, note = False, str(e)
+    sign = None
+    if comm:
+        try:
+            sign = scalar_sign(ops)
+        except PauliError as e:
+            note = str(e)
+    check = checked[key] = (comm, sign, note)
+    return check
 
 
 def _context_signs(cfg: Configuration) -> list[int]:
@@ -418,12 +493,18 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     closes before c contexts is dropped, so only connected sets are found.
     ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
     sorted index tuples, and whether the search completed.
+
+    The last level is closed by lookup: of its options, the contexts that
+    close the set are those whose mask is the observables covered once.
+    Its options still count as nodes, lowest first, as if placed one by one.
     """
     if not overlaps or not overlaps <= {0, 1}:
         raise ValueError(f"overlaps {overlaps} is not a nonempty subset of {{0, 1}}")
     masks = [m for _, m, _ in contexts]
     holds = {}  # observable's bit -> bitset of the contexts holding it
+    with_mask = {}  # mask -> bitset of the contexts that have it
     for ci, m in enumerate(masks):
+        with_mask[m] = with_mask.get(m, 0) | 1 << ci
         for o in _bits(m):
             holds[1 << o] = holds.get(1 << o, 0) | 1 << ci
     everything = (1 << len(masks)) - 1
@@ -440,28 +521,42 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
         if 1 in overlaps:
             allowed |= share1 & ~share2
         compat.append(allowed & ~(1 << a))
+    through = {}  # observables now covered twice -> the contexts they shut
     found = []
     nodes = 0
     limit = math.inf if budget is None else budget
+    too_many = len(masks) + 1  # more options than there are contexts
 
     def extend(picked: tuple, once: int, allowed: int) -> bool:
         nonlocal nodes
         if picked and not once:
             return True
         if once:  # the first fewest, as min() would pick, lowest bit first
-            options, fewest, rest = 0, -1, once
+            options, fewest, rest = 0, too_many, once
             while rest:
                 low = rest & -rest
                 rest ^= low
                 cands = allowed & holds[low]
                 k = cands.bit_count()
-                if fewest < 0 or k < fewest:
+                if k < fewest:
                     options, fewest = cands, k
                     if not k:
                         break
         else:
             options = allowed
-        last = len(picked) == c - 1  # a context placed here closes the set
+        if len(picked) == c - 1:  # a context placed here closes the set
+            nodes += options.bit_count()
+            over = nodes - limit  # options past the budget, the highest ones
+            closing = options & with_mask.get(once, 0)
+            if over > 0:
+                for _ in range(over):
+                    options ^= 1 << options.bit_length() - 1
+                closing &= options
+            while closing:
+                bit = closing & -closing
+                closing ^= bit
+                found.append(tuple(sorted(picked + (bit.bit_length() - 1,))))
+            return over <= 0
         while options:
             bit = options & -options
             options ^= bit
@@ -470,23 +565,27 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             if nodes > limit:
                 return False
             mask = masks[ci]
-            if last:
-                if once == mask:
-                    found.append(tuple(sorted(picked + (ci,))))
-                continue
-            shut = 0  # contexts through an observable now covered twice
-            twice = once & mask
-            while twice:
-                low = twice & -twice
-                twice ^= low
-                shut |= holds[low]
+            twice = once & mask  # observables now covered twice
+            shut = through.get(twice)  # the contexts through them
+            if shut is None:
+                shut = through[twice] = _through(holds, twice)
             if not extend(picked + (ci,), once ^ mask,
                           allowed & compat[ci] & ~shut):
                 return False
             allowed &= ~bit
         return True
 
-    return found, extend((), 0, everything)
+    complete = extend((), 0, everything)
+    del extend  # it holds itself through its closure: free the tables now
+    return found, complete
+
+
+def _through(holds: dict, observables: int) -> int:
+    """The bitset of the contexts that hold any of the observables."""
+    out = 0
+    for o in _bits(observables):
+        out |= holds[1 << o]
+    return out
 
 
 @dataclass(frozen=True)
@@ -536,16 +635,18 @@ def _grid_canonical(grid: tuple[str, ...]) -> tuple[str, ...]:
     return min(_grid_transforms(grid))
 
 
-def _grid_config(grid: tuple[str, ...]) -> Configuration:
-    return Configuration(2, tuple(PauliObservable(w) for w in grid),
-                         _SQUARE_CONTEXTS, "square", _SQUARE_LABELS)
+def _grid_config(observables: tuple[PauliObservable, ...]) -> Configuration:
+    return Configuration(2, observables, _SQUARE_CONTEXTS, "square",
+                         _SQUARE_LABELS)
 
 
 def search_squares() -> list[Configuration]:
     """Exhaustive two-qubit magic squares, deduplicated up to row/column
     permutation and transposition."""
-    canon = {_grid_canonical(g) for g in _magic_grids(all_words(2))}
-    return [_grid_config(g) for g in sorted(canon)]
+    words = all_words(2)
+    canon = {_grid_canonical(g) for g in _magic_grids(words)}
+    by_word = {w.word: w for w in words}
+    return [_grid_config(tuple([by_word[w] for w in g])) for g in sorted(canon)]
 
 
 def square_orbit_report(words: tuple[str, ...]) -> dict:
@@ -567,8 +668,9 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     results found so far are returned with ``complete=False``.
 
     Every candidate is decided, but candidates whose remapped contexts and
-    signs coincide pose one system, decided once per call; results with
-    the same contexts share one tuple of them.
+    signs coincide pose one system, decided once per call.  The contexts
+    of each shape are validated once, with the first result of that
+    shape; later results share its contexts and differ in observables only.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
@@ -578,14 +680,17 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     # order of their observable tuples, and hold each of its 10 observables
     # twice; renumbering the observables by rank keeps that order, so each
     # row's remapped contexts are already sorted.  Indices < 63 fit int8.
-    pents = np.array(found, dtype=np.intp).reshape(-1, 5)
+    pents = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
+                        count=5 * len(found)).reshape(-1, 5)
     held = np.array([idx for idx, _, _ in contexts],
                     dtype=np.int8)[pents].reshape(-1, 20)
     signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
     obs = np.sort(held, axis=1)[:, ::2]
-    rank = (held[:, :, None] > obs[:, None, :]).sum(axis=2, dtype=np.int8)
+    rank = np.zeros_like(held)  # how many of the row's observables are lower
+    for lower in obs.T[:-1]:
+        rank += held > lower[:, None]
     order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
-    shapes = {}  # remapped contexts, flat -> the one tuple of them
+    shapes = {}  # remapped contexts, flat -> the first result of that shape
     decided = {}  # (remapped contexts, signs) -> colorable
     results = []
     for start in range(0, len(order), 1024):  # lists for 1024 rows at a time
@@ -601,11 +706,14 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
                     list(sign), 10).colorable
             if colorable:
                 continue
-            ctxs = shapes.get(flat)
-            if ctxs is None:
-                ctxs = shapes[flat] = tuple(zip(*[iter(flat)] * 4))
-            results.append(Configuration(
-                3, tuple([words[i] for i in obs_idx]), ctxs, "pentagram"))
+            observables = tuple([words[i] for i in obs_idx])
+            first = shapes.get(flat)
+            if first is None:
+                first = shapes[flat] = Configuration(
+                    3, observables, tuple(zip(*[iter(flat)] * 4)), "pentagram")
+                results.append(first)
+            else:
+                results.append(first._with_observables(observables))
     return SearchOutcome(tuple(results), complete)
 
 

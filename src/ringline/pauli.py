@@ -17,6 +17,7 @@ import functools
 
 LETTERS = "IXYZ"
 _BITS_LETTER = "IXZY"  # indexed by x | z << 1
+_LETTER_MASKS = ((0, 0), (1, 0), (1, 1), (0, 1))  # (x, z) of each of LETTERS
 
 
 @functools.lru_cache(maxsize=4096)
@@ -182,13 +183,19 @@ def scalar_sign(ops: list[PauliObservable]) -> int:
 
 
 def all_words(n: int, include_identity: bool = False) -> list[PauliObservable]:
-    """All phase-0 words on n qubits, sorted by word string."""
-    words = [""]
-    for _ in range(n):
-        words = [w + c for w in words for c in LETTERS]
-    out = [PauliObservable(w) for w in sorted(words)
-           if include_identity or set(w) != {"I"}]
-    return out
+    """All phase-0 words on n qubits, sorted by word string.
+
+    Built from masks, a letter at a time in ``LETTERS`` order, which is
+    the order of the strings.
+    """
+    if n < 1:
+        raise PauliError(f"no words on {n} qubits")
+    masks = [(0, 0)]
+    for j in range(n):  # letter j + 1 is bit j of the masks
+        masks = [(x | lx << j, z | lz << j) for x, z in masks
+                 for lx, lz in _LETTER_MASKS]
+    return [PauliObservable.from_masks(n, x, z) for x, z in masks
+            if include_identity or x | z]
 
 
 def symplectic_rows(ops: list[PauliObservable]) -> list[int]:

@@ -60,6 +60,13 @@ def test_unknown_builtin():
         rl.builtin("nonesuch")
 
 
+@pytest.mark.parametrize("labels", [("row 1",), ("a",) * 7])
+def test_context_labels_must_match_the_contexts(labels):
+    square = rl.builtin("mermin_square")
+    with pytest.raises(rl.ConfigError, match="context label"):
+        Configuration(2, square.observables, square.contexts, "square", labels)
+
+
 # --- BKS decision -----------------------------------------------------------
 
 def test_square_certificate_spans_all_contexts():

@@ -104,6 +104,19 @@ def test_all_words_counts():
     assert words == sorted(words)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("identity", [False, True])
+def test_all_words_match_the_parsed_strings(n, identity):
+    strings = sorted("".join(t) for t in itertools.product(LETTERS, repeat=n))
+    assert all_words(n, identity) == [rl.PauliObservable(w) for w in strings
+                                      if identity or set(w) != {"I"}]
+
+
+def test_all_words_needs_a_qubit():
+    with pytest.raises(PauliError):
+        all_words(0)
+
+
 # --- algebra vs the matrix oracle ------------------------------------------
 
 def test_single_qubit_products():

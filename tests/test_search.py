@@ -139,6 +139,22 @@ def test_cover_twice_matches_subset_scan(family):
     assert (found, complete) == ref_cover_twice(contexts, c, overlaps)[:2]
 
 
+@settings(max_examples=60, deadline=None)
+@given(context_families(), st.data())
+def test_cover_twice_cuts_every_budget_as_the_reference(family, data):
+    """The last level counts its options as nodes all at once; the cut
+    inside it must fall where the reference's node-by-node count falls,
+    also when contexts share a mask."""
+    masks, c, overlaps = family
+    masks = masks + data.draw(st.lists(st.sampled_from(masks), min_size=1,
+                                       max_size=4))
+    contexts = [((), mask, 1) for mask in masks]
+    _, _, nodes = ref_cover_twice(contexts, c, overlaps)
+    for budget in range(nodes + 1):
+        assert _cover_twice(contexts, c, overlaps, budget) == \
+            ref_cover_twice(contexts, c, overlaps, budget)[:2]
+
+
 # (qubits, context size, contexts per set, allowed overlaps) of each search
 SEARCHES = {"pentagrams": (3, 4, 5, {1}), "squares": (2, 3, 6, {0, 1})}
 
@@ -321,9 +337,68 @@ def test_shared_verify_decisions_still_cross_check(monkeypatch,
         rl.verify_magic(results[0])
 
 
+def _mixed_batch():
+    """Configurations whose contexts share words, labels, or neither."""
+    square = rl.builtin("mermin_square")
+    words = square.observables
+    phased = words[:8] + (PauliObservable("ZZ", 2),)  # -ZZ flips two signs
+    x, y = PauliObservable("X"), PauliObservable("Y")
+    xi, ix, xx, zi = (PauliObservable(w) for w in ("XI", "IX", "XX", "ZI"))
+    return [
+        square,
+        rl.Configuration(2, words, square.contexts, "square"),  # other labels
+        rl.Configuration(2, phased, square.contexts, "square"),
+        rl.Configuration(1, (x, y), ((0, 1),), "custom"),  # not commuting
+        rl.Configuration(2, (xi, ix, xx, zi), ((0, 1), (0, 1, 2), (0, 3)),
+                         "custom"),  # XI IX is no scalar
+        rl.Configuration(2, (xi, ix, PauliObservable("XXX")),
+                         ((0, 1, 2), (0, 1)), "custom"),  # mixed qubit counts
+        rl.Configuration(2, words[3:6] + words[:3], ((3, 4, 5), (0, 1, 2)),
+                         "custom", ("row 1", "again")),
+        square,
+    ]
+
+
 def test_verify_many_matches_one_at_a_time(pentagram_search):
-    for results in (rl.search_squares(), pentagram_search.results[::97]):
+    batch = _mixed_batch()
+    for results in (rl.search_squares(), pentagram_search.results[::97],
+                    batch, batch[::-1]):
         assert rl.verify_many(results) == [rl.verify_magic(c) for c in results]
+
+
+def _word_key(ops):
+    return tuple((o.n, o.x, o.z, o.phase) for o in ops)
+
+
+def test_verify_many_checks_each_distinct_context_once(monkeypatch,
+                                                       pentagram_search):
+    """Commutation and sign run once per distinct context words per call,
+    also across labels; nothing is kept for the next call."""
+    results = list(pentagram_search.results) + _mixed_batch()
+    pairs = _counting(monkeypatch, "anticommuting_pair")
+    signs = _counting(monkeypatch, "scalar_sign")
+    reports = rl.verify_many(results)
+    keys = {_word_key(cfg.context_ops(ci))
+            for cfg in results for ci in range(len(cfg.contexts))}
+    assert sorted(_word_key(ops) for ops, in pairs) == sorted(keys)
+    commuting = {_word_key(cfg.context_ops(ci))
+                 for cfg, report in zip(results, reports)
+                 for ci, ctx in enumerate(report.contexts) if ctx.commuting}
+    assert sorted(_word_key(ops) for ops, in signs) == sorted(commuting)
+    assert len(keys) > 945 and len(commuting) > 945
+    rl.verify_many(results[:1])
+    assert len(pairs) == len(keys) + 5
+
+
+def test_search_results_are_valid_configurations(pentagram_search):
+    """Results after the first of a shape skip validation; built afresh
+    they are equal."""
+    for cfg in pentagram_search.results[::97]:
+        assert rl.Configuration(cfg.n, cfg.observables, cfg.contexts,
+                                cfg.geometry) == cfg
+    first = pentagram_search.results[0]
+    with pytest.raises(rl.ConfigError):
+        first._with_observables(first.observables[:9])
 
 
 def _counting(monkeypatch, name):
