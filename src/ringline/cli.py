@@ -154,7 +154,8 @@ def _grid(cells: list[str], ncols: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners; each returns (data, text_lines, dot or None, claims)
+# subcommand runners; each returns (data, text_lines, dot or None, claims),
+# and main appends the claims to the data and the text
 
 
 def run_ring(args):
@@ -227,7 +228,6 @@ def run_line(args):
     if args.format == "dot":
         dot = pl.catalog_dot(catalog, pl.NEIGHBOUR if args.graph == "neighbour"
                              else pl.DISTANT)
-    _finish_claims(claims, data, lines)
     return data, lines, dot, claims
 
 
@@ -289,7 +289,6 @@ def run_verify(args):
     lines.append(f"magic: {report.magic}")
     if data["bks"]:
         lines += _bks_lines(data["bks"])
-    _finish_claims(claims, data, lines)
     return data, lines, None, claims
 
 
@@ -358,7 +357,6 @@ def run_search(args):
             "arrangements of the built-in square's nine observables: "
             f"{orbit['arrangements']} in {orbit['orbits']} orbit(s) of sizes "
             f"{orbit['orbit_sizes']} under row/column permutation + transpose")
-    _finish_claims(claims, data, lines)
     return data, lines, None, claims
 
 
@@ -428,7 +426,6 @@ def run_entangle(args):
         lines.append(f"{p['contexts'][0]} vs {p['contexts'][1]}: "
                      + ("mutually unbiased" if p["mutually_unbiased"]
                         else "not mutually unbiased"))
-    _finish_claims(claims, data, lines)
     return data, lines, None, claims
 
 
@@ -501,7 +498,6 @@ def run_correspond(args):
             claims.expect("jacobson: the horizontal edge has no star point",
                           by_label["horizontal"] == ())
     dot = _correspond_dot(bij, cmp) if args.format == "dot" else None
-    _finish_claims(claims, data, lines)
     return data, lines, dot, claims
 
 
@@ -575,7 +571,6 @@ def run_map(args):
                      "image(s): " + " ".join(entry["images"]))
     lines.append("overall image: " + " ".join(data["overall_image"]))
     lines.append("distant to (1,1): " + " ".join(data["distant_to_(1,1)"]))
-    _finish_claims(claims, data, lines)
     return data, lines, None, claims
 
 
@@ -665,6 +660,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
         data, lines, dot, claims = _RUNNERS[args.command](args)
+        _finish_claims(claims, data, lines)
         body = _render(data, lines, args.format, dot)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as f:

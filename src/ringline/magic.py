@@ -5,8 +5,9 @@ A *context* is a pairwise-commuting set of observables whose product is
 +-identity.  A configuration is *magic* when no +-1 valuation of its
 observables reproduces every context sign; non-colorability is certified
 by a parity argument (a subset of contexts covering every observable an
-even number of times while the signs multiply to -1) and double-checked by
-brute force over all assignments.
+even number of times while the signs multiply to -1).  One GF(2)
+elimination returns either a valuation or such a certificate, and each
+answer is checked as the proof it is before it is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ConfigError(ValueError):
 
 
 class DeciderDisagreement(RuntimeError):
-    """The exhaustive and GF(2) BKS deciders disagreed; a bug, never policy."""
+    """A BKS answer failed its proof check; a bug, never policy."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -240,10 +241,8 @@ def verify_many(configs) -> list[VerificationReport]:
     # (geometry, observable count, contexts) -> (masks, pickers, shape errors)
     shapes = {}
     pickers = {}  # context -> its picker, one per distinct context
-    known = {}  # context key -> the first equal key, the one kept
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
-    reported = {}  # (label, context key) -> the one ContextReport
     decided = {}  # (observable count, masks, signs) -> BksResult
     out = []
     for cfg in configs:
@@ -264,16 +263,11 @@ def verify_many(configs) -> list[VerificationReport]:
         reports = []
         signs = []
         for label, ctx, pick in zip(cfg.context_labels, contexts, picks):
-            key = pick(keys)
-            report = reported.get((label, key))
+            fields = (label, *_context_check(checked, pick(keys), ctx,
+                                             observables))
+            report = made.get(fields)
             if report is None:
-                key = known.setdefault(key, key)  # kept once, not per label
-                fields = (label, *_context_check(checked, key, ctx,
-                                                 observables))
-                report = made.get(fields)
-                if report is None:
-                    report = made[fields] = ContextReport(*fields)
-                reported[label, key] = report
+                report = made[fields] = ContextReport(*fields)
             reports.append(report)
             signs.append(report.sign)
         bks = None
@@ -330,52 +324,6 @@ def _mask(ctx) -> int:
     return mask
 
 
-@functools.cache
-def _parities(m: int) -> tuple[int, ...]:
-    """For each i < m, the 2^m-bit integer whose bit e is bit i of e.
-
-    Each is built by doubling a block of 2^i zeros then 2^i ones; the
-    cache holds at most 210 of them (i < m <= 20), about 5 MB.
-    """
-    out = []
-    for i in range(m):
-        width = 1 << i
-        p = ((1 << width) - 1) << width
-        width <<= 1
-        while width < 1 << m:
-            p |= p << width
-            width <<= 1
-        out.append(p)
-    return tuple(out)
-
-
-def _exhaustive_valuation(masks: list[int], signs: list[int], m: int):
-    """Scan all +-1 assignments; None when no valuation reproduces the signs.
-
-    Assignment e makes observable i -1 when bit i of e is set.  The
-    assignments that satisfy every context so far are the set bits of one
-    2^m-bit integer; a context keeps those whose -1 count on it is odd for
-    sign -1 (the xor of its observables' parity patterns) and even for +1.
-    The valuation is the lowest such e.
-    """
-    if m > 20:
-        raise ConfigError("exhaustive decider capped at 20 observables")
-    parity = _parities(m)
-    everything = (1 << (1 << m)) - 1
-    ok = everything
-    for mask, sign in zip(masks, signs):
-        odd = 0
-        while mask:  # the set bits of mask, as in _bits, inlined
-            low = mask & -mask
-            odd ^= parity[low.bit_length() - 1]
-            mask ^= low
-        ok &= everything ^ odd if sign == 1 else odd
-    if not ok:
-        return None
-    e = (ok & -ok).bit_length() - 1
-    return {i: (-1 if (e >> i) & 1 else 1) for i in range(m)}
-
-
 def _gf2_decide(masks: list[int], signs: list[int], m: int):
     """(valuation or None, certificate or None) from one GF(2) solve; the
     certificate is the first dependent set of contexts with odd sign sum."""
@@ -391,7 +339,10 @@ def _gf2_decide(masks: list[int], signs: list[int], m: int):
 
 
 def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
-    """Two independent deciders, cross-checked; loud failure on disagreement.
+    """A valuation, or a parity certificate that none exists, from one
+    GF(2) elimination; either answer is checked as a proof (the valuation
+    against every context, the certificate by its parity) and a failed
+    check raises ``DeciderDisagreement``.
 
     ``signs`` are the context signs when the caller has already computed
     them from the words; by default they are computed here.
@@ -404,11 +355,7 @@ def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
 def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
     """bks_decide on known signs: context i holds the observables of bit
     mask masks[i] (out of m) and has product sign signs[i]."""
-    exhaustive = _exhaustive_valuation(masks, signs, m)
     valuation, certificate = _gf2_decide(masks, signs, m)
-    if (exhaustive is None) != (valuation is None):
-        raise DeciderDisagreement(
-            "exhaustive and GF(2) BKS deciders disagree on solvability")
     if valuation is not None:
         negative = 0
         for i, v in valuation.items():

@@ -79,6 +79,18 @@ def test_bks_builtin(capsys):
     assert "0 1 2 3 4 5" in out
 
 
+def test_bks_decides_the_three_qubit_lines(capsys, tmp_path):
+    """The 315 lines on all 63 three-qubit observables are decided, not
+    refused for their size."""
+    words = rl.all_words(3)
+    path = _write_config(tmp_path, [w.word for w in words],
+                         [list(c) for c in rl.infer_contexts(words, 3)])
+    code, out, err = run(capsys, "bks", "--config", path)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.startswith("BKS colorability for custom configuration: "
+                          "NOT colorable\nno valuation; parity certificate")
+
+
 def test_verify_config_file(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(rl.config_to_json(rl.builtin("mermin_square")))
@@ -165,7 +177,8 @@ def test_line_json_keeps_the_bytes_of_json_dumps(spec):
     what json.dumps(indent=2) makes, up to a 243-point product line."""
     args = cli.build_parser().parse_args(
         ["line", "--ring", spec, "--check", "--format", "json"])
-    data, lines, dot, _ = cli.run_line(args)
+    data, lines, dot, claims = cli.run_line(args)
+    cli._finish_claims(claims, data, lines)  # as main does
     assert "claims" in data  # a key after the relation
     body = cli._render(data, lines, "json", dot)
     assert body == json.dumps(data, indent=2, default=str) + "\n"

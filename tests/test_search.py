@@ -1,7 +1,7 @@
 """The context enumerator, the exact-cover search and the sign-taking BKS
 decider against brute-force oracles: a scan of every size-subset for
 contexts, every subset of c contexts for the search, and a numpy scan of
-every +-1 assignment for the deciders."""
+every +-1 assignment for the decider."""
 
 import itertools
 import random
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import ringline as rl
 from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
-                            _decide, _exhaustive_valuation)
+                            _decide)
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
@@ -217,7 +217,10 @@ def larger_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(larger_systems())
 def test_exhaustive_valuation_matches_numpy_scan(system):
-    assert _exhaustive_valuation(*system) == oracle_exhaustive_valuation(*system)
+    """The decider finds a valuation exactly when the scan of every
+    assignment does."""
+    colorable = oracle_exhaustive_valuation(*system) is not None
+    assert _decide(*system).colorable == colorable
 
 
 def _system_at(m, contexts, seed, colorable):
@@ -237,26 +240,37 @@ def _system_at(m, contexts, seed, colorable):
 @pytest.mark.parametrize("m, contexts, colorable", [
     (19, 12, True), (19, 25, False), (20, 12, True), (20, 12, False)])
 def test_exhaustive_valuation_at_the_cap(m, contexts, colorable):
+    """Seeded systems of 19 and 20 observables, the largest the numpy scan
+    covers quickly: the decider agrees with it."""
     masks, signs = _system_at(m, contexts, m * contexts, colorable)
-    got = _exhaustive_valuation(masks, signs, m)
-    assert got == oracle_exhaustive_valuation(masks, signs, m)
+    got = oracle_exhaustive_valuation(masks, signs, m)
     assert (got is not None) == colorable
     assert _decide(masks, signs, m).colorable == colorable
 
 
-def test_exhaustive_valuation_cap():
-    with pytest.raises(rl.ConfigError):
-        _exhaustive_valuation([1], [1], 21)
+def test_three_qubit_lines_are_decided():
+    """All 315 three-qubit lines on their 63 observables, too many for a
+    scan: the answer is a certificate that passes its own parity check."""
+    words = all_words(3)
+    lines = rl.infer_contexts(words, 3)
+    assert (len(words), len(lines)) == (63, 315)
+    cfg = rl.Configuration(3, tuple(words), tuple(lines), "custom")
+    result = rl.bks_decide(cfg)
+    assert not result.colorable
+    covered, prod = 0, 1
+    for ci in result.certificate:
+        covered ^= sum(1 << i for i in lines[ci])
+        prod *= context_product_sign([words[i] for i in lines[ci]])
+    assert covered == 0 and prod == -1
 
 
 def test_decision_at_the_cap_is_small():
-    """One cold 20-observable decision: the parity patterns it caches plus
-    a few 2^20-bit integers, well under the 168 MB of a bit matrix."""
+    """One 20-observable decision holds a few small integers, well under
+    the 168 MB of a bit matrix of all assignments."""
     masks, signs = _system_at(20, 12, 7, True)
     cfg = rl.Configuration(3, tuple(all_words(3)[:20]), tuple(
         tuple(i for i in range(20) if mask >> i & 1) for mask in masks),
         "custom")
-    magic._parities.cache_clear()
     tracemalloc.start()
     try:
         assert rl.bks_decide(cfg, signs).colorable
@@ -282,7 +296,7 @@ def test_decider_core_proves_its_answer(system):
     """A valuation proves colorability and a certificate its absence, so
     checking whichever came back checks the answer."""
     masks, signs, m = system
-    result = _decide(masks, signs, m)  # raises if the two deciders disagree
+    result = _decide(masks, signs, m)  # raises if its answer fails its check
     if result.colorable:
         for mask, sign in zip(masks, signs):
             prod = 1
