@@ -161,17 +161,14 @@ def _grid(cells: list[str], ncols: int) -> list[str]:
 def run_ring(args):
     ring = rg.build_ring(args.ring, size_cap=_size_cap())
     claims = Claims()
-    classes = {rg_el: ring.classify(rg_el) for rg_el in ring.elements()}
-    units = [a for a, (k, _) in classes.items() if k == "unit"]
-    zds = [a for a, (k, _) in classes.items() if k == "zero-divisor"]
     radical = rg.jacobson_radical(ring)
     quotient, hom = rg.quotient_by_radical(ring)
     data = {
         "ring": ring.spec_str(),
         "size": ring.size,
         "elements": [ring.el_str(a) for a in ring.elements()],
-        "units": [ring.el_str(a) for a in units],
-        "zero_divisors": [ring.el_str(a) for a in zds],
+        "units": [ring.el_str(a) for a in ring.units()],
+        "zero_divisors": [ring.el_str(a) for a in ring.zero_divisors()],
         "jacobson_radical": [ring.el_str(a) for a in radical],
         "quotient_size": quotient.size,
         "quotient_representatives": [quotient.el_str(a)

@@ -238,9 +238,7 @@ def verify_many(configs) -> list[VerificationReport]:
     (and its ``BksResult``), made by ``bks_decide`` on the first of them.
     Equal context reports are one object.  Nothing is kept between calls.
     """
-    # (geometry, observable count, contexts) -> (masks, pickers, shape errors)
-    shapes = {}
-    pickers = {}  # context -> its picker, one per distinct context
+    shapes = {}  # (geometry, observable count, contexts) -> (masks, shape errors)
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
     decided = {}  # (observable count, masks, signs) -> BksResult
@@ -250,21 +248,15 @@ def verify_many(configs) -> list[VerificationReport]:
         shape_key = (cfg.geometry, len(observables), contexts)
         shape = shapes.get(shape_key)
         if shape is None:
-            for ctx in contexts:
-                if ctx not in pickers:
-                    pickers[ctx] = _picker(ctx)
-            shape = shapes[shape_key] = (
-                tuple([_mask(ctx) for ctx in contexts]),
-                [pickers[ctx] for ctx in contexts],
-                _shape_errors(*shape_key))
-        masks, picks, shape_errs = shape
+            shape = shapes[shape_key] = (tuple([_mask(ctx) for ctx in contexts]),
+                                         _shape_errors(*shape_key))
+        masks, shape_errs = shape
         keys = _word_keys(observables)
         errs = tuple(_observable_errors(cfg.n, keys) + shape_errs)
-        reports = []
-        signs = []
-        for label, ctx, pick in zip(cfg.context_labels, contexts, picks):
-            fields = (label, *_context_check(checked, pick(keys), ctx,
-                                             observables))
+        reports, signs = [], []
+        for label, ctx in zip(cfg.context_labels, contexts):
+            key = tuple([keys[i] for i in ctx])
+            fields = (label, *_context_check(checked, key, ctx, observables))
             report = made.get(fields)
             if report is None:
                 report = made[fields] = ContextReport(*fields)
@@ -279,14 +271,6 @@ def verify_many(configs) -> list[VerificationReport]:
         magic = not errs and bks is not None and not bks.colorable
         out.append(VerificationReport(tuple(reports), errs, magic, bks))
     return out
-
-
-def _picker(ctx):
-    """The function from a list to the tuple of its items at ctx's indices."""
-    if len(ctx) == 1:  # itemgetter of one index returns the bare item
-        i, = ctx
-        return lambda items: (items[i],)
-    return operator.itemgetter(*ctx)
 
 
 def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
@@ -329,12 +313,7 @@ def _gf2_decide(masks: list[int], signs: list[int], m: int):
     certificate is the first dependent set of contexts with odd sign sum."""
     x, y = gf2.solve(masks, [0 if s == 1 else 1 for s in signs])
     if x is None:
-        certificate = []
-        while y:
-            low = y & -y
-            certificate.append(low.bit_length() - 1)
-            y ^= low
-        return None, tuple(certificate)
+        return None, tuple(_bits(y))
     return {i: (-1 if (x >> i) & 1 else 1) for i in range(m)}, None
 
 
@@ -357,10 +336,7 @@ def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
     mask masks[i] (out of m) and has product sign signs[i]."""
     valuation, certificate = _gf2_decide(masks, signs, m)
     if valuation is not None:
-        negative = 0
-        for i, v in valuation.items():
-            if v == -1:
-                negative |= 1 << i
+        negative = _mask([i for i, v in valuation.items() if v == -1])
         for mask, sign in zip(masks, signs):
             if (mask & negative).bit_count() & 1 != (sign == -1):
                 raise DeciderDisagreement(
@@ -682,18 +658,27 @@ def config_to_json(cfg: Configuration) -> str:
     return json.dumps(config_dict(cfg), indent=2)
 
 
+def _field(data: dict, name: str, kind: type, what: str, *default):
+    """data[name] (or the default), refused unless exactly of type kind:
+    a bool or a float is no int, a string or an object no list."""
+    value = data.get(name, *default) if default else data[name]
+    if type(value) is not kind:
+        raise ConfigError(f"bad configuration JSON: {name} = {value!r} "
+                          f"is not {what}")
+    return value
+
+
 def config_from_json(text: str) -> Configuration:
     try:
         data = json.loads(text)
-        n = data["n"]
-        if type(n) is not int:  # also rejects bools, fractions and 1e400
-            raise ConfigError(f"bad configuration JSON: n = {n!r} "
-                              "is not an integer")
+        n = _field(data, "n", int, "an integer")
+        words = _field(data, "observables", list, "a list")
+        contexts = _field(data, "contexts", list, "a list")
         return Configuration(
             n,
-            tuple(PauliObservable(w) for w in data["observables"]),
-            tuple(tuple(c) for c in data["contexts"]),
-            str(data.get("geometry", "custom")))
+            tuple(PauliObservable(w) for w in words),
+            tuple(tuple(c) for c in contexts),
+            _field(data, "geometry", str, "a string", "custom"))
     except (ConfigError, PauliError):
         raise
     except (KeyError, TypeError, ValueError) as e:  # ValueError: bad JSON

@@ -64,16 +64,9 @@ def within_cap(q: int, k: int, size_cap: int) -> bool:
 # choosing and validating a modulus over GF(p), coefficients little-endian
 
 
-def _ptrim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
 def _pmod(a, m, p):
-    """a mod m over GF(p); m monic."""
-    a = list(_ptrim(a))
+    """a mod m over GF(p); a and m monic."""
+    a = list(a)
     dm = len(m) - 1
     while len(a) - 1 >= dm and a:
         lead = a[-1]
@@ -92,7 +85,7 @@ def _poly_irreducible(m: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for coeffs in itertools.product(range(p), repeat=d):
-            div = tuple(coeffs) + (1,)
+            div = coeffs + (1,)
             if not _pmod(m, div, p):
                 return False
     return True
@@ -100,20 +93,10 @@ def _poly_irreducible(m: tuple[int, ...], p: int) -> bool:
 
 def _lex_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically (by coefficient value) smallest monic irreducible."""
-    best = None
-    for value in range(p ** k):
-        c = []
-        v = value
-        for _ in range(k):
-            c.append(v % p)
-            v //= p
-        m = tuple(c) + (1,)
-        if _poly_irreducible(m, p):
-            best = m
-            break
-    if best is None:
-        raise RingError(f"no irreducible polynomial of degree {k} over GF({p})")
-    return best
+    for c in _digit_labels(range(p), k):  # in value order
+        if _poly_irreducible(c + (1,), p):
+            return c + (1,)
+    raise RingError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +296,7 @@ class GaloisField(Ring):
                          names, add, mul)
 
 
-def poly_str(c: tuple[int, ...], names: list[str], var: str = "x") -> str:
+def poly_str(c: tuple[int, ...], names: list[str]) -> str:
     """The polynomial with little-endian coefficient indices c, printed with
     ``names[v]`` for coefficient v; index 0 is zero and 1 is one, as in
     every GF(p^k)."""
@@ -325,7 +308,7 @@ def poly_str(c: tuple[int, ...], names: list[str], var: str = "x") -> str:
         if i == 0:
             terms.append(names[v])
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "x" if i == 1 else f"x^{i}"
             terms.append(xs if v == 1 else f"{names[v]}*{xs}")
     return "+".join(terms) if terms else "0"
 
@@ -336,7 +319,7 @@ class QuotientRing(Ring):
     F elements of the base-|F| digits of v."""
 
     def __init__(self, base: GaloisField, modulus: tuple[int, ...],
-                 spec_text: str | None = None, size_cap: int = DEFAULT_SIZE_CAP):
+                 size_cap: int = DEFAULT_SIZE_CAP):
         if not isinstance(base, GaloisField):
             raise RingError("quotient base must be a Galois field")
         modulus = tuple(modulus)
@@ -356,11 +339,9 @@ class QuotientRing(Ring):
         coeffs = base.names if base.k == 1 else [f"({n})" for n in base.names]
         names = [poly_str(a, coeffs)
                  for a in _digit_labels(range(base.size), self.deg)]
-        if not spec_text:
-            mod = poly_str(modulus, [str(v) for v in range(base.size)])
-            spec_text = f"{base.spec_str()}[x]/({mod})"
-        super().__init__(("quot", base.spec_key, modulus), spec_text,
-                         names, add, mul)
+        mod = poly_str(modulus, [str(v) for v in range(base.size)])
+        super().__init__(("quot", base.spec_key, modulus),
+                         f"{base.spec_str()}[x]/({mod})", names, add, mul)
 
 
 class ProductRing(Ring):
@@ -498,9 +479,10 @@ class RingHomomorphism:
 def _is_hom(R: RingTables, S: RingTables, img: np.ndarray) -> bool:
     """img (R index -> S index) preserves 0, 1, + and *."""
     pair = (img[:, None], img[None, :])
-    return (img[R.zero] == S.zero and img[R.one] == S.one
-            and np.array_equal(img[R.add], S.add[pair])
-            and np.array_equal(img[R.mul], S.mul[pair]))
+    # a numpy comparison is a numpy bool: bool() keeps the answer plain
+    return bool(img[R.zero] == S.zero and img[R.one] == S.one
+                and np.array_equal(img[R.add], S.add[pair])
+                and np.array_equal(img[R.mul], S.mul[pair]))
 
 
 def validate_hom(h: RingHomomorphism) -> bool:

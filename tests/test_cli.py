@@ -440,6 +440,30 @@ def test_non_numeric_qubit_count_exit_code(capsys, tmp_path, command):
     assert out == "" and err.startswith("input error: bad configuration JSON")
 
 
+@pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
+@pytest.mark.parametrize("config, field, what", [
+    ({"n": 1, "observables": "XX", "contexts": [[0, 1]]},
+     "observables", "a list"),
+    ({"n": 2, "observables": {"XI": 0, "IX": 1, "XX": 2},
+      "contexts": [[0, 1, 2]]}, "observables", "a list"),
+    ({"n": 2, "observables": ["XI", "IX", "XX"], "contexts": {},
+      "geometry": "custom"}, "contexts", "a list"),
+    ({"n": 2, "observables": ["XI", "IX", "XX"], "contexts": [[0, 1, 2]],
+      "geometry": ["square"]}, "geometry", "a string"),
+], ids=["observables-string", "observables-object", "contexts-object",
+        "geometry-list"])
+def test_mistyped_config_field_exit_code(capsys, tmp_path, command, config,
+                                         field, what):
+    """A string or an object of observables would be read letter by letter
+    or key by key, and a geometry that is no string printed as its repr."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"input error: bad configuration JSON: {field} = "
+                   f"{config[field]!r} is not {what}\n")
+
+
 @pytest.mark.parametrize("command, config, want", [
     ("entangle", {"n": 1, "observables": ["X"], "contexts": [[0]]},
      "context 1: X -> product\n"),

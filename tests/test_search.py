@@ -369,6 +369,8 @@ def _mixed_batch():
                          ((0, 1, 2), (0, 1)), "custom"),  # mixed qubit counts
         rl.Configuration(2, words[3:6] + words[:3], ((3, 4, 5), (0, 1, 2)),
                          "custom", ("row 1", "again")),
+        rl.Configuration(1, (x,), ((0,),), "custom"),  # one word, no scalar
+        rl.Configuration(1, (PauliObservable("I"),), ((0,),), "custom"),
         square,
     ]
 
