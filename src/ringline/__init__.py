@@ -1,6 +1,15 @@
 """ringline: exact arithmetic for projective lines over small finite rings,
 the n-qubit Pauli algebra, and Mermin magic-configuration verification."""
 
+import os
+import sys
+
+# ringline does no floating-point linear algebra, so numpy's BLAS thread
+# pool is start-up cost only: one thread, unless the caller set a count or
+# imported numpy already (when the pool exists and the setting is too late)
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .rings import (GaloisField, MixedRingError, ProductRing, QuotientRing,
                     Ring, RingError, RingHomomorphism, build_ring,
                     find_isomorphism, jacobson_radical, quotient_by_radical,
@@ -15,8 +24,8 @@ from .pauli import (PauliError, PauliObservable, all_words, commutes,
 from .magic import (BksResult, Configuration, ConfigError, DeciderDisagreement,
                     VerificationReport, bks_decide, builtin, config_from_json,
                     config_to_json, infer_contexts, search_pentagrams,
-                    search_squares, square_orbit_report, verify_magic,
-                    verify_many)
+                    search_squares, square_orbit_report, verify_each,
+                    verify_magic, verify_many)
 from .entangle import (BasisClassification, classify_context,
                        mutually_unbiased, overlap_table)
 from .correspond import (CondensationReport, CorrespondError, GraphComparison,

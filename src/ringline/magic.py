@@ -50,6 +50,9 @@ class Configuration:
     context_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.geometry not in ("square", "pentagram", "custom"):
+            raise ConfigError(f"unknown geometry {self.geometry!r}: "
+                              "expected square, pentagram or custom")
         m = len(self.observables)
         for ctx in self.contexts:
             if not ctx:
@@ -226,7 +229,14 @@ def verify_magic(cfg: Configuration) -> VerificationReport:
 
 
 def verify_many(configs) -> list[VerificationReport]:
-    """``verify_magic`` of each configuration, in order.
+    """``verify_magic`` of each configuration, in order: the list of the
+    reports that ``verify_each`` produces one at a time."""
+    return list(verify_each(configs))
+
+
+def verify_each(configs):
+    """Yield ``verify_magic`` of each configuration, in order, one at a
+    time: a caller that keeps none of the reports never holds them all.
 
     Each configuration gets its own structural check and is read from its
     own words: each context is keyed by its observables in order, as
@@ -242,7 +252,6 @@ def verify_many(configs) -> list[VerificationReport]:
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
     decided = {}  # (observable count, masks, signs) -> BksResult
-    out = []
     for cfg in configs:
         observables, contexts = cfg.observables, cfg.contexts
         shape_key = (cfg.geometry, len(observables), contexts)
@@ -269,8 +278,7 @@ def verify_many(configs) -> list[VerificationReport]:
             if bks is None:
                 bks = decided[decision] = bks_decide(cfg, signs)
         magic = not errs and bks is not None and not bks.colorable
-        out.append(VerificationReport(tuple(reports), errs, magic, bks))
-    return out
+        yield VerificationReport(tuple(reports), errs, magic, bks)
 
 
 def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
@@ -603,36 +611,43 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     # order of their observable tuples, and hold each of its 10 observables
     # twice; renumbering the observables by rank keeps that order, so each
     # row's remapped contexts are already sorted.  Indices < 63 fit int8.
+    # Each table is dropped once the next is packed from it.
     pents = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
                         count=5 * len(found)).reshape(-1, 5)
+    del found
     held = np.array([idx for idx, _, _ in contexts],
                     dtype=np.int8)[pents].reshape(-1, 20)
     signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
+    del pents
     obs = np.sort(held, axis=1)[:, ::2]
     rank = np.zeros_like(held)  # how many of the row's observables are lower
     for lower in obs.T[:-1]:
         rank += held > lower[:, None]
+    del held
     order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
-    shapes = {}  # remapped contexts, flat -> the first result of that shape
-    decided = {}  # (remapped contexts, signs) -> colorable
+    shapes = {}  # remapped contexts, flat -> the one tuple kept for them
+    firsts = {}  # a shape's tuple -> the first result of that shape
+    decided = {}  # (a shape's tuple, signs) -> colorable
     results = []
     for start in range(0, len(order), 1024):  # lists for 1024 rows at a time
         block = order[start:start + 1024]
         for obs_idx, flat, sign in zip(obs[block].tolist(),
                                        rank[block].tolist(),
                                        signs[block].tolist()):
-            flat, sign = tuple(flat), tuple(sign)
-            colorable = decided.get((flat, sign))
+            flat = tuple(flat)
+            flat = shapes.setdefault(flat, flat)
+            key = (flat, tuple(sign))
+            colorable = decided.get(key)
             if colorable is None:
-                colorable = decided[flat, sign] = _decide(
+                colorable = decided[key] = _decide(
                     [_mask(flat[k:k + 4]) for k in range(0, 20, 4)],
-                    list(sign), 10).colorable
+                    sign, 10).colorable
             if colorable:
                 continue
             observables = tuple([words[i] for i in obs_idx])
-            first = shapes.get(flat)
+            first = firsts.get(flat)
             if first is None:
-                first = shapes[flat] = Configuration(
+                first = firsts[flat] = Configuration(
                     3, observables, tuple(zip(*[iter(flat)] * 4)), "pentagram")
                 results.append(first)
             else:

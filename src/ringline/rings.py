@@ -158,11 +158,14 @@ class RingTables:
         n = self.n
         member = np.zeros((n, n), dtype=bool)  # member[a, x]: x in aR
         member[np.arange(n)[:, None], self.mul] = True
-        ideals, ideal_of = np.unique(member, axis=0, return_inverse=True)
+        number = {}  # a membership row's bytes -> its ideal's number
+        ideal_of = np.array([number.setdefault(row.tobytes(), len(number))
+                             for row in member])
+        # the dict keeps its keys in order of their numbers
+        ideals = np.frombuffer(b"".join(number), dtype=bool).reshape(-1, n)
         one_minus = self.add[self.one, self.neg]
         comaximal = (ideals[:, one_minus].astype(np.int32)
                      @ ideals.T.astype(np.int32)) > 0
-        ideal_of = ideal_of.reshape(-1)
         return comaximal[ideal_of[:, None], ideal_of[None, :]]
 
 

@@ -245,8 +245,8 @@ def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
     """Without --check, JSON output does not show the re-verification, so
     it is not run; text output and --check still show it."""
     calls = []
-    verify = cli.mg.verify_many
-    monkeypatch.setattr(cli.mg, "verify_many",
+    verify = cli.mg.verify_each
+    monkeypatch.setattr(cli.mg, "verify_each",
                         lambda cfgs: calls.extend(cfgs) or verify(cfgs))
     code, out, _ = run(capsys, "search", "--kind", "squares", "--format",
                        "json")
@@ -260,6 +260,21 @@ def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
     assert code == 0 and len(calls) == 20
     assert {"claim": "search squares: all results re-verify as magic",
             "ok": True, "detail": ""} in json.loads(out)["claims"]["checked"]
+
+
+def test_full_pentagram_search_holds_little_besides_its_results(capsys):
+    """The cover's candidates and their tables are freed once packed, and
+    the 12096 re-verification reports are checked one at a time; the
+    results alone are about 3.8 MB."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "search", "--kind", "pentagrams",
+                           "--check", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK and json.loads(out)["count"] == 12096
+    assert peak < 7.5e6  # 8.9 MB with the tables and all reports held
 
 
 # --- entangle ---------------------------------------------------------------
@@ -462,6 +477,21 @@ def test_mistyped_config_field_exit_code(capsys, tmp_path, command, config,
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err == (f"input error: bad configuration JSON: {field} = "
                    f"{config[field]!r} is not {what}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
+@pytest.mark.parametrize("geometry", ["sqaure", "Square", "hexagon", ""])
+def test_unknown_geometry_exit_code(capsys, tmp_path, command, geometry):
+    """A misspelt geometry would be checked as custom, skipping the shape
+    check that the intended one asks for."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "observables": ["XI", "IX", "XX"],
+                                "contexts": [[0, 1, 2]],
+                                "geometry": geometry}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"input error: unknown geometry {geometry!r}: "
+                   "expected square, pentagram or custom\n")
 
 
 @pytest.mark.parametrize("command, config, want", [

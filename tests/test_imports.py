@@ -2,10 +2,14 @@
 
 The package may import the standard library, numpy and itself; the tests
 may also import pytest, hypothesis and their own local modules (the
-oracles and conftest).
+oracles and conftest).  Importing ringline first caps numpy's BLAS pool at
+one thread, unless the variable is set or numpy is already imported; each
+case runs in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +46,29 @@ def test_tests_add_only_pytest_hypothesis_and_local_modules():
     assert {"conftest", "ring_oracle"} <= local
     allowed = PACKAGE_ALLOWED | {"pytest", "hypothesis"} | local
     assert _foreign_imports(TESTS, allowed) == {}
+
+
+def _blas_threads_after(code, preset=None):
+    """OPENBLAS_NUM_THREADS as a fresh interpreter sees it after running
+    `code`, started with the variable unset or set to `preset`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = code + "; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    return subprocess.run([sys.executable, "-c", probe], check=True, env=env,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_defaults_blas_to_one_thread():
+    assert _blas_threads_after("import ringline") == "1"
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    assert _blas_threads_after("import ringline", preset="3") == "3"
+
+
+def test_import_after_numpy_leaves_blas_threads_unset():
+    # numpy's pool already exists, so a setting now would only mislead
+    assert _blas_threads_after("import numpy, ringline") == "None"
