@@ -25,7 +25,7 @@ from .magic import (BksResult, Configuration, ConfigError, DeciderDisagreement,
                     VerificationReport, bks_decide, builtin, config_from_json,
                     config_to_json, infer_contexts, search_pentagrams,
                     search_squares, square_orbit_report, verify_each,
-                    verify_magic, verify_many)
+                    verify_magic)
 from .entangle import (BasisClassification, classify_context,
                        mutually_unbiased, overlap_table)
 from .correspond import (CondensationReport, CorrespondError, GraphComparison,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 from json.encoder import encode_basestring_ascii as _json_str
 import os
 import sys
@@ -90,8 +89,10 @@ _INT_ONLY = frozenset({int})
 
 
 def _json(value, indent: str) -> str:
-    """value as json.dumps(value, indent=2, default=str) writes it, where
-    indent is the line break and spaces before the line value starts on.
+    """value as json.dumps(value, indent=2) writes it, where indent is the
+    line break and spaces before the line value starts on.  value holds
+    what reports hold: str, int, bool, None, lists, tuples and dicts with
+    str keys; anything else raises TypeError.
 
     Python 3.11's json has no C encoder for indented output, and its
     Python one makes a string per token: far slower for the reports here.
@@ -106,8 +107,6 @@ def _json(value, indent: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -124,25 +123,16 @@ def _json(value, indent: str) -> str:
     elif isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_json_str(k) if type(k) is str else _json_key(k)}: "
-                 f"{_json(v, inner)}" for k, v in value.items()]
+        items = [f"{_json_str(k)}: {_json(v, inner)}"
+                 for k, v in value.items()]
         brackets = "{}"
     else:
-        return _json_str(str(value))
+        raise TypeError(f"no report holds a {type(value).__name__}")
     # with the brackets on the end items, the join is the one copy made of
     # a large report
     items[0] = brackets[0] + inner + items[0]
     items[-1] += indent + brackets[1]
     return ("," + inner).join(items)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _json_str(key)
-    if key is None or isinstance(key, (int, float)):  # True is "true", 1 "1"
-        return _json_str(json.dumps(key))
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def _grid(cells: list[str], ncols: int) -> list[str]:
@@ -519,7 +509,7 @@ def _correspond_dot(bij, cmp):
 
 def run_map(args):
     claims = Claims()
-    if args.ring.lower().replace(" ", "") != co.R_CLUB_SPEC:
+    if rg.build_ring(args.ring, size_cap=_size_cap()) != co.club_catalog().ring:
         raise co.CorrespondError(f"condensation is defined for {co.R_CLUB_SPEC}")
     rep = co.condensation(args.variant)
     per_edge = dict(rep.per_edge_images)

@@ -97,20 +97,10 @@ class Configuration:
     def context_ops(self, ci: int) -> list[PauliObservable]:
         return [self.observables[i] for i in self.contexts[ci]]
 
-    def structural_errors(self) -> list[str]:
-        return (_observable_errors(self.n, _word_keys(self.observables))
-                + _shape_errors(self.geometry, len(self.observables),
-                                self.contexts))
-
-
-def _word_keys(observables) -> list[tuple[int, int, int, int]]:
-    """Each observable as its (n, x, z, phase), the fields of its equality."""
-    return [(o.n, o.x, o.z, o.phase) for o in observables]
-
 
 def _observable_errors(n: int, keys: list[tuple]) -> list[str]:
-    """The structural errors of n-qubit observables given by their
-    ``_word_keys``: a duplicate word, a phase, another qubit count."""
+    """The structural errors of n-qubit observables given by their keys
+    (n, x, z, phase): a duplicate word, a phase, another qubit count."""
     errs = []
     phased = any([k[3] for k in keys])
     # with no phases the keys are the words themselves
@@ -210,13 +200,8 @@ def builtin(name: str) -> Configuration:
         return _grid_config(tuple(PauliObservable(w) for w in SQUARE_WORDS))
     if name == "mermin_pentagram":
         obs = tuple(PauliObservable(w) for w in PENTAGRAM_WORDS)
-        inferred = {frozenset(c) for c in infer_contexts(list(obs), 4)}
-        expected = {frozenset(slots) for _, slots in PENTAGRAM_EDGE_SLOTS}
-        if inferred != expected:
-            raise DeciderDisagreement(
-                "inferred pentagram contexts do not match the edge layout")
         labels, contexts = zip(*PENTAGRAM_EDGE_SLOTS)
-        return Configuration(3, obs, tuple(contexts), "pentagram", labels)
+        return Configuration(3, obs, contexts, "pentagram", labels)
     raise ConfigError(f"unknown builtin {name!r}")
 
 
@@ -225,18 +210,12 @@ def builtin(name: str) -> Configuration:
 
 
 def verify_magic(cfg: Configuration) -> VerificationReport:
-    return verify_many([cfg])[0]
-
-
-def verify_many(configs) -> list[VerificationReport]:
-    """``verify_magic`` of each configuration, in order: the list of the
-    reports that ``verify_each`` produces one at a time."""
-    return list(verify_each(configs))
+    return next(verify_each([cfg]))
 
 
 def verify_each(configs):
-    """Yield ``verify_magic`` of each configuration, in order, one at a
-    time: a caller that keeps none of the reports never holds them all.
+    """Yield the verification report of each configuration, in order, one
+    at a time: a caller that keeps none of the reports never holds them all.
 
     Each configuration gets its own structural check and is read from its
     own words: each context is keyed by its observables in order, as
@@ -260,7 +239,7 @@ def verify_each(configs):
             shape = shapes[shape_key] = (tuple([_mask(ctx) for ctx in contexts]),
                                          _shape_errors(*shape_key))
         masks, shape_errs = shape
-        keys = _word_keys(observables)
+        keys = [(o.n, o.x, o.z, o.phase) for o in observables]
         errs = tuple(_observable_errors(cfg.n, keys) + shape_errs)
         reports, signs = [], []
         for label, ctx in zip(cfg.context_labels, contexts):
@@ -283,7 +262,7 @@ def verify_each(configs):
 
 def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
     """(commuting, sign, note) of the context ctx, whose words have the
-    ``_word_keys`` key; computed once per key in ``checked``."""
+    (n, x, z, phase) keys `key`; computed once per key in ``checked``."""
     check = checked.get(key)
     if check is not None:
         return check
@@ -303,26 +282,12 @@ def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
     return check
 
 
-def _context_signs(cfg: Configuration) -> list[int]:
-    return [context_product_sign(cfg.context_ops(ci))
-            for ci in range(len(cfg.contexts))]
-
-
 def _mask(ctx) -> int:
     """The bitmask of a context's distinct observable indices."""
     mask = 0
     for i in ctx:
         mask |= 1 << i
     return mask
-
-
-def _gf2_decide(masks: list[int], signs: list[int], m: int):
-    """(valuation or None, certificate or None) from one GF(2) solve; the
-    certificate is the first dependent set of contexts with odd sign sum."""
-    x, y = gf2.solve(masks, [0 if s == 1 else 1 for s in signs])
-    if x is None:
-        return None, tuple(_bits(y))
-    return {i: (-1 if (x >> i) & 1 else 1) for i in range(m)}, None
 
 
 def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
@@ -335,21 +300,28 @@ def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
     them from the words; by default they are computed here.
     """
     if signs is None:
-        signs = _context_signs(cfg)
+        signs = [context_product_sign(cfg.context_ops(ci))
+                 for ci in range(len(cfg.contexts))]
     return _decide([_mask(c) for c in cfg.contexts], signs, len(cfg.observables))
 
 
 def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
     """bks_decide on known signs: context i holds the observables of bit
-    mask masks[i] (out of m) and has product sign signs[i]."""
-    valuation, certificate = _gf2_decide(masks, signs, m)
-    if valuation is not None:
-        negative = _mask([i for i, v in valuation.items() if v == -1])
+    mask masks[i] (out of m) and has product sign signs[i].
+
+    One ``gf2.solve`` gives x, the mask of the observables valued -1, or
+    y, the first dependent set of contexts with odd sign sum; the mask is
+    checked against every context before it becomes a valuation.
+    """
+    x, y = gf2.solve(masks, [0 if s == 1 else 1 for s in signs])
+    if x is not None:
         for mask, sign in zip(masks, signs):
-            if (mask & negative).bit_count() & 1 != (sign == -1):
+            if (mask & x).bit_count() & 1 != (sign == -1):
                 raise DeciderDisagreement(
                     "returned valuation violates a context")
-        return BksResult(valuation=valuation)
+        return BksResult(valuation={i: -1 if x >> i & 1 else 1
+                                    for i in range(m)})
+    certificate = tuple(_bits(y))
     odd, prod = 0, 1  # odd: the observables covered an odd number of times
     for ci in certificate:
         odd ^= masks[ci]
@@ -528,10 +500,10 @@ class SearchOutcome:
 _SQUARE_MASKS = [_mask(c) for c in _SQUARE_CONTEXTS]
 
 
-def _magic_grids(words: list[PauliObservable]) -> list[tuple[str, ...]]:
+def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
     """One row-major arrangement of each magic 3x3 grid of contexts among
-    `words`; the rows are the grid's first context and the two contexts
-    disjoint from it."""
+    `words`, as indices into `words`; the rows are the grid's first context
+    and the two contexts disjoint from it."""
     contexts = _contexts(words, 3)
     grids = []
     for grid_set in _cover_twice(contexts, 6, {0, 1})[0]:
@@ -543,7 +515,7 @@ def _magic_grids(words: list[PauliObservable]) -> list[tuple[str, ...]]:
         signs = [sign for _, _, sign in rows + cols]
         if _decide(_SQUARE_MASKS, signs, 9).colorable:
             continue
-        grids.append(tuple(words[(r & c).bit_length() - 1].word
+        grids.append(tuple((r & c).bit_length() - 1
                            for _, r, _ in rows for _, c, _ in cols))
     return grids
 
@@ -558,11 +530,11 @@ _GRID_TRANSFORMS = tuple(
     for cp in itertools.permutations(range(3)))
 
 
-def _grid_transforms(grid: tuple[str, ...]) -> list[tuple[str, ...]]:
+def _grid_transforms(grid: tuple) -> list[tuple]:
     return [transform(grid) for transform in _GRID_TRANSFORMS]
 
 
-def _grid_canonical(grid: tuple[str, ...]) -> tuple[str, ...]:
+def _grid_canonical(grid: tuple) -> tuple:
     return min(_grid_transforms(grid))
 
 
@@ -574,10 +546,9 @@ def _grid_config(observables: tuple[PauliObservable, ...]) -> Configuration:
 def search_squares() -> list[Configuration]:
     """Exhaustive two-qubit magic squares, deduplicated up to row/column
     permutation and transposition."""
-    words = all_words(2)
+    words = all_words(2)  # sorted by word, so index order is word order
     canon = {_grid_canonical(g) for g in _magic_grids(words)}
-    by_word = {w.word: w for w in words}
-    return [_grid_config(tuple([by_word[w] for w in g])) for g in sorted(canon)]
+    return [_grid_config(tuple([words[i] for i in g])) for g in sorted(canon)]
 
 
 def square_orbit_report(words: tuple[str, ...]) -> dict:
@@ -686,6 +657,8 @@ def _field(data: dict, name: str, kind: type, what: str, *default):
 def config_from_json(text: str) -> Configuration:
     try:
         data = json.loads(text)
+        if type(data) is not dict:
+            raise ConfigError("bad configuration JSON: expected an object")
         n = _field(data, "n", int, "an integer")
         words = _field(data, "observables", list, "a list")
         contexts = _field(data, "contexts", list, "a list")

@@ -69,8 +69,8 @@ def canonicalize(ring: Ring, a: int, b: int) -> ProjPoint:
     if not is_admissible(ring, a, b):
         raise LineError(
             f"pair ({ring.el_str(a)},{ring.el_str(b)}) is not admissible")
-    t = ring.tables  # the least code u*a * n + u*b, over the unit column
-    code = int((t.mul[t.unit, a] * t.n + t.mul[t.unit, b]).min())
+    t = ring.tables
+    code = int(_canonical_codes(t, a, b))
     return ProjPoint(ring, code // t.n, code % t.n)
 
 

@@ -80,7 +80,8 @@ def test_certificate_skips_an_even_null_vector():
     certificate is the second."""
     cfg = rl.config_from_json(json.dumps(PINNED))
     masks = [magic._mask(c) for c in cfg.contexts]
-    rhs = [s == -1 for s in magic._context_signs(cfg)]
+    rhs = [rl.context_product_sign(cfg.context_ops(ci)) == -1
+           for ci in range(len(cfg.contexts))]
     null = gf2.left_nullspace(masks)
     odd = sum(1 << i for i, bit in enumerate(rhs) if bit)
     assert [(y & odd).bit_count() & 1 for y in null] == [0, 1]

@@ -318,25 +318,25 @@ SQUARE_SIGNS = [1, 1, 1, 1, 1, -1]
 
 
 @pytest.mark.parametrize("gf2_answer, signs", [
-    ((None, (5,)), SQUARE_SIGNS),       # odd sign product, uncovered rows
-    ((None, (0, 1, 2, 3, 4, 5)), [1] * 6),  # a colorable system
-    (({i: -1 if i == 0 else 1 for i in range(9)}, None), [1] * 6),
+    ((None, 1 << 5), SQUARE_SIGNS),     # odd sign product, uncovered rows
+    ((None, 0b111111), [1] * 6),        # a colorable system
+    ((1, None), [1] * 6),               # observable 0 valued -1
 ], ids=["uncovered", "disagree", "violated"])  # violated: row 1, column 1
 def test_decider_core_rejects_a_false_answer(monkeypatch, gf2_answer, signs):
-    monkeypatch.setattr(magic, "_gf2_decide", lambda *args: gf2_answer)
+    monkeypatch.setattr(magic.gf2, "solve", lambda *args: gf2_answer)
     with pytest.raises(DeciderDisagreement):
         _decide(SQUARE_MASKS, signs, 9)
 
 
 # --- decisions shared within one request --------------------------------------
 
-def _lying_gf2(masks, signs, m):
-    """A GF(2) decider that finds every system colorable."""
-    return {i: 1 for i in range(m)}, None
+def _lying_gf2(rows, rhs):
+    """A GF(2) solver that finds every system solved by all +1."""
+    return 0, None
 
 
 def test_shared_search_decisions_still_cross_check(monkeypatch):
-    monkeypatch.setattr(magic, "_gf2_decide", _lying_gf2)
+    monkeypatch.setattr(magic.gf2, "solve", _lying_gf2)
     with pytest.raises(DeciderDisagreement):
         rl.search_pentagrams()
 
@@ -344,9 +344,9 @@ def test_shared_search_decisions_still_cross_check(monkeypatch):
 def test_shared_verify_decisions_still_cross_check(monkeypatch,
                                                    pentagram_search):
     results = list(pentagram_search.results[:3])
-    monkeypatch.setattr(magic, "_gf2_decide", _lying_gf2)
+    monkeypatch.setattr(magic.gf2, "solve", _lying_gf2)
     with pytest.raises(DeciderDisagreement):
-        rl.verify_many(results)
+        list(rl.verify_each(results))
     with pytest.raises(DeciderDisagreement):
         rl.verify_magic(results[0])
 
@@ -375,25 +375,26 @@ def _mixed_batch():
     ]
 
 
-def test_verify_many_matches_one_at_a_time(pentagram_search):
+def test_verify_each_matches_one_at_a_time(pentagram_search):
     batch = _mixed_batch()
     for results in (rl.search_squares(), pentagram_search.results[::97],
                     batch, batch[::-1]):
-        assert rl.verify_many(results) == [rl.verify_magic(c) for c in results]
+        assert list(rl.verify_each(results)) == [rl.verify_magic(c)
+                                                 for c in results]
 
 
 def _word_key(ops):
     return tuple((o.n, o.x, o.z, o.phase) for o in ops)
 
 
-def test_verify_many_checks_each_distinct_context_once(monkeypatch,
+def test_verify_each_checks_each_distinct_context_once(monkeypatch,
                                                        pentagram_search):
     """Commutation and sign run once per distinct context words per call,
     also across labels; nothing is kept for the next call."""
     results = list(pentagram_search.results) + _mixed_batch()
     pairs = _counting(monkeypatch, "anticommuting_pair")
     signs = _counting(monkeypatch, "scalar_sign")
-    reports = rl.verify_many(results)
+    reports = list(rl.verify_each(results))
     keys = {_word_key(cfg.context_ops(ci))
             for cfg in results for ci in range(len(cfg.contexts))}
     assert sorted(_word_key(ops) for ops, in pairs) == sorted(keys)
@@ -402,7 +403,7 @@ def test_verify_many_checks_each_distinct_context_once(monkeypatch,
                  for ci, ctx in enumerate(report.contexts) if ctx.commuting}
     assert sorted(_word_key(ops) for ops, in signs) == sorted(commuting)
     assert len(keys) > 945 and len(commuting) > 945
-    rl.verify_many(results[:1])
+    list(rl.verify_each(results[:1]))
     assert len(pairs) == len(keys) + 5
 
 
@@ -425,7 +426,7 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_verify_many_decides_each_distinct_system_once(monkeypatch):
+def test_verify_each_decides_each_distinct_system_once(monkeypatch):
     """Same masks and signs share a decision; the same masks with other
     signs get their own."""
     square = rl.builtin("mermin_square")
@@ -435,7 +436,8 @@ def test_verify_many_decides_each_distinct_system_once(monkeypatch):
     wider = rl.Configuration(2, z_grid.observables + (PauliObservable("XZ"),),
                              z_grid.contexts, "custom")  # one more valued
     calls = _counting(monkeypatch, "bks_decide")
-    first, other, again, more = rl.verify_many([square, z_grid, square, wider])
+    first, other, again, more = rl.verify_each([square, z_grid, square,
+                                                wider])
     assert [args[0] for args in calls] == [square, z_grid, wider]
     assert [c.sign for c in other.contexts] == [1] * 6
     assert not first.bks.colorable and other.bks.colorable
@@ -449,9 +451,9 @@ def test_verify_many_decides_each_distinct_system_once(monkeypatch):
 def test_search_decides_each_distinct_system_once(monkeypatch):
     calls = _counting(monkeypatch, "_decide")
     results = rl.search_pentagrams(budget=20000).results
-    calls = calls[:]  # the search's own; verify_many below decides again
+    calls = calls[:]  # the search's own; verify_each below decides again
     systems = {(c.contexts, tuple(r.sign for r in report.contexts))
-               for c, report in zip(results, rl.verify_many(results))}
+               for c, report in zip(results, rl.verify_each(results))}
     assert len(results) > len(systems) == len(calls)
     assert {(tuple(map(magic._mask, c)), tuple(s)) for c, s in systems} == \
         {(tuple(masks), tuple(signs)) for masks, signs, _ in calls}
