@@ -316,7 +316,7 @@ def run_search(args):
         orbit = mg.square_orbit_report(mg.SQUARE_WORDS)
     else:
         outcome = mg.search_pentagrams(budget=args.budget)
-        results, complete = list(outcome.results), outcome.complete
+        results, complete = outcome.results, outcome.complete
         orbit = None
     # JSON shows the re-verification only among the --check claims; the
     # reports are checked as they come, never held together

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,24 +222,31 @@ def verify_each(configs):
     own words: each context is keyed by its observables in order, as
     (n, x, z, phase).  Within one call, every distinct key gets one
     commutation test and one sign, shared by all the contexts that have
-    it; every distinct tuple of contexts gets its masks and its shape
-    check once.  Configurations with the same observable count, context
-    masks and signs pose the same BKS system, so they share one decision
-    (and its ``BksResult``), made by ``bks_decide`` on the first of them.
+    it; every distinct tuple of contexts gets its masks, its sorted column
+    masks and its shape check once.  BKS decisions are made by
+    ``bks_decide`` on the first configuration that poses each system, and
+    shared (as one ``BksResult``) two ways.  A certificate names contexts
+    only, so it serves every configuration with the same sorted column
+    masks and signs, that is the same system up to relabelling the
+    observables (see ``_columns``).  A valuation names observables, so it
+    serves only the same observable count, context masks and signs.
     Equal context reports are one object.  Nothing is kept between calls.
     """
-    shapes = {}  # (geometry, observable count, contexts) -> (masks, shape errors)
+    shapes = {}  # (geometry, count, contexts) -> (masks, columns, shape errors)
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
+    certified = {}  # (columns, signs) -> BksResult with a certificate
     decided = {}  # (observable count, masks, signs) -> BksResult
     for cfg in configs:
         observables, contexts = cfg.observables, cfg.contexts
         shape_key = (cfg.geometry, len(observables), contexts)
         shape = shapes.get(shape_key)
         if shape is None:
-            shape = shapes[shape_key] = (tuple([_mask(ctx) for ctx in contexts]),
+            masks = [_mask(ctx) for ctx in contexts]
+            shape = shapes[shape_key] = (tuple(masks),
+                                         _columns(masks, len(observables)),
                                          _shape_errors(*shape_key))
-        masks, shape_errs = shape
+        masks, columns, shape_errs = shape
         keys = [(o.n, o.x, o.z, o.phase) for o in observables]
         errs = tuple(_observable_errors(cfg.n, keys) + shape_errs)
         reports, signs = [], []
@@ -252,10 +260,15 @@ def verify_each(configs):
             signs.append(report.sign)
         bks = None
         if None not in signs:
-            decision = (len(observables), masks, tuple(signs))
-            bks = decided.get(decision)
+            system = (columns, tuple(signs))
+            bks = certified.get(system)
             if bks is None:
-                bks = decided[decision] = bks_decide(cfg, signs)
+                decision = (len(observables), masks, system[1])
+                bks = decided.get(decision)
+                if bks is None:
+                    bks = decided[decision] = bks_decide(cfg, signs)
+                    if not bks.colorable:
+                        certified[system] = bks
         magic = not errs and bks is not None and not bks.colorable
         yield VerificationReport(tuple(reports), errs, magic, bks)
 
@@ -335,6 +348,24 @@ def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
 # searches
 
 
+def _columns(masks: list[int], m: int) -> tuple[int, ...]:
+    """The sorted column masks of the system whose context i holds the
+    observables of bit mask masks[i], out of m: for each observable, the
+    bitset of the contexts that hold it.
+
+    Which sets of contexts XOR to zero depends on these alone, not on how
+    the observables are numbered.  ``gf2.eliminate`` takes pivot rows
+    greedily in row order, so its null combinations, and the first odd
+    one that ``_decide`` returns as the certificate, are the same for
+    every system with the same columns and signs.
+    """
+    cols = [0] * m
+    for ci, mask in enumerate(masks):
+        for o in _bits(mask):
+            cols[o] |= 1 << ci
+    return tuple(sorted(cols))
+
+
 def _bits(mask: int):
     """Indices of the set bits of mask, lowest first."""
     while mask:
@@ -380,7 +411,9 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
                  x ^ wx, z ^ wz, cands & comm[i] & -(2 << i))
 
     grow((), 0, 0, 0, (1 << len(words)) - 1)
-    return sorted(out)
+    del grow  # it holds itself through its closure: free the tables now
+    out.sort()
+    return out
 
 
 def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
@@ -400,10 +433,15 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     The last level is closed by lookup: of its options, the contexts that
     close the set are those whose mask is the observables covered once.
     Its options still count as nodes, lowest first, as if placed one by one.
+
+    An observable covered twice shuts every context through it: each has
+    an "avoid" bitset, the contexts not holding it, ANDed in at each node.
+    Context indices come from one list, so the sets found share their ints.
     """
     if not overlaps or not overlaps <= {0, 1}:
         raise ValueError(f"overlaps {overlaps} is not a nonempty subset of {{0, 1}}")
     masks = [m for _, m, _ in contexts]
+    index = list(range(len(masks)))
     holds = {}  # observable's bit -> bitset of the contexts holding it
     with_mask = {}  # mask -> bitset of the contexts that have it
     for ci, m in enumerate(masks):
@@ -424,7 +462,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
         if 1 in overlaps:
             allowed |= share1 & ~share2
         compat.append(allowed & ~(1 << a))
-    through = {}  # observables now covered twice -> the contexts they shut
+    avoid = {o: everything ^ held for o, held in holds.items()}
     found = []
     nodes = 0
     limit = math.inf if budget is None else budget
@@ -458,22 +496,24 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             while closing:
                 bit = closing & -closing
                 closing ^= bit
-                found.append(tuple(sorted(picked + (bit.bit_length() - 1,))))
+                found.append(tuple(sorted(picked
+                                          + (index[bit.bit_length() - 1],))))
             return over <= 0
         while options:
             bit = options & -options
             options ^= bit
-            ci = bit.bit_length() - 1
+            ci = index[bit.bit_length() - 1]
             nodes += 1
             if nodes > limit:
                 return False
             mask = masks[ci]
             twice = once & mask  # observables now covered twice
-            shut = through.get(twice)  # the contexts through them
-            if shut is None:
-                shut = through[twice] = _through(holds, twice)
-            if not extend(picked + (ci,), once ^ mask,
-                          allowed & compat[ci] & ~shut):
+            below = allowed & compat[ci]
+            while twice:
+                low = twice & -twice
+                twice ^= low
+                below &= avoid[low]
+            if not extend(picked + (ci,), once ^ mask, below):
                 return False
             allowed &= ~bit
         return True
@@ -483,18 +523,57 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     return found, complete
 
 
-def _through(holds: dict, observables: int) -> int:
-    """The bitset of the contexts that hold any of the observables."""
-    out = 0
-    for o in _bits(observables):
-        out |= holds[1 << o]
-    return out
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
-    results: tuple[Configuration, ...]
+    """A search's results and whether it ran to the end of its tree.
+
+    ``results`` is a read-only sequence of configurations: ``len``, an int
+    index, a slice and iteration.  A pentagram search keeps compact rows
+    and builds each configuration as it is read (see ``_ResultRows``), so
+    a caller that reads them one at a time never holds them all.
+    """
+
+    results: Sequence[Configuration]
     complete: bool
+
+
+class _ResultRows(Sequence):
+    """Search results kept as compact rows, each built as it is read.
+
+    Row i is result i's observables, as indices into ``words``, and its
+    shape, an index into ``templates``: one validated configuration per
+    shape of contexts, whose placeholder observables a read replaces with
+    the row's through ``_with_observables``.  An int index or iteration
+    builds configurations; a slice is a view of the same kind, so the
+    results are never all held as objects at once.
+    """
+
+    __slots__ = ("_words", "_templates", "_observables", "_shapes")
+
+    def __init__(self, words, templates, observables, shapes):
+        self._words, self._templates = words, templates
+        self._observables, self._shapes = observables, shapes
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _ResultRows(self._words, self._templates,
+                               self._observables[i], self._shapes[i])
+        i = operator.index(i)
+        return self._build(self._observables[i].tolist(), int(self._shapes[i]))
+
+    def __iter__(self):
+        for start in range(0, len(self), 1024):  # lists for 1024 rows at a time
+            stop = start + 1024
+            for row, shape in zip(self._observables[start:stop].tolist(),
+                                  self._shapes[start:stop].tolist()):
+                yield self._build(row, shape)
+
+    def _build(self, row: list[int], shape: int) -> Configuration:
+        return self._templates[shape]._with_observables(
+            tuple([self._words[j] for j in row]))
 
 
 _SQUARE_MASKS = [_mask(c) for c in _SQUARE_CONTEXTS]
@@ -569,10 +648,12 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     ``budget`` caps the number of search-tree nodes; when it is hit the
     results found so far are returned with ``complete=False``.
 
-    Every candidate is decided, but candidates whose remapped contexts and
-    signs coincide pose one system, decided once per call.  The contexts
-    of each shape are validated once, with the first result of that
-    shape; later results share its contexts and differ in observables only.
+    Every candidate is decided, but one decision serves all the candidates
+    with the same sorted column masks and signs (see ``_columns``).  For
+    pentagrams the columns are always the 10 pairs of the 5 contexts, so
+    at most 32 systems are decided, one per sign pattern.  The results are
+    compact rows (see ``_ResultRows``), with one validated configuration
+    for each shape of remapped contexts.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
@@ -596,34 +677,33 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
         rank += held > lower[:, None]
     del held
     order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
-    shapes = {}  # remapped contexts, flat -> the one tuple kept for them
-    firsts = {}  # a shape's tuple -> the first result of that shape
-    decided = {}  # (a shape's tuple, signs) -> colorable
-    results = []
-    for start in range(0, len(order), 1024):  # lists for 1024 rows at a time
-        block = order[start:start + 1024]
-        for obs_idx, flat, sign in zip(obs[block].tolist(),
-                                       rank[block].tolist(),
-                                       signs[block].tolist()):
-            flat = tuple(flat)
-            flat = shapes.setdefault(flat, flat)
-            key = (flat, tuple(sign))
-            colorable = decided.get(key)
-            if colorable is None:
-                colorable = decided[key] = _decide(
-                    [_mask(flat[k:k + 4]) for k in range(0, 20, 4)],
-                    sign, 10).colorable
-            if colorable:
-                continue
-            observables = tuple([words[i] for i in obs_idx])
-            first = firsts.get(flat)
-            if first is None:
-                first = firsts[flat] = Configuration(
-                    3, observables, tuple(zip(*[iter(flat)] * 4)), "pentagram")
-                results.append(first)
-            else:
-                results.append(first._with_observables(observables))
-    return SearchOutcome(tuple(results), complete)
+    obs, rank, signs = obs[order], rank[order], signs[order]
+    del order
+    flats, shapes = np.unique(rank, axis=0, return_inverse=True)
+    del rank
+    shapes = shapes.reshape(-1)  # numpy 2.0.0 returns it as a column
+    quads = {}  # a context of ranks -> the one tuple kept for it
+    shaped = [tuple([quads.setdefault(q, q) for q in zip(*[iter(flat)] * 4)])
+              for flat in flats.tolist()]
+    columns = {}  # sorted column masks -> their number, in shape order
+    system = np.array([columns.setdefault(
+        _columns([_mask(ctx) for ctx in ctxs], 10), len(columns))
+        for ctxs in shaped], dtype=np.intp)
+    # a row's system: its shape's columns, then its signs as 5 bits
+    keys = system[shapes] << 5 | ((signs < 0) << np.arange(5)).sum(axis=1)
+    _, firsts, decision = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+    colorable = np.array([_decide([_mask(ctx) for ctx in shaped[shapes[r]]],
+                                  signs[r].tolist(), 10).colorable
+                          for r in firsts.tolist()], dtype=bool)
+    keep = ~colorable[decision]
+    placeholder = tuple(words[:10])
+    templates = tuple([Configuration(3, placeholder, ctxs, "pentagram")
+                       for ctxs in shaped])
+    # at most 12096 shapes, the full search's row count, fit int16
+    return SearchOutcome(_ResultRows(words, templates, obs[keep],
+                                     shapes[keep].astype(np.int16)),
+                         complete)
 
 
 # ---------------------------------------------------------------------------

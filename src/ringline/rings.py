@@ -388,6 +388,7 @@ class ProductRing(Ring):
 
 _ATOM = re.compile(r"gf\((\d+)(?:\^(\d+))?\)(?:\[x\]/\(([^()]*)\))?(x(?=gf\())?")
 _TERM = re.compile(r"([+-]*)(?:(\d+)\*?)?(x(?:\^(\d+))?)?")
+_OPEN_MODULUS = re.compile(r"\[x\]/\([^()]*")  # '[x]/(' that never closes
 
 
 def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
@@ -424,6 +425,9 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
         poly = None if m[3] is None else terms(m[3])
         atoms.append((num(m[1]), num(m[2] or "1"), poly))
         pos, more = m.end(), m[4]
+    if _OPEN_MODULUS.fullmatch(text, pos):
+        fail(f"missing ')' at position {len(text)} to close the modulus "
+             f"opened at position {pos + 4}")
     if pos < len(text):
         fail(f"unexpected input at position {pos}")
     factors = []

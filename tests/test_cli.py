@@ -269,9 +269,10 @@ def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
 
 
 def test_full_pentagram_search_holds_little_besides_its_results(capsys):
-    """The cover's candidates and their tables are freed once packed, and
-    the 12096 re-verification reports are checked one at a time; the
-    results alone are about 3.8 MB."""
+    """The cover's candidates and their tables are freed once packed, the
+    12096 results are compact rows (about 0.6 MB with their 1231 shape
+    templates) built into configurations as they are read, and the
+    re-verification reports are checked one at a time."""
     tracemalloc.start()
     try:
         code, out, _ = run(capsys, "search", "--kind", "pentagrams",
@@ -280,7 +281,9 @@ def test_full_pentagram_search_holds_little_besides_its_results(capsys):
     finally:
         tracemalloc.stop()
     assert code == cli.EXIT_OK and json.loads(out)["count"] == 12096
-    assert peak < 7.5e6  # 8.9 MB with the tables and all reports held
+    # 2.0-2.3 MB measured, plus a margin for other Python and numpy builds;
+    # 5.8 MB with all 12096 results held as configurations
+    assert peak < 4e6
 
 
 # --- entangle ---------------------------------------------------------------
@@ -393,6 +396,20 @@ def test_map_unparsable_ring_exit_code(capsys):
                          "--variant", "jacobson")
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err.startswith("input error: cannot parse ring spec")
+
+
+@pytest.mark.parametrize("spec, where", [
+    ("gf(2)[x]/(x^3-", "at position 14 to close the modulus opened at "
+                       "position 9"),
+    ("gf(2)[x]/(", "at position 10 to close the modulus opened at position 9"),
+    ("gf(3)xgf(2)[x]/(x^2+1", "at position 21 to close the modulus opened "
+                              "at position 15")])
+def test_unclosed_modulus_names_the_missing_paren(capsys, spec, where):
+    for command in ("ring", "line"):
+        code, out, err = run(capsys, command, "--ring", spec)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == (f"input error: cannot parse ring spec {spec!r}: "
+                       f"missing ')' {where}\n")
 
 
 def test_internal_value_error_exit_code(capsys, monkeypatch):

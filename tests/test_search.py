@@ -358,8 +358,12 @@ def _mixed_batch():
     phased = words[:8] + (PauliObservable("ZZ", 2),)  # -ZZ flips two signs
     x, y = PauliObservable("X"), PauliObservable("Y")
     xi, ix, xx, zi = (PauliObservable(w) for w in ("XI", "IX", "XX", "ZI"))
+    rows = square.contexts
     return [
         square,
+        # the same count and signs, but other columns and certificates
+        rl.Configuration(2, words, rows[:1] + rows, "custom"),
+        rl.Configuration(2, words, rows[:2] + rows[1:], "custom"),
         rl.Configuration(2, words, square.contexts, "square"),  # other labels
         rl.Configuration(2, phased, square.contexts, "square"),
         rl.Configuration(1, (x, y), ((0, 1),), "custom"),  # not commuting
@@ -435,10 +439,12 @@ def test_verify_each_decides_each_distinct_system_once(monkeypatch):
         square.contexts, "square")  # every context has sign +1
     wider = rl.Configuration(2, z_grid.observables + (PauliObservable("XZ"),),
                              z_grid.contexts, "custom")  # one more valued
+    moved = _relabel(square, (8, 0, 7, 1, 6, 2, 5, 3, 4))
     calls = _counting(monkeypatch, "bks_decide")
-    first, other, again, more = rl.verify_each([square, z_grid, square,
-                                                wider])
+    first, other, again, more, shared = rl.verify_each(
+        [square, z_grid, square, wider, moved])
     assert [args[0] for args in calls] == [square, z_grid, wider]
+    assert shared.bks is first.bks  # a certificate serves a relabelling
     assert [c.sign for c in other.contexts] == [1] * 6
     assert not first.bks.colorable and other.bks.colorable
     assert again.bks is first.bks and again == first
@@ -448,15 +454,96 @@ def test_verify_each_decides_each_distinct_system_once(monkeypatch):
                                     for c in (square, z_grid, wider)]
 
 
+def _relabel(cfg, perm):
+    """cfg with its observable i moved to place perm[i] and its contexts
+    remapped to match, each context keeping its order."""
+    observables = [None] * len(perm)
+    for i, place in enumerate(perm):
+        observables[place] = cfg.observables[i]
+    return rl.Configuration(cfg.n, tuple(observables),
+                            tuple(tuple(perm[i] for i in ctx)
+                                  for ctx in cfg.contexts),
+                            cfg.geometry, cfg.context_labels)
+
+
+@st.composite
+def relabelling_bases(draw):
+    """A built-in's observables in a list of its contexts drawn with
+    repeats (colorable, or not, with certificates of many shapes), or
+    distinct two-qubit words in random contexts, which may not commute."""
+    name = draw(st.sampled_from(["mermin_square", "mermin_pentagram", None]))
+    if name is None:
+        words = draw(st.lists(st.sampled_from(all_words(2)), min_size=1,
+                              max_size=9, unique=True))
+        contexts = st.lists(st.integers(0, len(words) - 1), min_size=1,
+                            max_size=min(3, len(words)), unique=True)
+        return rl.Configuration(2, tuple(words), tuple(
+            map(tuple, draw(st.lists(contexts, min_size=1, max_size=8)))),
+            "custom")
+    cfg = rl.builtin(name)
+    return rl.Configuration(cfg.n, cfg.observables, tuple(draw(
+        st.lists(st.sampled_from(cfg.contexts), min_size=1, max_size=8))),
+        "custom")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(relabelling_bases(), min_size=1, max_size=3), st.data())
+def test_decisions_are_invariant_under_relabelling(bases, data):
+    """Relabelling the observables keeps colorability and, when there is
+    no valuation, the very certificate: the sharing in ``verify_each`` and
+    ``search_pentagrams`` rests on this."""
+    batch = []
+    for cfg in bases:
+        m = len(cfg.observables)
+        signs = data.draw(st.lists(st.sampled_from([1, -1]),
+                                   min_size=len(cfg.contexts),
+                                   max_size=len(cfg.contexts)))
+        copies = [_relabel(cfg, data.draw(st.permutations(range(m))))
+                  for _ in range(2)]
+        result = rl.bks_decide(cfg, signs)
+        for copy in copies:
+            moved = rl.bks_decide(copy, signs)
+            assert moved.colorable == result.colorable
+            if not result.colorable:
+                assert moved.certificate == result.certificate
+        batch += [cfg, *copies]
+    batch += batch[::-1]
+    assert list(rl.verify_each(batch)) == [rl.verify_magic(c) for c in batch]
+
+
+def test_search_results_are_a_read_only_sequence(pentagram_search):
+    results = pentagram_search.results
+    listed = list(results)
+    assert len(results) == len(listed) == 12096
+    assert results[-1] == listed[-1] and results[5000] == listed[5000]
+    assert list(results[100:3000:7]) == listed[100:3000:7]
+    assert len(results[::97]) == len(listed[::97])
+    assert len(results[12096:]) == 0
+    with pytest.raises(IndexError):
+        results[12096]
+    with pytest.raises(TypeError):
+        results[1.0]
+    with pytest.raises(TypeError):
+        results[0] = listed[1]
+
+
 def test_search_decides_each_distinct_system_once(monkeypatch):
+    """One ``_decide`` per distinct (sorted column masks, signs), among
+    which is every result's system; every pentagram's columns are the 10
+    pairs of its 5 contexts, so the full search decides at most 32."""
     calls = _counting(monkeypatch, "_decide")
-    results = rl.search_pentagrams(budget=20000).results
-    calls = calls[:]  # the search's own; verify_each below decides again
-    systems = {(c.contexts, tuple(r.sign for r in report.contexts))
-               for c, report in zip(results, rl.verify_each(results))}
-    assert len(results) > len(systems) == len(calls)
-    assert {(tuple(map(magic._mask, c)), tuple(s)) for c, s in systems} == \
-        {(tuple(masks), tuple(signs)) for masks, signs, _ in calls}
+    for budget in (20000, None):
+        del calls[:]
+        results = rl.search_pentagrams(budget=budget).results
+        decided = [(magic._columns(masks, m), tuple(signs))
+                   for masks, signs, m in calls]
+        assert len(set(decided)) == len(decided)
+        # verify_each below decides again, after `decided` is taken
+        systems = {(magic._columns(list(map(magic._mask, c.contexts)), 10),
+                    tuple(r.sign for r in report.contexts))
+                   for c, report in zip(results, rl.verify_each(results))}
+        assert systems <= set(decided)
+    assert len(results) == 12096 and len(decided) <= 32
     # results of one shape share one contexts tuple, and one label tuple
     assert len({id(c.contexts) for c in results}) == \
         len({c.contexts for c in results})
