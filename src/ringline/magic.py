@@ -222,31 +222,28 @@ def verify_each(configs):
     own words: each context is keyed by its observables in order, as
     (n, x, z, phase).  Within one call, every distinct key gets one
     commutation test and one sign, shared by all the contexts that have
-    it; every distinct tuple of contexts gets its masks, its sorted column
-    masks and its shape check once.  BKS decisions are made by
-    ``bks_decide`` on the first configuration that poses each system, and
-    shared (as one ``BksResult``) two ways.  A certificate names contexts
-    only, so it serves every configuration with the same sorted column
-    masks and signs, that is the same system up to relabelling the
-    observables (see ``_columns``).  A valuation names observables, so it
-    serves only the same observable count, context masks and signs.
-    Equal context reports are one object.  Nothing is kept between calls.
+    it; every distinct tuple of contexts gets its sorted column masks and
+    its shape check once.  BKS decisions are made by ``bks_decide``.  A
+    certificate names contexts only, so one serves (as one ``BksResult``)
+    every configuration with the same sorted column masks and signs, that
+    is the same system up to relabelling the observables (see
+    ``_columns``).  A valuation names observables, so a colorable system
+    is decided where it occurs.  Equal context reports are one object.
+    Nothing is kept between calls.
     """
-    shapes = {}  # (geometry, count, contexts) -> (masks, columns, shape errors)
+    shapes = {}  # (geometry, count, contexts) -> (columns, shape errors)
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
     certified = {}  # (columns, signs) -> BksResult with a certificate
-    decided = {}  # (observable count, masks, signs) -> BksResult
     for cfg in configs:
         observables, contexts = cfg.observables, cfg.contexts
         shape_key = (cfg.geometry, len(observables), contexts)
         shape = shapes.get(shape_key)
         if shape is None:
-            masks = [_mask(ctx) for ctx in contexts]
-            shape = shapes[shape_key] = (tuple(masks),
-                                         _columns(masks, len(observables)),
-                                         _shape_errors(*shape_key))
-        masks, columns, shape_errs = shape
+            shape = shapes[shape_key] = (
+                _columns([_mask(ctx) for ctx in contexts], len(observables)),
+                _shape_errors(*shape_key))
+        columns, shape_errs = shape
         keys = [(o.n, o.x, o.z, o.phase) for o in observables]
         errs = tuple(_observable_errors(cfg.n, keys) + shape_errs)
         reports, signs = [], []
@@ -263,12 +260,9 @@ def verify_each(configs):
             system = (columns, tuple(signs))
             bks = certified.get(system)
             if bks is None:
-                decision = (len(observables), masks, system[1])
-                bks = decided.get(decision)
-                if bks is None:
-                    bks = decided[decision] = bks_decide(cfg, signs)
-                    if not bks.colorable:
-                        certified[system] = bks
+                bks = bks_decide(cfg, signs)
+                if not bks.colorable:
+                    certified[system] = bks
         magic = not errs and bks is not None and not bks.colorable
         yield VerificationReport(tuple(reports), errs, magic, bks)
 
@@ -430,9 +424,9 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
     sorted index tuples, and whether the search completed.
 
-    The last level is closed by lookup: of its options, the contexts that
-    close the set are those whose mask is the observables covered once.
-    Its options still count as nodes, lowest first, as if placed one by one.
+    Every level places its options one at a time, lowest first, and each
+    context placed is one node.  At the last level a context closes the
+    set when its mask is the observables covered once.
 
     An observable covered twice shuts every context through it: each has
     an "avoid" bitset, the contexts not holding it, ANDed in at each node.
@@ -443,9 +437,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     masks = [m for _, m, _ in contexts]
     index = list(range(len(masks)))
     holds = {}  # observable's bit -> bitset of the contexts holding it
-    with_mask = {}  # mask -> bitset of the contexts that have it
     for ci, m in enumerate(masks):
-        with_mask[m] = with_mask.get(m, 0) | 1 << ci
         for o in _bits(m):
             holds[1 << o] = holds.get(1 << o, 0) | 1 << ci
     everything = (1 << len(masks)) - 1
@@ -485,20 +477,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                         break
         else:
             options = allowed
-        if len(picked) == c - 1:  # a context placed here closes the set
-            nodes += options.bit_count()
-            over = nodes - limit  # options past the budget, the highest ones
-            closing = options & with_mask.get(once, 0)
-            if over > 0:
-                for _ in range(over):
-                    options ^= 1 << options.bit_length() - 1
-                closing &= options
-            while closing:
-                bit = closing & -closing
-                closing ^= bit
-                found.append(tuple(sorted(picked
-                                          + (index[bit.bit_length() - 1],))))
-            return over <= 0
+        last = len(picked) == c - 1  # a context placed here closes the set
         while options:
             bit = options & -options
             options ^= bit
@@ -507,6 +486,10 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             if nodes > limit:
                 return False
             mask = masks[ci]
+            if last:
+                if mask == once:
+                    found.append(tuple(sorted(picked + (ci,))))
+                continue
             twice = once & mask  # observables now covered twice
             below = allowed & compat[ci]
             while twice:
@@ -515,7 +498,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                 below &= avoid[low]
             if not extend(picked + (ci,), once ^ mask, below):
                 return False
-            allowed &= ~bit
+            allowed ^= bit
         return True
 
     complete = extend((), 0, everything)

@@ -262,9 +262,6 @@ class Ring:
         t = self.tables
         return [i for i in np.flatnonzero(~t.unit).tolist() if i != t.zero]
 
-    def is_unit(self, a: int) -> bool:
-        return bool(self.tables.unit[self.element(a)])
-
 
 class GaloisField(Ring):
     """GF(p^k); element v is the polynomial whose little-endian
@@ -386,9 +383,8 @@ class ProductRing(Ring):
 # next sign (x^2-x1 is x^2 - x - 1), a trailing sign is ignored, like terms
 # add up mod p, and the modulus must be monic of degree >= 1.
 
-_ATOM = re.compile(r"gf\((\d+)(?:\^(\d+))?\)(?:\[x\]/\(([^()]*)\))?(x(?=gf\())?")
+_ATOM = re.compile(r"gf\((\d+)(?:\^(\d+))?\)(?:\[x\]/\(([^)]*)(\)?))?(x(?=gf\())?")
 _TERM = re.compile(r"([+-]*)(?:(\d+)\*?)?(x(?:\^(\d+))?)?")
-_OPEN_MODULUS = re.compile(r"\[x\]/\([^()]*")  # '[x]/(' that never closes
 
 
 def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
@@ -422,12 +418,12 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
     while more:  # an 'x' separator promises one more atom
         if not (m := _ATOM.match(text, pos)):
             fail(f"expected an atom gf(...) at position {pos}")
-        poly = None if m[3] is None else terms(m[3])
+        poly = terms(m[3]) if m[4] else None
         atoms.append((num(m[1]), num(m[2] or "1"), poly))
-        pos, more = m.end(), m[4]
-    if _OPEN_MODULUS.fullmatch(text, pos):
-        fail(f"missing ')' at position {len(text)} to close the modulus "
-             f"opened at position {pos + 4}")
+        if m[4] == "":  # the modulus runs to the end of the spec
+            fail(f"missing ')' at position {len(text)} to close the modulus "
+                 f"opened at position {m.start(3) - 1}")
+        pos, more = m.end(), m[5]
     if pos < len(text):
         fail(f"unexpected input at position {pos}")
     factors = []

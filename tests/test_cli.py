@@ -403,13 +403,25 @@ def test_map_unparsable_ring_exit_code(capsys):
                        "position 9"),
     ("gf(2)[x]/(", "at position 10 to close the modulus opened at position 9"),
     ("gf(3)xgf(2)[x]/(x^2+1", "at position 21 to close the modulus opened "
-                              "at position 15")])
+                              "at position 15"),
+    ("gf(2)[x]/(x^(2", "at position 14 to close the modulus opened at "
+                       "position 9")])
 def test_unclosed_modulus_names_the_missing_paren(capsys, spec, where):
     for command in ("ring", "line"):
         code, out, err = run(capsys, command, "--ring", spec)
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert err == (f"input error: cannot parse ring spec {spec!r}: "
                        f"missing ')' {where}\n")
+
+
+@pytest.mark.parametrize("spec, fault", [
+    ("gf(2)[x]/(x^2xgf(3)", "'g'"), ("gf(2)[x]/(x^(2)", "'^'")])
+def test_paren_inside_a_modulus_is_named_in_the_modulus(capsys, spec, fault):
+    for command in ("ring", "line"):
+        code, out, err = run(capsys, command, "--ring", spec)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == (f"input error: cannot parse ring spec {spec!r}: "
+                       f"unexpected {fault} in modulus\n")
 
 
 def test_internal_value_error_exit_code(capsys, monkeypatch):

@@ -431,8 +431,9 @@ def _counting(monkeypatch, name):
 
 
 def test_verify_each_decides_each_distinct_system_once(monkeypatch):
-    """Same masks and signs share a decision; the same masks with other
-    signs get their own."""
+    """Same sorted column masks and signs share a certificate; the same
+    masks with other signs get their own decision, and a colorable system
+    is decided where it occurs."""
     square = rl.builtin("mermin_square")
     z_grid = rl.Configuration(2, tuple(PauliObservable(w) for w in (
         "ZI", "IZ", "ZZ", "IZ", "ZI", "ZZ", "ZZ", "ZZ", "II")),
@@ -441,10 +442,11 @@ def test_verify_each_decides_each_distinct_system_once(monkeypatch):
                              z_grid.contexts, "custom")  # one more valued
     moved = _relabel(square, (8, 0, 7, 1, 6, 2, 5, 3, 4))
     calls = _counting(monkeypatch, "bks_decide")
-    first, other, again, more, shared = rl.verify_each(
-        [square, z_grid, square, wider, moved])
-    assert [args[0] for args in calls] == [square, z_grid, wider]
+    first, other, again, more, shared, other_again = rl.verify_each(
+        [square, z_grid, square, wider, moved, z_grid])
+    assert [cfg for cfg, _ in calls if cfg is not z_grid] == [square, wider]
     assert shared.bks is first.bks  # a certificate serves a relabelling
+    assert other == other_again == rl.verify_magic(z_grid)
     assert [c.sign for c in other.contexts] == [1] * 6
     assert not first.bks.colorable and other.bks.colorable
     assert again.bks is first.bks and again == first
