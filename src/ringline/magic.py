@@ -426,7 +426,9 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
 
     Every level places its options one at a time, lowest first, and each
     context placed is one node.  At the last level a context closes the
-    set when its mask is the observables covered once.
+    set when its mask is the observables covered once.  A context placed
+    with no candidates left below it is counted but not entered: its
+    subtree would place nothing.
 
     An observable covered twice shuts every context through it: each has
     an "avoid" bitset, the contexts not holding it, ANDed in at each node.
@@ -496,7 +498,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                 low = twice & -twice
                 twice ^= low
                 below &= avoid[low]
-            if not extend(picked + (ci,), once ^ mask, below):
+            if below and not extend(picked + (ci,), once ^ mask, below):
                 return False
             allowed ^= bit
         return True
@@ -556,7 +558,7 @@ class _ResultRows(Sequence):
 
     def _build(self, row: list[int], shape: int) -> Configuration:
         return self._templates[shape]._with_observables(
-            tuple([self._words[j] for j in row]))
+            tuple(map(self._words.__getitem__, row)))
 
 
 _SQUARE_MASKS = [_mask(c) for c in _SQUARE_CONTEXTS]
@@ -568,14 +570,17 @@ def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
     and the two contexts disjoint from it."""
     contexts = _contexts(words, 3)
     grids = []
+    colorable = {}  # signs of the rows then the columns -> colorable
     for grid_set in _cover_twice(contexts, 6, {0, 1})[0]:
         lines = [contexts[ci] for ci in grid_set]
         rows = [l for l in lines if l is lines[0] or not l[1] & lines[0][1]]
         cols = [l for l in lines if l not in rows]
         if rows[1][1] & rows[2][1]:
             continue  # the lines close a triangle: not a grid
-        signs = [sign for _, _, sign in rows + cols]
-        if _decide(_SQUARE_MASKS, signs, 9).colorable:
+        signs = tuple([sign for _, _, sign in rows + cols])
+        if signs not in colorable:
+            colorable[signs] = _decide(_SQUARE_MASKS, signs, 9).colorable
+        if colorable[signs]:
             continue
         grids.append(tuple((r & c).bit_length() - 1
                            for _, r, _ in rows for _, c, _ in cols))
@@ -636,7 +641,8 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     pentagrams the columns are always the 10 pairs of the 5 contexts, so
     at most 32 systems are decided, one per sign pattern.  The results are
     compact rows (see ``_ResultRows``), with one validated configuration
-    for each shape of remapped contexts.
+    for each shape of remapped contexts; the shapes are found, in sorted
+    order, by sorting each candidate's 20 context ranks as one byte string.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
@@ -662,8 +668,15 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
     obs, rank, signs = obs[order], rank[order], signs[order]
     del order
-    flats, shapes = np.unique(rank, axis=0, return_inverse=True)
+    # Each row as one 20-byte value: the ranks are 0-9, so the bytes sort
+    # in the same order as the rows, and one sort of the values finds the
+    # shapes far faster than np.unique(axis=0), which compares field by
+    # field.  The view keeps `rank` alive until it is dropped.
+    rows = np.ascontiguousarray(rank).view(np.dtype((np.void, 20))).ravel()
     del rank
+    flats, shapes = np.unique(rows, return_inverse=True)
+    del rows
+    flats = flats.view(np.int8).reshape(-1, 20)
     shapes = shapes.reshape(-1)  # numpy 2.0.0 returns it as a column
     quads = {}  # a context of ranks -> the one tuple kept for it
     shaped = [tuple([quads.setdefault(q, q) for q in zip(*[iter(flat)] * 4)])

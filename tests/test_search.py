@@ -550,3 +550,27 @@ def test_search_decides_each_distinct_system_once(monkeypatch):
     assert len({id(c.contexts) for c in results}) == \
         len({c.contexts for c in results})
     assert len({id(c.context_labels) for c in results}) == 1
+
+
+def test_search_shapes_keep_their_sorted_order(pentagram_search):
+    """The shapes are numbered in the order of their flattened contexts,
+    the order that sorting the rank rows gives; each result reads its
+    shape's one contexts tuple."""
+    results = pentagram_search.results
+    flats = [tuple(i for ctx in t.contexts for i in ctx)
+             for t in results._templates]
+    assert all(a < b for a, b in zip(flats, flats[1:]))
+    for k in range(0, len(results), 89):
+        shape = int(results._shapes[k])
+        assert results[k].contexts is results._templates[shape].contexts
+
+
+def test_grid_search_decides_each_distinct_sign_pattern_once(monkeypatch):
+    """Every grid is decided on the same masks, so one ``_decide`` per
+    distinct tuple of row and column signs serves all grids with it."""
+    calls = _counting(monkeypatch, "_decide")
+    squares = rl.search_squares()
+    decided = [tuple(signs) for _, signs, _ in calls]
+    assert len(set(decided)) == len(decided)
+    assert {tuple(r.sign for r in rl.verify_magic(s).contexts)
+            for s in squares} <= set(decided)
