@@ -79,8 +79,6 @@ def _render(data: dict, text_lines: list[str], fmt: str,
     if fmt == "json":
         return _json(data, "\n") + "\n"
     if fmt == "dot":
-        if dot is None:
-            raise ValueError("dot output is not defined for this command")
         return dot
     return "\n".join(text_lines) + "\n"
 
@@ -464,14 +462,14 @@ def run_correspond(args):
                  f"{cmp.isomorphic_under_bijection} "
                  f"({len(cmp.mismatches)} mismatching pair(s))")
     if args.variant == "jacobson":
-        stars = co.edge_star_points("jacobson")
+        stars = co.edge_star_points(bij.points)
         data["edge_star_points"] = [{"edge": label,
                                      "points": [str(p) for p in pts]}
                                     for label, pts in stars]
         for label, pts in stars:
             lines.append(f"{label}: point distant to the other three: "
                          + (" ".join(str(p) for p in pts) or "(none)"))
-        if args.check:
+        if args.check and perm is None:
             by_label = dict(stars)
             claims.expect("jacobson: (1,1) is the edge-star of the two top edges",
                           all(tuple(str(p) for p in by_label[l]) == ("(1,1)",)

@@ -173,10 +173,12 @@ def pentagram_correspondence(variant: str,
     return bij, _compare(cfg.observables, club_catalog(), points)
 
 
-def edge_star_points(variant: str = "jacobson"
+def edge_star_points(layout: str | tuple[ProjPoint, ...] = "jacobson"
                      ) -> list[tuple[str, tuple[ProjPoint, ...]]]:
-    """Per edge: the points distant to every other point of that edge."""
-    points = pentagram_layout_points(variant)
+    """Per edge: the points distant to every other point of that edge, on
+    a variant's layout or on ten points in slot order (a permuted one)."""
+    points = (pentagram_layout_points(layout) if isinstance(layout, str)
+              else layout)
     out = []
     for label, slots in PENTAGRAM_EDGE_SLOTS:
         edge = [points[i] for i in slots]

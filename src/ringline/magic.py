@@ -297,6 +297,25 @@ def _mask(ctx) -> int:
     return mask
 
 
+def _columns(masks: list[int], m: int) -> tuple[int, ...]:
+    """The sorted column masks of the system whose context i holds the
+    observables of bit mask masks[i], out of m: for each observable, the
+    bitset of the contexts that hold it.
+
+    Which sets of contexts XOR to zero depends on these alone, not on how
+    the observables are numbered.  ``gf2.eliminate`` takes pivot rows
+    greedily in row order, so its null combinations, and the first odd
+    one that ``_decide`` returns as the certificate, are the same for
+    every system with the same columns and signs: ``verify_each`` shares
+    one certificate among them.
+    """
+    cols = [0] * m
+    for ci, mask in enumerate(masks):
+        for o in _bits(mask):
+            cols[o] |= 1 << ci
+    return tuple(sorted(cols))
+
+
 def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
     """A valuation, or a parity certificate that none exists, from one
     GF(2) elimination; either answer is checked as a proof (the valuation
@@ -340,24 +359,6 @@ def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
 
 # ---------------------------------------------------------------------------
 # searches
-
-
-def _columns(masks: list[int], m: int) -> tuple[int, ...]:
-    """The sorted column masks of the system whose context i holds the
-    observables of bit mask masks[i], out of m: for each observable, the
-    bitset of the contexts that hold it.
-
-    Which sets of contexts XOR to zero depends on these alone, not on how
-    the observables are numbered.  ``gf2.eliminate`` takes pivot rows
-    greedily in row order, so its null combinations, and the first odd
-    one that ``_decide`` returns as the certificate, are the same for
-    every system with the same columns and signs.
-    """
-    cols = [0] * m
-    for ci, mask in enumerate(masks):
-        for o in _bits(mask):
-            cols[o] |= 1 << ci
-    return tuple(sorted(cols))
 
 
 def _bits(mask: int):
@@ -427,8 +428,8 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     Every level places its options one at a time, lowest first, and each
     context placed is one node.  At the last level a context closes the
     set when its mask is the observables covered once.  A context placed
-    with no candidates left below it is counted but not entered: its
-    subtree would place nothing.
+    with no candidates left below it is counted but neither entered nor
+    given its avoid bitsets: its subtree would place nothing.
 
     An observable covered twice shuts every context through it: each has
     an "avoid" bitset, the contexts not holding it, ANDed in at each node.
@@ -492,8 +493,8 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                 if mask == once:
                     found.append(tuple(sorted(picked + (ci,))))
                 continue
-            twice = once & mask  # observables now covered twice
             below = allowed & compat[ci]
+            twice = once & mask if below else 0  # now covered twice
             while twice:
                 low = twice & -twice
                 twice ^= low
@@ -562,6 +563,7 @@ class _ResultRows(Sequence):
 
 
 _SQUARE_MASKS = [_mask(c) for c in _SQUARE_CONTEXTS]
+_PENTAGRAM_MASKS = [_mask(c) for _, c in PENTAGRAM_EDGE_SLOTS]
 
 
 def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
@@ -636,29 +638,36 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     ``budget`` caps the number of search-tree nodes; when it is hit the
     results found so far are returned with ``complete=False``.
 
-    Every candidate is decided, but one decision serves all the candidates
-    with the same sorted column masks and signs (see ``_columns``).  For
-    pentagrams the columns are always the 10 pairs of the 5 contexts, so
-    at most 32 systems are decided, one per sign pattern.  The results are
-    compact rows (see ``_ResultRows``), with one validated configuration
-    for each shape of remapped contexts; the shapes are found, in sorted
-    order, by sorting each candidate's 20 context ranks as one byte string.
+    Any two of a candidate's 5 contexts share one observable, so its 10
+    observables are the 10 pairs of its contexts, as in the built-in: it is
+    decided on ``_PENTAGRAM_MASKS`` with its own signs, once per sign
+    pattern, before it is shaped.  The results are compact rows (see
+    ``_ResultRows``), with one validated configuration for each shape of
+    remapped contexts; the shapes are found, in sorted order, by sorting
+    each magic candidate's 20 context ranks as one byte string.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
     found, complete = _cover_twice(contexts, 5, {1}, budget)
-    # Row r of `held` lists the observables of candidate r context by
+    pents = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
+                        count=5 * len(found)).reshape(-1, 5)
+    del found
+    # one decision per sign pattern, as 5 bits, serves all candidates with it
+    signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
+    _, firsts, pattern = np.unique(((signs < 0) << np.arange(5)).sum(axis=1),
+                                   return_index=True, return_inverse=True)
+    colorable = [_decide(_PENTAGRAM_MASKS, signs[r].tolist(), 10).colorable
+                 for r in firsts.tolist()]
+    pents = pents[~np.array(colorable, dtype=bool)[pattern]]
+    del signs, pattern
+    # Row r of `held` lists the observables of magic candidate r context by
     # context.  A candidate's contexts come in index order, which is the
     # order of their observable tuples, and hold each of its 10 observables
     # twice; renumbering the observables by rank keeps that order, so each
     # row's remapped contexts are already sorted.  Indices < 63 fit int8.
     # Each table is dropped once the next is packed from it.
-    pents = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
-                        count=5 * len(found)).reshape(-1, 5)
-    del found
     held = np.array([idx for idx, _, _ in contexts],
                     dtype=np.int8)[pents].reshape(-1, 20)
-    signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
     del pents
     obs = np.sort(held, axis=1)[:, ::2]
     rank = np.zeros_like(held)  # how many of the row's observables are lower
@@ -666,7 +675,7 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
         rank += held > lower[:, None]
     del held
     order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
-    obs, rank, signs = obs[order], rank[order], signs[order]
+    obs, rank = obs[order], rank[order]
     del order
     # Each row as one 20-byte value: the ranks are 0-9, so the bytes sort
     # in the same order as the rows, and one sort of the values finds the
@@ -681,24 +690,12 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     quads = {}  # a context of ranks -> the one tuple kept for it
     shaped = [tuple([quads.setdefault(q, q) for q in zip(*[iter(flat)] * 4)])
               for flat in flats.tolist()]
-    columns = {}  # sorted column masks -> their number, in shape order
-    system = np.array([columns.setdefault(
-        _columns([_mask(ctx) for ctx in ctxs], 10), len(columns))
-        for ctxs in shaped], dtype=np.intp)
-    # a row's system: its shape's columns, then its signs as 5 bits
-    keys = system[shapes] << 5 | ((signs < 0) << np.arange(5)).sum(axis=1)
-    _, firsts, decision = np.unique(keys, return_index=True,
-                                    return_inverse=True)
-    colorable = np.array([_decide([_mask(ctx) for ctx in shaped[shapes[r]]],
-                                  signs[r].tolist(), 10).colorable
-                          for r in firsts.tolist()], dtype=bool)
-    keep = ~colorable[decision]
     placeholder = tuple(words[:10])
     templates = tuple([Configuration(3, placeholder, ctxs, "pentagram")
                        for ctxs in shaped])
     # at most 12096 shapes, the full search's row count, fit int16
-    return SearchOutcome(_ResultRows(words, templates, obs[keep],
-                                     shapes[keep].astype(np.int16)),
+    return SearchOutcome(_ResultRows(words, templates, obs,
+                                     shapes.astype(np.int16)),
                          complete)
 
 

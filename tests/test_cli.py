@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ringline as rl
 from ringline import cli
-from ringline.magic import DeciderDisagreement
+from ringline.magic import PENTAGRAM_EDGE_SLOTS, DeciderDisagreement
 
 
 def run(capsys, *argv):
@@ -121,6 +121,25 @@ def test_correspond_jacobson_check(capsys):
     assert code == 0
     assert "[FAIL]" not in out
     assert "[INFO]" in out
+
+
+def test_correspond_permuted_jacobson_stars_lie_on_their_edges(capsys):
+    """A permutation moves the points, so the edge stars are read off the
+    points it places, and the claims about the unpermuted layout are not
+    made."""
+    code, out, _ = run(capsys, "correspond", "--variant", "jacobson",
+                       "--permute", "9,1,2,3,4,5,6,7,8,0", "--check",
+                       "--format", "json")
+    data = json.loads(out)
+    points = [entry["point"] for entry in data["bijection"]]
+    stars = {e["edge"]: e["points"] for e in data["edge_star_points"]}
+    assert code == 0 and data["claims"]["checked"] == []
+    for label, slots in PENTAGRAM_EDGE_SLOTS:
+        assert set(stars[label]) <= {points[i] for i in slots}
+    # slot 0 (top) now holds (0,1): it is no star, and (1,1) at bottom-right
+    # stays the star of the one top edge through slot 9
+    assert stars["edge top/lower-left"] == []
+    assert stars["edge top/lower-right"] == ["(1,1)"]
 
 
 def test_map_check(capsys):

@@ -72,6 +72,11 @@ def test_edge_stars_jacobson():
     assert stars["horizontal"] == ()
 
 
+def test_edge_stars_of_a_layout_by_name_or_by_points():
+    points = co.pentagram_layout_points("jacobson")
+    assert co.edge_star_points(points) == co.edge_star_points("jacobson")
+
+
 def test_edge_stars_neighbourhood_all_empty():
     assert all(pts == () for _, pts in co.edge_star_points("neighbourhood"))
 

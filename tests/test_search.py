@@ -552,6 +552,30 @@ def test_search_decides_each_distinct_system_once(monkeypatch):
     assert len({id(c.context_labels) for c in results}) == 1
 
 
+def test_search_decides_on_the_builtin_masks_alone(monkeypatch):
+    """The search reads no candidate's columns: each of its decisions is
+    made on the built-in pentagram's masks, one per sign pattern."""
+    columns = _counting(monkeypatch, "_columns")
+    calls = _counting(monkeypatch, "_decide")
+    assert len(rl.search_pentagrams().results) == 12096
+    assert columns == [] and 0 < len(calls) <= 32
+    assert all(masks is magic._PENTAGRAM_MASKS and m == 10
+               for masks, _, m in calls)
+
+
+def test_every_pentagram_candidate_has_the_builtin_columns():
+    """Every set the full three-qubit cover returns is the built-in
+    pentagram's system up to relabelling its observables: its sorted
+    columns are those of ``_PENTAGRAM_MASKS``, on which it is decided."""
+    contexts = _contexts(all_words(3), 4)
+    masks = [m for _, m, _ in contexts]
+    found, complete = _cover_twice(contexts, 5, {1})
+    want = (0,) * 54 + magic._columns(magic._PENTAGRAM_MASKS, 10)
+    assert complete and len(found) == 12096
+    assert all(magic._columns([masks[ci] for ci in s], 64) == want
+               for s in found)
+
+
 def test_search_shapes_keep_their_sorted_order(pentagram_search):
     """The shapes are numbered in the order of their flattened contexts,
     the order that sorting the rank rows gives; each result reads its
