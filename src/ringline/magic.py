@@ -219,61 +219,131 @@ def verify_each(configs):
     at a time: a caller that keeps none of the reports never holds them all.
 
     Each configuration gets its own structural check and is read from its
-    own words: each context is keyed by its observables in order, as
-    (n, x, z, phase).  Within one call, every distinct key gets one
-    commutation test and one sign, shared by all the contexts that have
-    it; every distinct tuple of contexts gets its sorted column masks and
-    its shape check once.  BKS decisions are made by ``bks_decide``.  A
-    certificate names contexts only, so one serves (as one ``BksResult``)
-    every configuration with the same sorted column masks and signs, that
-    is the same system up to relabelling the observables (see
-    ``_columns``).  A valuation names observables, so a colorable system
-    is decided where it occurs.  Equal context reports are one object.
-    Nothing is kept between calls.
+    own words, as a row of word ids: each word's (n, x, z, phase) is
+    interned once per call as a small int.  Search results
+    (``_ResultRows``) are read as their rows, mapped through the ids of
+    their 63 words, and a configuration is built from a row only when it
+    goes to ``bks_decide``.  Each context is keyed by its members' ids in
+    order, read by one getter per context.  Within one call, every
+    distinct key gets one commutation test and one sign, shared by all the
+    contexts that have it, and every distinct shape of contexts gets its
+    getters, its sorted column masks (see ``_columns``) and its shape
+    check once.  Observable errors are looked for only in a row that
+    repeats an id or holds a phased word or one on another qubit count.
+
+    BKS decisions are made by ``bks_decide``.  A certificate names
+    contexts only, so one serves (as one ``BksResult``) every
+    configuration with the same sorted column masks and signs, that is
+    the same system up to relabelling the observables.  A valuation names
+    observables, so a colorable system is decided where it occurs.  Any
+    other configurations with the same labels, context checks, structural
+    errors and sorted column masks share one report.  Equal context
+    reports are one object.  Nothing is kept between calls.
     """
-    shapes = {}  # (geometry, count, contexts) -> (columns, shape errors)
+    index = {}  # (n, x, z, phase) -> the word's id
+    words = []  # id -> the first word interned to it
+    qubits = []  # id -> its word's qubit count, or None if it is phased
+    kinds = set()  # the values in qubits
+
+    def intern(o: PauliObservable) -> int:
+        key = (o.n, o.x, o.z, o.phase)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(words)
+            words.append(o)
+            qubits.append(None if o.phase else o.n)
+            kinds.add(qubits[-1])
+        return i
+
+    # each row: (word ids, shape key, a configuration of the row's shape
+    # and labels, the configuration itself or None if it is not built)
+    if isinstance(configs, _ResultRows):
+        id_of = list(map(intern, configs._words)).__getitem__
+        templates = configs._templates
+        rows = ((list(map(id_of, row)), shape, templates[shape], None)
+                for row, shape in configs._rows())
+    else:
+        rows = ((list(map(intern, cfg.observables)),
+                 (cfg.geometry, len(cfg.observables), cfg.contexts), cfg, cfg)
+                for cfg in configs)
+    shapes = {}  # shape key -> (getters, columns, shape errors)
+    getters = {}  # context -> the getter of its members' ids
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
     certified = {}  # (columns, signs) -> BksResult with a certificate
-    for cfg in configs:
-        observables, contexts = cfg.observables, cfg.contexts
-        shape_key = (cfg.geometry, len(observables), contexts)
+    shared = {}  # (labels, checks, errors, columns) -> report, not colorable
+    for ids, shape_key, template, cfg in rows:
         shape = shapes.get(shape_key)
         if shape is None:
-            shape = shapes[shape_key] = (
-                _columns([_mask(ctx) for ctx in contexts], len(observables)),
-                _shape_errors(*shape_key))
-        columns, shape_errs = shape
-        keys = [(o.n, o.x, o.z, o.phase) for o in observables]
-        errs = tuple(_observable_errors(cfg.n, keys) + shape_errs)
-        reports, signs = [], []
-        for label, ctx in zip(cfg.context_labels, contexts):
-            key = tuple([keys[i] for i in ctx])
-            fields = (label, *_context_check(checked, key, ctx, observables))
-            report = made.get(fields)
-            if report is None:
-                report = made[fields] = ContextReport(*fields)
-            reports.append(report)
-            signs.append(report.sign)
-        bks = None
-        if None not in signs:
-            system = (columns, tuple(signs))
-            bks = certified.get(system)
-            if bks is None:
-                bks = bks_decide(cfg, signs)
-                if not bks.colorable:
-                    certified[system] = bks
-        magic = not errs and bks is not None and not bks.colorable
-        yield VerificationReport(tuple(reports), errs, magic, bks)
+            shape = shapes[shape_key] = _shape(
+                template.geometry, len(ids), template.contexts, getters)
+        reads, columns, errs = shape
+        n = template.n
+        # a row can hold a phased word or one on another count only if some
+        # word interned so far is one
+        if len(set(ids)) != len(ids) or (
+                kinds != {n} and {*map(qubits.__getitem__, ids)} != {n}):
+            errs = tuple(_observable_errors(n, [
+                (o.n, o.x, o.z, o.phase) for o in map(words.__getitem__, ids)
+            ])) + errs
+        checks = []
+        for get in reads:
+            key = get(ids)
+            check = checked.get(key)
+            if check is None:
+                check = checked[key] = _context_check(
+                    [words[i] for i in key])
+            checks.append(check)
+        labels = template.context_labels
+        report_key = (labels, tuple(checks), errs, columns)
+        report = shared.get(report_key)
+        if report is None:
+            signs = [sign for _, sign, _ in checks]
+            bks = None
+            if None not in signs:
+                system = (columns, tuple(signs))
+                bks = certified.get(system)
+                if bks is None:
+                    if cfg is None:
+                        cfg = template._with_observables(
+                            tuple(map(words.__getitem__, ids)))
+                    bks = bks_decide(cfg, signs)
+                    if not bks.colorable:
+                        certified[system] = bks
+            reports = []
+            for label, check in zip(labels, checks):
+                fields = (label, *check)
+                context = made.get(fields)
+                if context is None:
+                    context = made[fields] = ContextReport(*fields)
+                reports.append(context)
+            magic = not errs and bks is not None and not bks.colorable
+            report = VerificationReport(tuple(reports), errs, magic, bks)
+            if bks is None or not bks.colorable:
+                shared[report_key] = report
+        yield report
 
 
-def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
-    """(commuting, sign, note) of the context ctx, whose words have the
-    (n, x, z, phase) keys `key`; computed once per key in ``checked``."""
-    check = checked.get(key)
-    if check is not None:
-        return check
-    ops = [observables[i] for i in ctx]
+def _shape(geometry: str, m: int, contexts, getters: dict) -> tuple:
+    """(getters, columns, shape errors) of m observables in `contexts`: for
+    each context, the getter that reads its members' ids from a row as a
+    tuple, shared through ``getters`` by every shape with that context, and
+    the sorted column masks, as ``_columns`` gives them."""
+    got, cols = [], [0] * m
+    for ci, ctx in enumerate(contexts):
+        for i in ctx:
+            cols[i] |= 1 << ci
+        get = getters.get(ctx)
+        if get is None:
+            get = getters[ctx] = (operator.itemgetter(*ctx) if len(ctx) > 1
+                                  else lambda ids, i=ctx[0]: (ids[i],))
+        got.append(get)
+    return (tuple(got), tuple(sorted(cols)),
+            tuple(_shape_errors(geometry, m, contexts)))
+
+
+def _context_check(ops: list[PauliObservable]) -> tuple:
+    """(commuting, sign, note) of a context of the observables ops."""
     try:
         comm = anticommuting_pair(ops) is None
         note = "" if comm else "not pairwise commuting"
@@ -285,8 +355,7 @@ def _context_check(checked: dict, key: tuple, ctx, observables) -> tuple:
             sign = scalar_sign(ops)
         except PauliError as e:
             note = str(e)
-    check = checked[key] = (comm, sign, note)
-    return check
+    return comm, sign, note
 
 
 def _mask(ctx) -> int:
@@ -307,7 +376,8 @@ def _columns(masks: list[int], m: int) -> tuple[int, ...]:
     greedily in row order, so its null combinations, and the first odd
     one that ``_decide`` returns as the certificate, are the same for
     every system with the same columns and signs: ``verify_each`` shares
-    one certificate among them.
+    one certificate among them, on columns that ``_shape`` reads off the
+    contexts directly.
     """
     cols = [0] * m
     for ci, mask in enumerate(masks):
@@ -551,11 +621,16 @@ class _ResultRows(Sequence):
         return self._build(self._observables[i].tolist(), int(self._shapes[i]))
 
     def __iter__(self):
-        for start in range(0, len(self), 1024):  # lists for 1024 rows at a time
+        for row, shape in self._rows():
+            yield self._build(row, shape)
+
+    def _rows(self):
+        """(observable indices as a list, shape) of each result, listed
+        1024 rows at a time."""
+        for start in range(0, len(self), 1024):
             stop = start + 1024
-            for row, shape in zip(self._observables[start:stop].tolist(),
-                                  self._shapes[start:stop].tolist()):
-                yield self._build(row, shape)
+            yield from zip(self._observables[start:stop].tolist(),
+                           self._shapes[start:stop].tolist())
 
     def _build(self, row: list[int], shape: int) -> Configuration:
         return self._templates[shape]._with_observables(
@@ -733,6 +808,9 @@ def config_from_json(text: str) -> Configuration:
         if type(data) is not dict:
             raise ConfigError("bad configuration JSON: expected an object")
         n = _field(data, "n", int, "an integer")
+        if n < 1:
+            raise ConfigError(f"bad configuration JSON: n = {n!r} is not a "
+                              "positive qubit count")
         words = _field(data, "observables", list, "a list")
         contexts = _field(data, "contexts", list, "a list")
         return Configuration(

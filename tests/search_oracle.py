@@ -1,15 +1,22 @@
 """Reference search routines for the tests: the package's earlier
-exact-cover extender and grid-transform generator.
+exact-cover extender, grid-transform generator and batch verifier.
 
 ``ref_cover_twice`` branches with ``min(..., key=int.bit_count)`` over a
 generator of set bits, where the package inlines the loops; it also returns
 the number of tree nodes it placed.  ``ref_grid_transforms`` rebuilds the
 72 row/column permutations (with or without transposition) of a row-major
 3x3 grid as nested tuples, where the package applies precomputed index
-permutations.
+permutations.  ``ref_verify_each`` re-verifies each configuration from
+its observables, keying each context by their (n, x, z, phase) tuples,
+where the package interns each word as a small int and reads search
+results as rows of those ints.
 """
 
 import itertools
+
+from ringline import magic
+from ringline.magic import ContextReport, VerificationReport
+from ringline.pauli import PauliError, anticommuting_pair, scalar_sign
 
 
 def _bits(mask):
@@ -76,3 +83,65 @@ def ref_grid_transforms(grid):
         for rp in itertools.permutations(range(3)):
             for cp in itertools.permutations(range(3)):
                 yield tuple(mat[i][j] for i in rp for j in cp)
+
+
+def ref_verify_each(configs):
+    """The verification report of each configuration, in order; equal
+    context reports are one object, and a certificate serves every
+    configuration with the same sorted column masks and signs."""
+    shapes = {}  # (geometry, count, contexts) -> (columns, shape errors)
+    checked = {}  # context key -> (commuting, sign, note)
+    made = {}  # (label, commuting, sign, note) -> the one ContextReport
+    certified = {}  # (columns, signs) -> BksResult with a certificate
+    for cfg in configs:
+        observables, contexts = cfg.observables, cfg.contexts
+        shape_key = (cfg.geometry, len(observables), contexts)
+        shape = shapes.get(shape_key)
+        if shape is None:
+            shape = shapes[shape_key] = (
+                magic._columns([magic._mask(ctx) for ctx in contexts],
+                               len(observables)),
+                magic._shape_errors(*shape_key))
+        columns, shape_errs = shape
+        keys = [(o.n, o.x, o.z, o.phase) for o in observables]
+        errs = tuple(magic._observable_errors(cfg.n, keys) + shape_errs)
+        reports, signs = [], []
+        for label, ctx in zip(cfg.context_labels, contexts):
+            key = tuple([keys[i] for i in ctx])
+            fields = (label, *_ref_context_check(checked, key, ctx,
+                                                 observables))
+            report = made.get(fields)
+            if report is None:
+                report = made[fields] = ContextReport(*fields)
+            reports.append(report)
+            signs.append(report.sign)
+        bks = None
+        if None not in signs:
+            system = (columns, tuple(signs))
+            bks = certified.get(system)
+            if bks is None:
+                bks = magic.bks_decide(cfg, signs)
+                if not bks.colorable:
+                    certified[system] = bks
+        is_magic = not errs and bks is not None and not bks.colorable
+        yield VerificationReport(tuple(reports), errs, is_magic, bks)
+
+
+def _ref_context_check(checked, key, ctx, observables):
+    check = checked.get(key)
+    if check is not None:
+        return check
+    ops = [observables[i] for i in ctx]
+    try:
+        comm = anticommuting_pair(ops) is None
+        note = "" if comm else "not pairwise commuting"
+    except PauliError as e:
+        comm, note = False, str(e)
+    sign = None
+    if comm:
+        try:
+            sign = scalar_sign(ops)
+        except PauliError as e:
+            note = str(e)
+    check = checked[key] = (comm, sign, note)
+    return check

@@ -551,6 +551,19 @@ def test_mistyped_config_field_exit_code(capsys, tmp_path, command, config,
 
 
 @pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
+@pytest.mark.parametrize("n", [-1, 0])
+def test_nonpositive_qubit_count_exit_code(capsys, tmp_path, command, n):
+    """A configuration on no qubits, or on fewer, was read as one and
+    reported ("configuration: custom on -1 qubits", exit 0)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": n, "observables": [], "contexts": []}))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"input error: bad configuration JSON: n = {n} is not a "
+                   "positive qubit count\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
 @pytest.mark.parametrize("text", ["[1, 2]", '"square"', "3", "null", "true"],
                          ids=["array", "string", "number", "null", "true"])
 def test_non_object_config_exit_code(capsys, tmp_path, command, text):

@@ -18,7 +18,8 @@ from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
-from search_oracle import ref_cover_twice, ref_grid_transforms
+from search_oracle import (ref_cover_twice, ref_grid_transforms,
+                           ref_verify_each)
 
 
 def oracle_contexts(words, size):
@@ -385,6 +386,78 @@ def test_verify_each_matches_one_at_a_time(pentagram_search):
                     batch, batch[::-1]):
         assert list(rl.verify_each(results)) == [rl.verify_magic(c)
                                                  for c in results]
+
+
+def _same_reports(configs):
+    """verify_each's reports equal the reference's, and equal context
+    reports are one object among them."""
+    reports = list(rl.verify_each(configs))
+    assert reports == list(ref_verify_each(configs))
+    contexts = [c for r in reports for c in r.contexts]
+    assert len(set(map(id, contexts))) == len(set(contexts))
+    return reports
+
+
+def test_verify_each_matches_the_reference(pentagram_search):
+    """Search results read as rows of word ids, or as configurations, and
+    a mixed batch either way round: the reports of the earlier verifier."""
+    results = pentagram_search.results
+    assert all(r.magic for r in _same_reports(results))
+    _same_reports(list(results))
+    _same_reports(results[::97])
+    batch = _mixed_batch()
+    _same_reports(batch)
+    _same_reports(batch[::-1])
+
+
+@st.composite
+def unusual_batches(draw):
+    """Small configurations of one- and two-qubit words, some phased,
+    repeated or on another qubit count than the configuration's, with
+    one-observable contexts among others, then relabelled copies and
+    copies with other words in the same shape, all shuffled."""
+    words = st.builds(PauliObservable, st.text("IXYZ", min_size=1, max_size=2),
+                      st.sampled_from([0, 0, 0, 1, 2]))
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = draw(st.lists(words, min_size=1, max_size=4))
+        observables = tuple(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                          max_size=6)))
+        m = len(observables)
+        contexts = tuple(map(tuple, draw(st.lists(
+            st.lists(st.integers(0, m - 1), min_size=1, max_size=min(3, m),
+                     unique=True), min_size=1, max_size=4))))
+        labels = draw(st.sampled_from([(), tuple("abcd"[:len(contexts)])]))
+        cfg = rl.Configuration(draw(st.integers(1, 2)), observables, contexts,
+                               draw(st.sampled_from(["custom", "square",
+                                                     "pentagram"])), labels)
+        other = tuple(draw(st.lists(st.sampled_from(pool), min_size=m,
+                                    max_size=m)))
+        batch += [cfg, _relabel(cfg, draw(st.permutations(range(m)))),
+                  cfg._with_observables(other), cfg]
+    return draw(st.permutations(batch))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unusual_batches())
+def test_verify_each_matches_the_reference_on_odd_words(batch):
+    _same_reports(batch)
+
+
+def test_verify_each_reads_search_rows_without_building_them(
+        monkeypatch, pentagram_search):
+    """On the search's own rows, each of the 945 distinct context keys is
+    tested once, and a configuration is built only to be decided."""
+    pairs = _counting(monkeypatch, "anticommuting_pair")
+    decided = _counting(monkeypatch, "bks_decide")
+    built = []
+    with_observables = rl.Configuration._with_observables
+    monkeypatch.setattr(rl.Configuration, "_with_observables",
+                        lambda cfg, obs: built.append(obs)
+                        or with_observables(cfg, obs))
+    assert all(r.magic for r in rl.verify_each(pentagram_search.results))
+    assert len(pairs) == len({_word_key(ops) for ops, in pairs}) == 945
+    assert 0 < len(decided) <= 32 and len(built) == len(decided)
 
 
 def _word_key(ops):
