@@ -51,6 +51,8 @@ class Configuration:
     context_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError(f"n = {self.n!r} is not a positive qubit count")
         if self.geometry not in ("square", "pentagram", "custom"):
             raise ConfigError(f"unknown geometry {self.geometry!r}: "
                               "expected square, pentagram or custom")
@@ -103,11 +105,9 @@ def _observable_errors(n: int, keys: list[tuple]) -> list[str]:
     """The structural errors of n-qubit observables given by their keys
     (n, x, z, phase): a duplicate word, a phase, another qubit count."""
     errs = []
-    phased = any([k[3] for k in keys])
-    # with no phases the keys are the words themselves
-    if len({k[:3] for k in keys} if phased else set(keys)) != len(keys):
+    if len({k[:3] for k in keys}) != len(keys):
         errs.append("duplicate observable")
-    if phased:
+    if any([k[3] for k in keys]):
         errs.append("observables must have phase 0")
     if any([k[0] != n for k in keys]):
         errs.append("observable qubit-count mismatch")
@@ -220,25 +220,23 @@ def verify_each(configs):
 
     Each configuration gets its own structural check and is read from its
     own words, as a row of word ids: each word's (n, x, z, phase) is
-    interned once per call as a small int.  Search results
-    (``_ResultRows``) are read as their rows, mapped through the ids of
-    their 63 words, and a configuration is built from a row only when it
-    goes to ``bks_decide``.  Each context is keyed by its members' ids in
-    order, read by one getter per context.  Within one call, every
-    distinct key gets one commutation test and one sign, shared by all the
-    contexts that have it, and every distinct shape of contexts gets its
-    getters, its sorted column masks (see ``_columns``) and its shape
-    check once.  Observable errors are looked for only in a row that
-    repeats an id or holds a phased word or one on another qubit count.
+    interned once per call as a small int.  The words of search results
+    (``_ResultRows``) are interned first; when they are distinct they are
+    their own ids, so each row is read as it is, and a configuration is
+    built from a row only when it goes to ``bks_decide``.  Each context is
+    keyed by its members' ids in order, read by one getter per context.
+    Within one call, every distinct key gets one commutation test and one
+    sign, shared by all the contexts that have it, and every distinct
+    shape of contexts gets its getters, its sorted column masks (see
+    ``_columns``) and its shape check once.  Observable errors are looked
+    for only in a row that repeats an id or holds a phased word or one on
+    another qubit count.
 
-    BKS decisions are made by ``bks_decide``.  A certificate names
-    contexts only, so one serves (as one ``BksResult``) every
-    configuration with the same sorted column masks and signs, that is
-    the same system up to relabelling the observables.  A valuation names
-    observables, so a colorable system is decided where it occurs.  Any
-    other configurations with the same labels, context checks, structural
-    errors and sorted column masks share one report.  Equal context
-    reports are one object.  Nothing is kept between calls.
+    Configurations with the same labels, context checks, structural errors
+    and sorted column masks share one report unless it is colorable: the
+    columns and the signs fix the system up to relabelling its observables,
+    so its certificate, which names contexts only, serves them all.  Equal
+    context reports are one object.  Nothing is kept between calls.
     """
     index = {}  # (n, x, z, phase) -> the word's id
     words = []  # id -> the first word interned to it
@@ -256,11 +254,12 @@ def verify_each(configs):
         return i
 
     # each row: (word ids, shape key, a configuration of the row's shape
-    # and labels, the configuration itself or None if it is not built)
-    if isinstance(configs, _ResultRows):
-        id_of = list(map(intern, configs._words)).__getitem__
+    # and labels, the configuration itself or None if it is not built);
+    # a search's words, interned first, are their own ids unless one repeats
+    if isinstance(configs, _ResultRows) and list(
+            map(intern, configs._words)) == [*range(len(configs._words))]:
         templates = configs._templates
-        rows = ((list(map(id_of, row)), shape, templates[shape], None)
+        rows = ((row, shape, templates[shape], None)
                 for row, shape in configs._rows())
     else:
         rows = ((list(map(intern, cfg.observables)),
@@ -270,7 +269,6 @@ def verify_each(configs):
     getters = {}  # context -> the getter of its members' ids
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
-    certified = {}  # (columns, signs) -> BksResult with a certificate
     shared = {}  # (labels, checks, errors, columns) -> report, not colorable
     for ids, shape_key, template, cfg in rows:
         shape = shapes.get(shape_key)
@@ -301,15 +299,10 @@ def verify_each(configs):
             signs = [sign for _, sign, _ in checks]
             bks = None
             if None not in signs:
-                system = (columns, tuple(signs))
-                bks = certified.get(system)
-                if bks is None:
-                    if cfg is None:
-                        cfg = template._with_observables(
-                            tuple(map(words.__getitem__, ids)))
-                    bks = bks_decide(cfg, signs)
-                    if not bks.colorable:
-                        certified[system] = bks
+                if cfg is None:
+                    cfg = template._with_observables(
+                        tuple(map(words.__getitem__, ids)))
+                bks = bks_decide(cfg, signs)
             reports = []
             for label, check in zip(labels, checks):
                 fields = (label, *check)
@@ -376,8 +369,9 @@ def _columns(masks: list[int], m: int) -> tuple[int, ...]:
     greedily in row order, so its null combinations, and the first odd
     one that ``_decide`` returns as the certificate, are the same for
     every system with the same columns and signs: ``verify_each`` shares
-    one certificate among them, on columns that ``_shape`` reads off the
-    contexts directly.
+    one report among them when their labels, context checks and structural
+    errors agree too, on columns that ``_shape`` reads off the contexts
+    directly.
     """
     cols = [0] * m
     for ci, mask in enumerate(masks):

@@ -116,6 +116,29 @@ def test_structural_errors():
     short = Configuration(2, obs[:6], ((0, 1, 2), (3, 4, 5)), "square")
     assert any("9 observables" in e
                for e in rl.verify_magic(short).structural_errors)
+    pentagram = rl.builtin("mermin_pentagram")
+    thin = Configuration(3, pentagram.observables,
+                         ((0, 2, 5),) + pentagram.contexts[1:], "pentagram")
+    assert rl.verify_magic(thin).structural_errors == (
+        "pentagram contexts must have size 4",)
+    crossed = Configuration(2, obs, ((0, 1, 2), (3, 4, 5), (6, 7, 8),
+                                     (0, 3, 6), (1, 4, 7), (0, 4, 8)),
+                            "square")
+    assert rl.verify_magic(crossed).structural_errors == (
+        "each square observable lies in one row and one column",)
+
+
+@pytest.mark.parametrize("n, observables, contexts", [
+    (-1, (), ()),
+    (0, (), ()),
+    (0, (PauliObservable("X"),), ((0,),)),
+])
+def test_configuration_refuses_a_nonpositive_qubit_count(n, observables,
+                                                         contexts):
+    """A configuration on no qubits, or on fewer, is refused where it is
+    built, not verified as an empty or mismatched one."""
+    with pytest.raises(rl.ConfigError, match="not a positive qubit count"):
+        Configuration(n, observables, contexts, "custom")
 
 
 def test_verify_decides_despite_structural_errors():

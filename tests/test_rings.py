@@ -61,6 +61,28 @@ def test_build_ring_errors():
         build_ring("gf(2)[x]/(x^9)", size_cap=256)  # 512 elements
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: rl.GaloisField(4), "4 is not prime"),
+    (lambda: rl.GaloisField(2, 2, modulus=(1, 1)),  # x + 1: degree 1
+     "modulus must be monic of degree k"),
+    (lambda: rl.QuotientRing(build_ring("gf(2)xgf(2)"), (0, 1)),
+     "quotient base must be a Galois field"),
+    (lambda: rl.QuotientRing(rl.GaloisField(2), (0, 2, 1)),
+     "modulus coefficients must be base-field indices"),
+    (lambda: rl.QuotientRing(rl.GaloisField(3), (1, 0, 2)),  # 2x^2 + 1
+     "modulus must be monic$"),
+    (lambda: rl.QuotientRing(rl.GaloisField(2), (1,) + (0,) * 8 + (1,)),
+     "quotient ring exceeds size cap 256"),  # 512 elements
+    (lambda: rl.ProductRing([rl.GaloisField(2)]),
+     "product needs at least two factors"),
+], ids=["gf-not-prime", "gf-modulus-degree", "quotient-base",
+        "quotient-coefficient", "quotient-not-monic", "quotient-cap",
+        "product-one-factor"])
+def test_ring_constructors_refuse_bad_arguments(build, message):
+    with pytest.raises(RingError, match=message):
+        build()
+
+
 def test_field_over_the_cap_is_refused_before_any_big_work():
     tracemalloc.start()
     try:

@@ -410,6 +410,20 @@ def test_verify_each_matches_the_reference(pentagram_search):
     _same_reports(batch[::-1])
 
 
+def test_verify_each_finds_a_repeated_word_in_search_rows(pentagram_search):
+    """Rows over a word list in which one word stands in two places are
+    not read as ids of distinct words: the duplicate is reported."""
+    results = pentagram_search.results[:200]
+    words = list(results._words)
+    first, second = results._observables[0, :2].tolist()
+    words[second] = words[first]
+    doubled = magic._ResultRows(words, results._templates,
+                                results._observables, results._shapes)
+    reports = _same_reports(doubled)
+    assert "duplicate observable" in reports[0].structural_errors
+    assert not reports[0].magic
+
+
 @st.composite
 def unusual_batches(draw):
     """Small configurations of one- and two-qubit words, some phased,
