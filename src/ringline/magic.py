@@ -51,7 +51,8 @@ class Configuration:
     context_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        if (isinstance(self.n, bool) or not isinstance(self.n, int)
+                or self.n < 1):
             raise ConfigError(f"n = {self.n!r} is not a positive qubit count")
         if self.geometry not in ("square", "pentagram", "custom"):
             raise ConfigError(f"unknown geometry {self.geometry!r}: "
@@ -220,23 +221,26 @@ def verify_each(configs):
 
     Each configuration gets its own structural check and is read from its
     own words, as a row of word ids: each word's (n, x, z, phase) is
-    interned once per call as a small int.  The words of search results
-    (``_ResultRows``) are interned first; when they are distinct they are
-    their own ids, so each row is read as it is, and a configuration is
-    built from a row only when it goes to ``bks_decide``.  Each context is
-    keyed by its members' ids in order, read by one getter per context.
-    Within one call, every distinct key gets one commutation test and one
-    sign, shared by all the contexts that have it, and every distinct
-    shape of contexts gets its getters, its sorted column masks (see
-    ``_columns``) and its shape check once.  Observable errors are looked
-    for only in a row that repeats an id or holds a phased word or one on
-    another qubit count.
+    interned once per call as a small int.  Within one call, every
+    distinct context key (its members' ids in order) gets one commutation
+    test and one sign, every distinct shape of contexts its sorted column
+    masks (see ``_columns``) and its shape check, and configurations with
+    the same labels, context checks, structural errors and sorted columns
+    share one report unless it is colorable: the columns and the signs fix
+    the system up to relabelling its observables, so its certificate,
+    which names contexts only, serves them all.  Observable errors are
+    looked for only in a row that repeats an id or holds a phased word or
+    one on another qubit count.  Equal context reports are one object.
+    Nothing is kept between calls.
 
-    Configurations with the same labels, context checks, structural errors
-    and sorted column masks share one report unless it is colorable: the
-    columns and the signs fix the system up to relabelling its observables,
-    so its certificate, which names contexts only, serves them all.  Equal
-    context reports are one object.  Nothing is kept between calls.
+    Configurations are read one at a time.  Search results
+    (``_ResultRows``) whose shapes all hold as many contexts of one size
+    are read in numpy blocks of 1024 rows: each context's ids, gathered
+    through its shape's ranks, are keyed as one int, the block's distinct
+    keys are checked, and a row takes the report of an earlier row with
+    the same class of shape (geometry, labels and columns) and context
+    checks.  Other rows are read one at a time, and a configuration is
+    built from a row only when it goes to ``bks_decide``.
     """
     index = {}  # (n, x, z, phase) -> the word's id
     words = []  # id -> the first word interned to it
@@ -253,29 +257,33 @@ def verify_each(configs):
             kinds.add(qubits[-1])
         return i
 
-    # each row: (word ids, shape key, a configuration of the row's shape
-    # and labels, the configuration itself or None if it is not built);
-    # a search's words, interned first, are their own ids unless one repeats
-    if isinstance(configs, _ResultRows) and list(
-            map(intern, configs._words)) == [*range(len(configs._words))]:
-        templates = configs._templates
-        rows = ((row, shape, templates[shape], None)
-                for row, shape in configs._rows())
-    else:
-        rows = ((list(map(intern, cfg.observables)),
-                 (cfg.geometry, len(cfg.observables), cfg.contexts), cfg, cfg)
-                for cfg in configs)
-    shapes = {}  # shape key -> (getters, columns, shape errors)
-    getters = {}  # context -> the getter of its members' ids
+    shapes = {}  # (geometry, count, contexts) -> (errors, columns, getters)
     checked = {}  # context key -> (commuting, sign, note)
     made = {}  # (label, commuting, sign, note) -> the one ContextReport
     shared = {}  # (labels, checks, errors, columns) -> report, not colorable
-    for ids, shape_key, template, cfg in rows:
+
+    def check_of(key: tuple) -> tuple:
+        found = checked.get(key)
+        if found is None:
+            found = checked[key] = _context_check([words[i] for i in key])
+        return found
+
+    def read(template: Configuration, ids: list,
+             cfg: Configuration | None = None) -> VerificationReport:
+        # the report of the words `ids` in template's places; cfg is the
+        # configuration they make, if it is built
+        shape_key = (template.geometry, len(ids), template.contexts)
         shape = shapes.get(shape_key)
         if shape is None:
-            shape = shapes[shape_key] = _shape(
-                template.geometry, len(ids), template.contexts, getters)
-        reads, columns, errs = shape
+            cols, got = [0] * len(ids), []
+            for ci, ctx in enumerate(template.contexts):
+                for i in ctx:
+                    cols[i] |= 1 << ci
+                got.append(operator.itemgetter(*ctx) if len(ctx) > 1
+                           else lambda ids, i=ctx[0]: (ids[i],))
+            shape = shapes[shape_key] = (tuple(_shape_errors(*shape_key)),
+                                         tuple(sorted(cols)), got)
+        errs, columns, getters = shape
         n = template.n
         # a row can hold a phased word or one on another count only if some
         # word interned so far is one
@@ -284,14 +292,7 @@ def verify_each(configs):
             errs = tuple(_observable_errors(n, [
                 (o.n, o.x, o.z, o.phase) for o in map(words.__getitem__, ids)
             ])) + errs
-        checks = []
-        for get in reads:
-            key = get(ids)
-            check = checked.get(key)
-            if check is None:
-                check = checked[key] = _context_check(
-                    [words[i] for i in key])
-            checks.append(check)
+        checks = [check_of(get(ids)) for get in getters]
         labels = template.context_labels
         report_key = (labels, tuple(checks), errs, columns)
         report = shared.get(report_key)
@@ -314,25 +315,69 @@ def verify_each(configs):
             report = VerificationReport(tuple(reports), errs, magic, bks)
             if bks is None or not bks.colorable:
                 shared[report_key] = report
-        yield report
+        return report
 
+    def read_blocks(rows: _ResultRows, count: int, size: int):
+        templates, m = rows._templates, rows._observables.shape[1]
+        # the smallest dtypes keep each block's temporaries small
+        ids_of = np.array(list(map(intern, rows._words)),
+                          dtype=np.min_scalar_type(len(rows._words)))
+        ranks = np.array([t.contexts for t in templates],
+                         dtype=np.min_scalar_type(m))
+        place = [len(rows._words) ** j for j in reversed(range(size))]
+        # shapes with the same geometry, labels and sorted columns (each
+        # observable's contexts as bits) are one class
+        columns = np.zeros((len(templates), m), dtype=np.int64)
+        for c in range(count):
+            columns[np.arange(len(templates))[:, None], ranks[:, c]] |= 1 << c
+        columns.sort(axis=1)
+        classes = {}
+        tclass = np.array([classes.setdefault(
+            (t.geometry, t.context_labels, cols), len(classes))
+            for t, cols in zip(templates, map(tuple, columns.tolist()))])
+        tn = np.array([t.n for t in templates])
+        qubit = np.array([0 if q is None else q for q in qubits])
+        codes, coded = {}, {}  # check -> its number; context key -> that
+        found = {}  # (class, check numbers) -> its report, if not colorable
+        for start in range(0, len(rows), 1024):
+            ids = ids_of[rows._observables[start:start + 1024]]
+            shape = rows._shapes[start:start + 1024]
+            keys, inverse = np.unique(np.take_along_axis(
+                ids, ranks[shape].reshape(len(ids), -1), axis=1).reshape(
+                    -1, size) @ place, return_inverse=True)
+            code = []
+            for key in keys.tolist():
+                if key not in coded:
+                    coded[key] = codes.setdefault(check_of(tuple(
+                        [key // p % len(rows._words) for p in place])),
+                        len(codes))
+                code.append(coded[key])
+            # class -1: the row repeats an id or holds a word of another kind
+            ordered = np.sort(ids, axis=1)
+            cls = np.where((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+                           | (qubit[ids] != tn[shape, None]).any(axis=1),
+                           -1, tclass[shape])
+            for r, row in enumerate(zip(cls.tolist(), *np.array(code)[
+                    inverse.reshape(len(ids), -1)].T.tolist())):
+                report = found.get(row)
+                if report is None:
+                    report = read(templates[shape[r]], ids[r].tolist())
+                    if row[0] >= 0 and not (report.bks and
+                                            report.bks.colorable):
+                        found[row] = report
+                yield report
 
-def _shape(geometry: str, m: int, contexts, getters: dict) -> tuple:
-    """(getters, columns, shape errors) of m observables in `contexts`: for
-    each context, the getter that reads its members' ids from a row as a
-    tuple, shared through ``getters`` by every shape with that context, and
-    the sorted column masks, as ``_columns`` gives them."""
-    got, cols = [], [0] * m
-    for ci, ctx in enumerate(contexts):
-        for i in ctx:
-            cols[i] |= 1 << ci
-        get = getters.get(ctx)
-        if get is None:
-            get = getters[ctx] = (operator.itemgetter(*ctx) if len(ctx) > 1
-                                  else lambda ids, i=ctx[0]: (ids[i],))
-        got.append(get)
-    return (tuple(got), tuple(sorted(cols)),
-            tuple(_shape_errors(geometry, m, contexts)))
+    if isinstance(configs, _ResultRows):
+        layouts = {tuple(map(len, t.contexts)) for t in configs._templates}
+        layout = layouts.pop() if len(layouts) == 1 else ()
+        # each context's ids as digits in base len(words), and each
+        # observable's contexts as bits, must fit one int64
+        if len(set(layout)) == 1 and len(layout) < 63 and (
+                len(configs._words) ** layout[0] < 2 ** 63):
+            yield from read_blocks(configs, len(layout), layout[0])
+            return
+    for cfg in configs:
+        yield read(cfg, list(map(intern, cfg.observables)), cfg)
 
 
 def _context_check(ops: list[PauliObservable]) -> tuple:
@@ -370,8 +415,7 @@ def _columns(masks: list[int], m: int) -> tuple[int, ...]:
     one that ``_decide`` returns as the certificate, are the same for
     every system with the same columns and signs: ``verify_each`` shares
     one report among them when their labels, context checks and structural
-    errors agree too, on columns that ``_shape`` reads off the contexts
-    directly.
+    errors agree too.
     """
     cols = [0] * m
     for ci, mask in enumerate(masks):
@@ -489,6 +533,11 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
     sorted index tuples, and whether the search completed.
 
+    Counting candidates stops once the choice is settled: at an observable
+    with none, or at one with exactly one, x.  Only a later observable with
+    none can displace x, and x is a candidate for every one it holds, so
+    only the others are tested, for emptiness alone.
+
     Every level places its options one at a time, lowest first, and each
     context placed is one node.  At the last level a context closes the
     set when its mask is the observables covered once.  A context placed
@@ -540,7 +589,15 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
                 k = cands.bit_count()
                 if k < fewest:
                     options, fewest = cands, k
-                    if not k:
+                    if k < 2:
+                        break
+            if fewest == 1:  # settled unless a later one has no candidates
+                rest &= ~masks[options.bit_length() - 1]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if not allowed & holds[low]:
+                        options = 0
                         break
         else:
             options = allowed
@@ -615,16 +672,11 @@ class _ResultRows(Sequence):
         return self._build(self._observables[i].tolist(), int(self._shapes[i]))
 
     def __iter__(self):
-        for row, shape in self._rows():
-            yield self._build(row, shape)
-
-    def _rows(self):
-        """(observable indices as a list, shape) of each result, listed
-        1024 rows at a time."""
-        for start in range(0, len(self), 1024):
+        for start in range(0, len(self), 1024):  # listed 1024 rows at a time
             stop = start + 1024
-            yield from zip(self._observables[start:stop].tolist(),
-                           self._shapes[start:stop].tolist())
+            for row, shape in zip(self._observables[start:stop].tolist(),
+                                  self._shapes[start:stop].tolist()):
+                yield self._build(row, shape)
 
     def _build(self, row: list[int], shape: int) -> Configuration:
         return self._templates[shape]._with_observables(

@@ -141,6 +141,14 @@ def test_configuration_refuses_a_nonpositive_qubit_count(n, observables,
         Configuration(n, observables, contexts, "custom")
 
 
+@pytest.mark.parametrize("n", [2.5, True, "2", None])
+def test_configuration_refuses_a_qubit_count_that_is_no_int(n):
+    """Only an int that is no bool counts qubits: a float or a bool is not
+    taken as one, and a string or None is a ConfigError, not a TypeError."""
+    with pytest.raises(rl.ConfigError, match="not a positive qubit count"):
+        Configuration(n, (), (), "custom")
+
+
 def test_verify_decides_despite_structural_errors():
     """A duplicate observable is a structural error: verify_magic still
     decides colorability on the known signs, but reports no magic."""

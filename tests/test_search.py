@@ -156,6 +156,25 @@ def test_cover_twice_cuts_every_budget_as_the_reference(family, data):
             ref_cover_twice(contexts, c, overlaps, budget)[:2]
 
 
+@pytest.mark.parametrize("masks, c, found, nodes", [
+    # context 1 is the one candidate for observable 0 and does not hold
+    # observable 1, which has none: nothing is placed below context 0
+    ([0b0011, 0b0101], 2, [], 2),
+    # a triangle: below two sides, the one candidate for the first
+    # observable covered once holds the other
+    ([0b011, 0b110, 0b101], 3, [(0, 1, 2)], 5),
+])
+def test_cover_twice_settles_on_one_candidate(masks, c, found, nodes):
+    """Once an observable has one candidate, only the later observables it
+    does not hold are tested, for no candidates: the tree is the
+    reference's at every budget."""
+    contexts = [((), mask, 1) for mask in masks]
+    assert ref_cover_twice(contexts, c, {1}) == (found, True, nodes)
+    for budget in [*range(nodes + 1), None]:
+        assert _cover_twice(contexts, c, {1}, budget) == \
+            ref_cover_twice(contexts, c, {1}, budget)[:2]
+
+
 # (qubits, context size, contexts per set, allowed overlaps) of each search
 SEARCHES = {"pentagrams": (3, 4, 5, {1}), "squares": (2, 3, 6, {0, 1})}
 
@@ -422,6 +441,63 @@ def test_verify_each_finds_a_repeated_word_in_search_rows(pentagram_search):
     reports = _same_reports(doubled)
     assert "duplicate observable" in reports[0].structural_errors
     assert not reports[0].magic
+
+
+@pytest.mark.parametrize("budget, count", [(0, 0), (1, 0), (5000, 857)])
+def test_verify_each_reads_cut_searches_as_the_reference(budget, count):
+    """A search cut by its budget, with fewer shapes or none, is read in
+    blocks as the configurations it holds."""
+    results = rl.search_pentagrams(budget).results
+    assert len(results) == count
+    assert all(r.magic for r in _same_reports(results))
+
+
+def test_verify_each_reads_slices_as_the_reference(pentagram_search):
+    """Slices inside one block, across the reader's block edge, and empty
+    ones read as the configurations they hold."""
+    results = pentagram_search.results
+    for part in (results[1000:1100], results[1000:2100], results[5:5],
+                 results[12096:], results[::-1]):
+        _same_reports(part)
+
+
+def test_verify_each_decides_each_colorable_search_row(monkeypatch,
+                                                       pentagram_search):
+    """Rows read in a shape whose last context repeats its first are all
+    colorable: each is decided on its own, while the pentagram rows among
+    them share their decisions."""
+    results = pentagram_search.results[:300]
+    templates = results._templates
+    again = tuple(rl.Configuration(3, t.observables,
+                                   t.contexts[:4] + t.contexts[:1], "custom")
+                  for t in templates)
+    shapes = results._shapes.copy()
+    shapes[::3] += len(templates)
+    rows = magic._ResultRows(results._words, templates + again,
+                             results._observables, shapes)
+    calls = _counting(monkeypatch, "bks_decide")
+    reports = list(rl.verify_each(rows))
+    colorable = [r.bks.colorable for r in reports]
+    assert colorable == [k % 3 == 0 for k in range(300)]
+    assert [cfg.geometry for cfg, _ in calls].count("custom") == 100
+    assert len(calls) <= 100 + 32
+    assert reports == _same_reports(rows)
+
+
+def test_verify_each_finds_a_phased_word_in_search_rows(pentagram_search):
+    """A phased word flips the signs of its two contexts, so its rows may
+    have the context checks of rows without it: they still get their own
+    reports, with the phase error."""
+    results = pentagram_search.results[:2000]
+    words = list(results._words)
+    words[0] = PauliObservable(words[0].word, 2)
+    rows = magic._ResultRows(words, results._templates, results._observables,
+                             results._shapes)
+    reports = _same_reports(rows)
+    phased = ["observables must have phase 0" in r.structural_errors
+              for r in reports]
+    assert phased == [0 in row for row in results._observables.tolist()]
+    assert any(phased) and not all(phased)
 
 
 @st.composite
