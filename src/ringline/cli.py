@@ -219,7 +219,12 @@ def run_line(args):
 def _load_config(args) -> mg.Configuration:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
-            return mg.config_from_json(f.read())
+            try:
+                text = f.read()
+            except UnicodeDecodeError as e:
+                raise mg.ConfigError(f"{args.config} is not UTF-8 text "
+                                     f"({e.reason} at byte {e.start})") from e
+        return mg.config_from_json(text)
     return mg.builtin(args.builtin)
 
 

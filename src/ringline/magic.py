@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -531,7 +532,8 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     context once tried is left out of its later siblings.  A set that
     closes before c contexts is dropped, so only connected sets are found.
     ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
-    sorted index tuples, and whether the search completed.
+    the rows of a read-only (k, c) uint16 array, each row a set's context
+    indices sorted, in the order found, and whether the search completed.
 
     Counting candidates stops once the choice is settled: at an observable
     with none, or at one with exactly one, x.  Only a later observable with
@@ -546,12 +548,14 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
 
     An observable covered twice shuts every context through it: each has
     an "avoid" bitset, the contexts not holding it, ANDed in at each node.
-    Context indices come from one list, so the sets found share their ints.
+    Each set found is appended to one uint16 array, which the result views
+    without a copy, so a family of more than 65536 contexts is refused.
     """
     if not overlaps or not overlaps <= {0, 1}:
         raise ValueError(f"overlaps {overlaps} is not a nonempty subset of {{0, 1}}")
+    if len(contexts) > 1 << 16:
+        raise ValueError(f"{len(contexts)} contexts: at most 65536 fit uint16")
     masks = [m for _, m, _ in contexts]
-    index = list(range(len(masks)))
     holds = {}  # observable's bit -> bitset of the contexts holding it
     for ci, m in enumerate(masks):
         for o in _bits(m):
@@ -571,7 +575,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             allowed |= share1 & ~share2
         compat.append(allowed & ~(1 << a))
     avoid = {o: everything ^ held for o, held in holds.items()}
-    found = []
+    found = array("H")
     nodes = 0
     limit = math.inf if budget is None else budget
     too_many = len(masks) + 1  # more options than there are contexts
@@ -605,14 +609,14 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
         while options:
             bit = options & -options
             options ^= bit
-            ci = index[bit.bit_length() - 1]
+            ci = bit.bit_length() - 1
             nodes += 1
             if nodes > limit:
                 return False
             mask = masks[ci]
             if last:
                 if mask == once:
-                    found.append(tuple(sorted(picked + (ci,))))
+                    found.fromlist(sorted(picked + (ci,)))
                 continue
             below = allowed & compat[ci]
             twice = once & mask if below else 0  # now covered twice
@@ -627,7 +631,9 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
 
     complete = extend((), 0, everything)
     del extend  # it holds itself through its closure: free the tables now
-    return found, complete
+    sets = np.frombuffer(found, dtype=np.uint16).reshape(-1, c)
+    sets.flags.writeable = False
+    return sets, complete
 
 
 @dataclass(frozen=True)
@@ -694,7 +700,7 @@ def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
     contexts = _contexts(words, 3)
     grids = []
     colorable = {}  # signs of the rows then the columns -> colorable
-    for grid_set in _cover_twice(contexts, 6, {0, 1})[0]:
+    for grid_set in _cover_twice(contexts, 6, {0, 1})[0].tolist():
         lines = [contexts[ci] for ci in grid_set]
         rows = [l for l in lines if l is lines[0] or not l[1] & lines[0][1]]
         cols = [l for l in lines if l not in rows]
@@ -759,20 +765,19 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     ``budget`` caps the number of search-tree nodes; when it is hit the
     results found so far are returned with ``complete=False``.
 
-    Any two of a candidate's 5 contexts share one observable, so its 10
-    observables are the 10 pairs of its contexts, as in the built-in: it is
-    decided on ``_PENTAGRAM_MASKS`` with its own signs, once per sign
-    pattern, before it is shaped.  The results are compact rows (see
-    ``_ResultRows``), with one validated configuration for each shape of
-    remapped contexts; the shapes are found, in sorted order, by sorting
-    each magic candidate's 20 context ranks as one byte string.
+    The cover's candidates arrive as its read-only (k, 5) uint16 table of
+    context indices, which is indexed as it stands.  Any two of a
+    candidate's 5 contexts share one observable, so its 10 observables are
+    the 10 pairs of its contexts, as in the built-in: it is decided on
+    ``_PENTAGRAM_MASKS`` with its own signs, once per sign pattern, before
+    it is shaped.  The results are compact rows (see ``_ResultRows``), with
+    one validated configuration for each shape of remapped contexts; the
+    shapes are found, in sorted order, by sorting each magic candidate's 20
+    context ranks as one byte string.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
-    found, complete = _cover_twice(contexts, 5, {1}, budget)
-    pents = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
-                        count=5 * len(found)).reshape(-1, 5)
-    del found
+    pents, complete = _cover_twice(contexts, 5, {1}, budget)
     # one decision per sign pattern, as 5 bits, serves all candidates with it
     signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
     _, firsts, pattern = np.unique(((signs < 0) << np.arange(5)).sum(axis=1),

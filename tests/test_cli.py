@@ -575,6 +575,18 @@ def test_non_object_config_exit_code(capsys, tmp_path, command, text):
 
 
 @pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
+def test_non_utf8_config_exit_code(capsys, tmp_path, command):
+    """A file that is no UTF-8 text, here one opening with a UTF-16 byte
+    order mark, is bad input, not an internal decoding error."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 1}'.encode("utf-16-le"))
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"input error: {path} is not UTF-8 text "
+                   "(invalid start byte at byte 0)\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "bks", "entangle"])
 @pytest.mark.parametrize("geometry", ["sqaure", "Square", "hexagon", ""])
 def test_unknown_geometry_exit_code(capsys, tmp_path, command, geometry):
     """A misspelt geometry would be checked as custom, skipping the shape

@@ -40,6 +40,13 @@ def oracle_contexts(words, size):
 OBSERVABLES = 6  # at most, in the random context families
 
 
+def cover_rows(*args):
+    """``_cover_twice`` with its sets read as index tuples, in the order
+    found."""
+    found, complete = _cover_twice(*args)
+    return [tuple(r) for r in found.tolist()], complete
+
+
 def oracle_cover_twice(masks, c, overlaps):
     """Every connected set of c contexts covering each of its observables
     exactly twice, any two sharing a number of observables in overlaps."""
@@ -101,7 +108,7 @@ def test_square_search_matches_six_line_scan():
                                               for i in lines[ci][0])
                                     for ci in combo))
     assert len(grids) == len(magic) == 10
-    found, complete = _cover_twice(lines, 6, {0, 1})
+    found, complete = cover_rows(lines, 6, {0, 1})
     assert sorted(found) == grids and complete
     squares = {frozenset(frozenset(cfg.observables[i].word for i in ctx)
                        for ctx in cfg.contexts) for cfg in rl.search_squares()}
@@ -112,8 +119,8 @@ def test_orbit_report_skips_a_prism():
     """Six lines of three, each meeting three others, that close two
     triangles: an exact double cover that is no grid."""
     words = ("IIX", "IXI", "IXX", "IYI", "IYX", "XII", "XXI", "XIX", "XYI")
-    found, _ = _cover_twice(_contexts([PauliObservable(w) for w in words], 3),
-                            6, {0, 1})
+    found, _ = cover_rows(_contexts([PauliObservable(w) for w in words], 3),
+                          6, {0, 1})
     assert len(found) == 1
     assert rl.square_orbit_report(words) == \
         {"arrangements": 0, "orbits": 0, "orbit_sizes": []}
@@ -134,7 +141,7 @@ def context_families(draw):
 def test_cover_twice_matches_subset_scan(family):
     masks, c, overlaps = family
     contexts = [((), mask, 1) for mask in masks]
-    found, complete = _cover_twice(contexts, c, overlaps)
+    found, complete = cover_rows(contexts, c, overlaps)
     assert sorted(found) == oracle_cover_twice(masks, c, overlaps)
     assert complete
     assert (found, complete) == ref_cover_twice(contexts, c, overlaps)[:2]
@@ -152,7 +159,7 @@ def test_cover_twice_cuts_every_budget_as_the_reference(family, data):
     contexts = [((), mask, 1) for mask in masks]
     _, _, nodes = ref_cover_twice(contexts, c, overlaps)
     for budget in range(nodes + 1):
-        assert _cover_twice(contexts, c, overlaps, budget) == \
+        assert cover_rows(contexts, c, overlaps, budget) == \
             ref_cover_twice(contexts, c, overlaps, budget)[:2]
 
 
@@ -171,7 +178,7 @@ def test_cover_twice_settles_on_one_candidate(masks, c, found, nodes):
     contexts = [((), mask, 1) for mask in masks]
     assert ref_cover_twice(contexts, c, {1}) == (found, True, nodes)
     for budget in [*range(nodes + 1), None]:
-        assert _cover_twice(contexts, c, {1}, budget) == \
+        assert cover_rows(contexts, c, {1}, budget) == \
             ref_cover_twice(contexts, c, {1}, budget)[:2]
 
 
@@ -187,11 +194,11 @@ def test_cover_twice_keeps_the_reference_order(kind):
     contexts = _contexts(all_words(n), size)
     for budget in (1, 100, 5000):
         found, complete, _ = ref_cover_twice(contexts, c, overlaps, budget)
-        assert _cover_twice(contexts, c, overlaps, budget) == (found, complete)
+        assert cover_rows(contexts, c, overlaps, budget) == (found, complete)
     found, complete, nodes = ref_cover_twice(contexts, c, overlaps)
-    assert complete and _cover_twice(contexts, c, overlaps) == (found, True)
-    assert _cover_twice(contexts, c, overlaps, nodes) == (found, True)
-    assert not _cover_twice(contexts, c, overlaps, nodes - 1)[1]
+    assert complete and cover_rows(contexts, c, overlaps) == (found, True)
+    assert cover_rows(contexts, c, overlaps, nodes) == (found, True)
+    assert not cover_rows(contexts, c, overlaps, nodes - 1)[1]
 
 
 def test_grid_transforms_match_the_reference():
@@ -732,11 +739,33 @@ def test_every_pentagram_candidate_has_the_builtin_columns():
     columns are those of ``_PENTAGRAM_MASKS``, on which it is decided."""
     contexts = _contexts(all_words(3), 4)
     masks = [m for _, m, _ in contexts]
-    found, complete = _cover_twice(contexts, 5, {1})
+    found, complete = cover_rows(contexts, 5, {1})
     want = (0,) * 54 + magic._columns(magic._PENTAGRAM_MASKS, 10)
     assert complete and len(found) == 12096
     assert all(magic._columns([masks[ci] for ci in s], 64) == want
                for s in found)
+
+
+def test_full_pentagram_cover_is_compact():
+    """The full three-qubit cover returns its sets as one read-only uint16
+    table, not as 12096 tuples (1.29 MB traced)."""
+    contexts = _contexts(all_words(3), 4)
+    tracemalloc.start()
+    try:
+        found, complete = _cover_twice(contexts, 5, {1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert complete and found.dtype == np.uint16 and found.shape == (12096, 5)
+    assert not found.flags.writeable
+    assert peak < 0.6e6  # 0.31 MB measured, 0.12 MB of it the table
+
+
+def test_cover_twice_refuses_contexts_past_uint16():
+    """Each set's indices are kept as uint16: a family of more contexts
+    is refused before any table is read off it (these would not unpack)."""
+    with pytest.raises(ValueError, match="65537 contexts"):
+        _cover_twice([None] * 65537, 5, {1})
 
 
 def test_search_shapes_keep_their_sorted_order(pentagram_search):
