@@ -225,7 +225,8 @@ def verify_each(configs):
     interned once per call as a small int.  Within one call, every
     distinct context key (its members' ids in order) gets one commutation
     test and one sign, every distinct shape of contexts its sorted column
-    masks (see ``_columns``) and its shape check, and configurations with
+    masks (each observable's contexts as bits: the tests'
+    ``search_oracle.columns``) and its shape check, and configurations with
     the same labels, context checks, structural errors and sorted columns
     share one report unless it is colorable: the columns and the signs fix
     the system up to relabelling its observables, so its certificate,
@@ -405,26 +406,6 @@ def _mask(ctx) -> int:
     return mask
 
 
-def _columns(masks: list[int], m: int) -> tuple[int, ...]:
-    """The sorted column masks of the system whose context i holds the
-    observables of bit mask masks[i], out of m: for each observable, the
-    bitset of the contexts that hold it.
-
-    Which sets of contexts XOR to zero depends on these alone, not on how
-    the observables are numbered.  ``gf2.eliminate`` takes pivot rows
-    greedily in row order, so its null combinations, and the first odd
-    one that ``_decide`` returns as the certificate, are the same for
-    every system with the same columns and signs: ``verify_each`` shares
-    one report among them when their labels, context checks and structural
-    errors agree too.
-    """
-    cols = [0] * m
-    for ci, mask in enumerate(masks):
-        for o in _bits(mask):
-            cols[o] |= 1 << ci
-    return tuple(sorted(cols))
-
-
 def bks_decide(cfg: Configuration, signs: list[int] | None = None) -> BksResult:
     """A valuation, or a parity certificate that none exists, from one
     GF(2) elimination; either answer is checked as a proof (the valuation
@@ -520,11 +501,10 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
     return out
 
 
-def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
-                 budget: int | None = None):
+def _cover_twice(contexts: list[tuple], c: int, budget: int | None = None):
     """Sets of c contexts that cover each of their observables exactly
-    twice, any two sharing a number of observables in `overlaps`, a
-    nonempty subset of {0, 1}.
+    twice, any two sharing exactly one observable: the pentagram search's
+    cover, whose nodes ``search --kind pentagrams --budget`` counts.
 
     Exact cover with multiplicity 2 in the style of Knuth's *Dancing
     Links*, on bitsets: each step branches on the observable covered once
@@ -551,8 +531,6 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
     Each set found is appended to one uint16 array, which the result views
     without a copy, so a family of more than 65536 contexts is refused.
     """
-    if not overlaps or not overlaps <= {0, 1}:
-        raise ValueError(f"overlaps {overlaps} is not a nonempty subset of {{0, 1}}")
     if len(contexts) > 1 << 16:
         raise ValueError(f"{len(contexts)} contexts: at most 65536 fit uint16")
     masks = [m for _, m, _ in contexts]
@@ -561,7 +539,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
         for o in _bits(m):
             holds[1 << o] = holds.get(1 << o, 0) | 1 << ci
     everything = (1 << len(masks)) - 1
-    # context -> bitset of the contexts it may be picked with
+    # context -> bitset of the contexts sharing exactly one observable with it
     compat = []
     for a, ma in enumerate(masks):
         members = [1 << o for o in _bits(ma)]
@@ -570,10 +548,7 @@ def _cover_twice(contexts: list[tuple], c: int, overlaps: set[int],
             share1 |= holds[o]
             for o2 in members[k + 1:]:
                 share2 |= holds[o] & holds[o2]
-        allowed = everything ^ share1 if 0 in overlaps else 0
-        if 1 in overlaps:
-            allowed |= share1 & ~share2
-        compat.append(allowed & ~(1 << a))
+        compat.append(share1 & ~share2 & ~(1 << a))
     avoid = {o: everything ^ held for o, held in holds.items()}
     found = array("H")
     nodes = 0
@@ -695,24 +670,48 @@ _PENTAGRAM_MASKS = [_mask(c) for _, c in PENTAGRAM_EDGE_SLOTS]
 
 def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
     """One row-major arrangement of each magic 3x3 grid of contexts among
-    `words`, as indices into `words`; the rows are the grid's first context
-    and the two contexts disjoint from it."""
+    `words`, as indices into `words`, each found once from its lowest
+    context a, as its first row.  The columns are later contexts through
+    a's cells in turn, meeting a there alone and pairwise disjoint (tests
+    that only prune: the lookups below refuse any other columns).  The
+    second row, through the first column's lowest cell off a, takes one
+    cell off a from each column: it is looked up by mask among the 4 such,
+    and the third row, the mask of the cells left, too.  Neither holds a's
+    lowest cell, the grid's lowest, so both come after a.  The grids are
+    decided once per pattern of their signs."""
     contexts = _contexts(words, 3)
-    grids = []
-    colorable = {}  # signs of the rows then the columns -> colorable
-    for grid_set in _cover_twice(contexts, 6, {0, 1})[0].tolist():
-        lines = [contexts[ci] for ci in grid_set]
-        rows = [l for l in lines if l is lines[0] or not l[1] & lines[0][1]]
-        cols = [l for l in lines if l not in rows]
-        if rows[1][1] & rows[2][1]:
-            continue  # the lines close a triangle: not a grid
-        signs = tuple([sign for _, _, sign in rows + cols])
+    at = {mask: ci for ci, (_, mask, _) in enumerate(contexts)}
+    holds = [0] * len(words)  # observable -> bitset of the contexts holding it
+    for ci, (cells, _, _) in enumerate(contexts):
+        for o in cells:
+            holds[o] |= 1 << ci
+    apart = [~(holds[i] | holds[j] | holds[k])  # the contexts disjoint from it
+             for (i, j, k), _, _ in contexts]
+    found = []  # each grid's rows, then its columns, as context indices
+    for ai, ((o1, o2, o3), a, _) in enumerate(contexts):
+        later = -(2 << ai)
+        h1, h2, h3 = holds[o1] & later, holds[o2] & later, holds[o3] & later
+        for c1 in _bits(h1 & ~h2 & ~h3):
+            m1 = contexts[c1][1] & ~a  # a column's two cells off a
+            for c2 in _bits(h2 & ~h3 & apart[c1]):
+                m2 = contexts[c2][1] & ~a
+                for c3 in _bits(h3 & apart[c1] & apart[c2]):
+                    m3 = contexts[c3][1] & ~a
+                    for q, r in itertools.product((m2 & -m2, m2 & m2 - 1),
+                                                  (m3 & -m3, m3 & m3 - 1)):
+                        row2 = m1 & -m1 | q | r
+                        row3 = (m1 | m2 | m3) ^ row2
+                        if row2 in at and row3 in at:
+                            found.append((ai, at[row2], at[row3], c1, c2, c3))
+    grids, colorable = [], {}  # colorable: by the signs of the 6 lines
+    for grid in found:
+        lines = [contexts[ci] for ci in grid]
+        signs = tuple([sign for _, _, sign in lines])
         if signs not in colorable:
             colorable[signs] = _decide(_SQUARE_MASKS, signs, 9).colorable
-        if colorable[signs]:
-            continue
-        grids.append(tuple((r & c).bit_length() - 1
-                           for _, r, _ in rows for _, c, _ in cols))
+        if not colorable[signs]:
+            grids.append(tuple((row[1] & col[1]).bit_length() - 1
+                               for row in lines[:3] for col in lines[3:]))
     return grids
 
 
@@ -777,7 +776,7 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
-    pents, complete = _cover_twice(contexts, 5, {1}, budget)
+    pents, complete = _cover_twice(contexts, 5, budget)
     # one decision per sign pattern, as 5 bits, serves all candidates with it
     signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
     _, firsts, pattern = np.unique(((signs < 0) << np.arange(5)).sum(axis=1),

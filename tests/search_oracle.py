@@ -1,15 +1,19 @@
 """Reference search routines for the tests: the package's earlier
-exact-cover extender, grid-transform generator and batch verifier.
+exact-cover extender, grid-transform generator and batch verifier, and the
+sorted column masks of a system of contexts.
 
 ``ref_cover_twice`` branches with ``min(..., key=int.bit_count)`` over a
 generator of set bits, where the package inlines the loops; it also returns
-the number of tree nodes it placed.  ``ref_grid_transforms`` rebuilds the
-72 row/column permutations (with or without transposition) of a row-major
-3x3 grid as nested tuples, where the package applies precomputed index
-permutations.  ``ref_verify_each`` re-verifies each configuration from
-its observables, keying each context by their (n, x, z, phase) tuples,
-where the package interns each word as a small int and reads search
-results as rows of those ints.
+the number of tree nodes it placed.  It keeps the ``overlaps`` rule the
+package's cover had when it also found the squares: with overlaps {0, 1} it
+is the earlier square search's cover, whose grids the package now finds by
+a direct search.  ``ref_grid_transforms`` rebuilds the 72 row/column
+permutations (with or without transposition) of a row-major 3x3 grid as
+nested tuples, where the package applies precomputed index permutations.
+``ref_verify_each`` re-verifies each configuration from its observables,
+keying each context by their (n, x, z, phase) tuples, where the package
+interns each word as a small int and reads search results as rows of those
+ints.
 """
 
 import itertools
@@ -25,6 +29,26 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def columns(masks, m):
+    """The sorted column masks of the system whose context i holds the
+    observables of bit mask masks[i], out of m: for each observable, the
+    bitset of the contexts that hold it.
+
+    Which sets of contexts XOR to zero depends on these alone, not on how
+    the observables are numbered.  ``gf2.eliminate`` takes pivot rows
+    greedily in row order, so its null combinations, and the first odd
+    one that ``_decide`` returns as the certificate, are the same for
+    every system with the same columns and signs: ``verify_each`` shares
+    one report among them when their labels, context checks and structural
+    errors agree too.
+    """
+    cols = [0] * m
+    for ci, mask in enumerate(masks):
+        for o in _bits(mask):
+            cols[o] |= 1 << ci
+    return tuple(sorted(cols))
 
 
 def ref_cover_twice(contexts, c, overlaps, budget=None):
@@ -99,10 +123,10 @@ def ref_verify_each(configs):
         shape = shapes.get(shape_key)
         if shape is None:
             shape = shapes[shape_key] = (
-                magic._columns([magic._mask(ctx) for ctx in contexts],
-                               len(observables)),
+                columns([magic._mask(ctx) for ctx in contexts],
+                        len(observables)),
                 magic._shape_errors(*shape_key))
-        columns, shape_errs = shape
+        cols, shape_errs = shape
         keys = [(o.n, o.x, o.z, o.phase) for o in observables]
         errs = tuple(magic._observable_errors(cfg.n, keys) + shape_errs)
         reports, signs = [], []
@@ -117,7 +141,7 @@ def ref_verify_each(configs):
             signs.append(report.sign)
         bks = None
         if None not in signs:
-            system = (columns, tuple(signs))
+            system = (cols, tuple(signs))
             bks = certified.get(system)
             if bks is None:
                 bks = magic.bks_decide(cfg, signs)

@@ -5,6 +5,7 @@ every +-1 assignment for the decider."""
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
-from search_oracle import (ref_cover_twice, ref_grid_transforms,
+from search_oracle import (columns, ref_cover_twice, ref_grid_transforms,
                            ref_verify_each)
 
 
@@ -47,15 +48,15 @@ def cover_rows(*args):
     return [tuple(r) for r in found.tolist()], complete
 
 
-def oracle_cover_twice(masks, c, overlaps):
+def oracle_cover_twice(masks, c):
     """Every connected set of c contexts covering each of its observables
-    exactly twice, any two sharing a number of observables in overlaps."""
+    exactly twice, any two sharing exactly one observable."""
     found = []
     for combo in itertools.combinations(range(len(masks)), c):
         counts = [sum(masks[ci] >> o & 1 for ci in combo)
                   for o in range(OBSERVABLES)]
         if set(counts) - {0, 2} or any(
-                (masks[a] & masks[b]).bit_count() not in overlaps
+                (masks[a] & masks[b]).bit_count() != 1
                 for a, b in itertools.combinations(combo, 2)):
             continue
         reached = {combo[0]}
@@ -79,9 +80,10 @@ def test_contexts_match_subset_scan(n, size, identity, count):
     assert len(expected) == count
 
 
-def _grid_sign(lines):
-    """The six lines as a 3x3 grid: the product of their signs, or None
-    when they are not three disjoint rows each meeting three columns once."""
+def _grid(lines):
+    """The six lines as a 3x3 grid: its cells row-major and the product of
+    their signs, or None when they are not three disjoint rows each
+    meeting three columns once."""
     for rows in itertools.combinations(lines, 3):
         cols = [l for l in lines if l not in rows]
         if all(not a[1] & b[1] for a, b in itertools.combinations(rows, 2)) \
@@ -90,40 +92,102 @@ def _grid_sign(lines):
             prod = 1
             for _, _, sign in lines:
                 prod *= sign
-            return prod
+            return tuple((r[1] & c[1]).bit_length() - 1
+                         for r in rows for c in cols), prod
     return None
+
+
+def _grid_lines(grid):
+    """The rows, then the columns, of a row-major 3x3 grid."""
+    return [grid[0:3], grid[3:6], grid[6:9],
+            grid[0::3], grid[1::3], grid[2::3]]
 
 
 def test_square_search_matches_six_line_scan():
     words = all_words(2)
     lines = _contexts(words, 3)
-    magic = set()
+    magic_sets = set()
     grids = []
     for combo in itertools.combinations(range(len(lines)), 6):
-        sign = _grid_sign([lines[ci] for ci in combo])
-        if sign is not None:
+        grid = _grid([lines[ci] for ci in combo])
+        if grid is not None:
             grids.append(combo)
-            if sign == -1:
-                magic.add(frozenset(frozenset(words[i].word
-                                              for i in lines[ci][0])
-                                    for ci in combo))
-    assert len(grids) == len(magic) == 10
-    found, complete = cover_rows(lines, 6, {0, 1})
-    assert sorted(found) == grids and complete
+            if grid[1] == -1:
+                magic_sets.add(frozenset(frozenset(words[i].word
+                                                   for i in lines[ci][0])
+                                         for ci in combo))
+    assert len(grids) == len(magic_sets) == 10
+    at = {mask: ci for ci, (_, mask, _) in enumerate(lines)}
+    found = [tuple(sorted(at[magic._mask(line)] for line in _grid_lines(g)))
+             for g in magic._magic_grids(words)]
+    assert sorted(found) == grids
     squares = {frozenset(frozenset(cfg.observables[i].word for i in ctx)
                        for ctx in cfg.contexts) for cfg in rl.search_squares()}
-    assert squares == magic
+    assert squares == magic_sets
 
 
 def test_orbit_report_skips_a_prism():
     """Six lines of three, each meeting three others, that close two
     triangles: an exact double cover that is no grid."""
     words = ("IIX", "IXI", "IXX", "IYI", "IYX", "XII", "XXI", "XIX", "XYI")
-    found, _ = cover_rows(_contexts([PauliObservable(w) for w in words], 3),
-                          6, {0, 1})
+    found, _, _ = ref_cover_twice(
+        _contexts([PauliObservable(w) for w in words], 3), 6, {0, 1})
     assert len(found) == 1
     assert rl.square_orbit_report(words) == \
         {"arrangements": 0, "orbits": 0, "orbit_sizes": []}
+
+
+def _cover_grids(words):
+    """The earlier square search: every connected twice-cover by six
+    contexts of three, any two sharing at most one observable, kept when
+    it is a 3x3 grid whose signs multiply to -1; as canonical grids."""
+    contexts = _contexts(words, 3)
+    found, complete, _ = ref_cover_twice(contexts, 6, {0, 1})
+    assert complete
+    grids = filter(None, [_grid([contexts[ci] for ci in s]) for s in found])
+    return {magic._grid_canonical(g) for g, sign in grids if sign == -1}
+
+
+@st.composite
+def two_qubit_word_lists(draw):
+    """The 15 two-qubit words and up to 6 repeats of them, shuffled, then
+    cut to at least 9: a repeated word lets two contexts share two
+    observables, and most lists still hold grids."""
+    words = all_words(2)
+    words = draw(st.permutations(words + draw(
+        st.lists(st.sampled_from(words), max_size=6))))
+    return words[:draw(st.integers(9, len(words)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_qubit_word_lists())
+def test_grid_search_finds_the_cover_grids(words):
+    """The direct grid search finds each magic grid the earlier cover and
+    grid test found, and each once."""
+    grids = [magic._grid_canonical(g) for g in magic._magic_grids(words)]
+    assert len(set(grids)) == len(grids)
+    assert set(grids) == _cover_grids(words)
+
+
+def test_three_qubit_grid_search():
+    """3360 grids at three qubits, as the earlier cover and grid test found
+    and as |Sp(6, 2)| / 432 counts: each found once, each a 3x3 grid of
+    contexts whose signs multiply to -1, in well under 2 s of CPU."""
+    words = all_words(3)
+    sign_of = {mask: sign for _, mask, sign in _contexts(words, 3)}
+    start = time.process_time()
+    grids = magic._magic_grids(words)
+    elapsed = time.process_time() - start
+    assert len({magic._grid_canonical(g) for g in grids}) == len(grids) == 3360
+    for grid in grids:
+        # nine distinct cells: the rows are disjoint, and each meets each
+        # column in its one cell
+        assert len(set(grid)) == 9
+        prod = 1
+        for line in _grid_lines(grid):
+            prod *= sign_of[magic._mask(line)]
+        assert prod == -1
+    assert elapsed < 2  # 0.2-0.4 s measured on a 2-core host
 
 
 @st.composite
@@ -132,19 +196,18 @@ def context_families(draw):
     masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1,
                           max_size=12))
     c = draw(st.integers(1, 5))
-    overlaps = draw(st.sets(st.integers(0, 1), min_size=1))
-    return masks, c, overlaps
+    return masks, c
 
 
 @settings(max_examples=150, deadline=None)
 @given(context_families())
 def test_cover_twice_matches_subset_scan(family):
-    masks, c, overlaps = family
+    masks, c = family
     contexts = [((), mask, 1) for mask in masks]
-    found, complete = cover_rows(contexts, c, overlaps)
-    assert sorted(found) == oracle_cover_twice(masks, c, overlaps)
+    found, complete = cover_rows(contexts, c)
+    assert sorted(found) == oracle_cover_twice(masks, c)
     assert complete
-    assert (found, complete) == ref_cover_twice(contexts, c, overlaps)[:2]
+    assert (found, complete) == ref_cover_twice(contexts, c, {1})[:2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,14 +216,14 @@ def test_cover_twice_cuts_every_budget_as_the_reference(family, data):
     """The last level counts its options as nodes all at once; the cut
     inside it must fall where the reference's node-by-node count falls,
     also when contexts share a mask."""
-    masks, c, overlaps = family
+    masks, c = family
     masks = masks + data.draw(st.lists(st.sampled_from(masks), min_size=1,
                                        max_size=4))
     contexts = [((), mask, 1) for mask in masks]
-    _, _, nodes = ref_cover_twice(contexts, c, overlaps)
+    _, _, nodes = ref_cover_twice(contexts, c, {1})
     for budget in range(nodes + 1):
-        assert cover_rows(contexts, c, overlaps, budget) == \
-            ref_cover_twice(contexts, c, overlaps, budget)[:2]
+        assert cover_rows(contexts, c, budget) == \
+            ref_cover_twice(contexts, c, {1}, budget)[:2]
 
 
 @pytest.mark.parametrize("masks, c, found, nodes", [
@@ -178,27 +241,27 @@ def test_cover_twice_settles_on_one_candidate(masks, c, found, nodes):
     contexts = [((), mask, 1) for mask in masks]
     assert ref_cover_twice(contexts, c, {1}) == (found, True, nodes)
     for budget in [*range(nodes + 1), None]:
-        assert cover_rows(contexts, c, {1}, budget) == \
+        assert cover_rows(contexts, c, budget) == \
             ref_cover_twice(contexts, c, {1}, budget)[:2]
 
 
-# (qubits, context size, contexts per set, allowed overlaps) of each search
-SEARCHES = {"pentagrams": (3, 4, 5, {1}), "squares": (2, 3, 6, {0, 1})}
+# (qubits, context size, contexts per set) of each search on the cover
+SEARCHES = {"pentagrams": (3, 4, 5)}
 
 
 @pytest.mark.parametrize("kind", SEARCHES)
 def test_cover_twice_keeps_the_reference_order(kind):
     """The same sets in the same order, and the same cut at every budget:
     the tree is visited node for node as by the min()-based extender."""
-    n, size, c, overlaps = SEARCHES[kind]
+    n, size, c = SEARCHES[kind]
     contexts = _contexts(all_words(n), size)
     for budget in (1, 100, 5000):
-        found, complete, _ = ref_cover_twice(contexts, c, overlaps, budget)
-        assert cover_rows(contexts, c, overlaps, budget) == (found, complete)
-    found, complete, nodes = ref_cover_twice(contexts, c, overlaps)
-    assert complete and cover_rows(contexts, c, overlaps) == (found, True)
-    assert cover_rows(contexts, c, overlaps, nodes) == (found, True)
-    assert not cover_rows(contexts, c, overlaps, nodes - 1)[1]
+        found, complete, _ = ref_cover_twice(contexts, c, {1}, budget)
+        assert cover_rows(contexts, c, budget) == (found, complete)
+    found, complete, nodes = ref_cover_twice(contexts, c, {1})
+    assert complete and cover_rows(contexts, c) == (found, True)
+    assert cover_rows(contexts, c, nodes) == (found, True)
+    assert not cover_rows(contexts, c, nodes - 1)[1]
 
 
 def test_grid_transforms_match_the_reference():
@@ -208,12 +271,6 @@ def test_grid_transforms_match_the_reference():
     for grid in grids:
         assert magic._grid_transforms(grid) == list(ref_grid_transforms(grid))
         assert magic._grid_canonical(grid) == min(ref_grid_transforms(grid))
-
-
-@pytest.mark.parametrize("overlaps", [set(), {2}, {0, 3}])
-def test_cover_twice_takes_overlaps_of_at_most_one(overlaps):
-    with pytest.raises(ValueError):
-        _cover_twice([((), 0b11, 1)], 1, overlaps)
 
 
 def oracle_exhaustive_valuation(masks, signs, m):
@@ -707,11 +764,11 @@ def test_search_decides_each_distinct_system_once(monkeypatch):
     for budget in (20000, None):
         del calls[:]
         results = rl.search_pentagrams(budget=budget).results
-        decided = [(magic._columns(masks, m), tuple(signs))
+        decided = [(columns(masks, m), tuple(signs))
                    for masks, signs, m in calls]
         assert len(set(decided)) == len(decided)
         # verify_each below decides again, after `decided` is taken
-        systems = {(magic._columns(list(map(magic._mask, c.contexts)), 10),
+        systems = {(columns(list(map(magic._mask, c.contexts)), 10),
                     tuple(r.sign for r in report.contexts))
                    for c, report in zip(results, rl.verify_each(results))}
         assert systems <= set(decided)
@@ -723,12 +780,11 @@ def test_search_decides_each_distinct_system_once(monkeypatch):
 
 
 def test_search_decides_on_the_builtin_masks_alone(monkeypatch):
-    """The search reads no candidate's columns: each of its decisions is
-    made on the built-in pentagram's masks, one per sign pattern."""
-    columns = _counting(monkeypatch, "_columns")
+    """Each of the search's decisions is made on the built-in pentagram's
+    masks, one per sign pattern, not on a candidate's own."""
     calls = _counting(monkeypatch, "_decide")
     assert len(rl.search_pentagrams().results) == 12096
-    assert columns == [] and 0 < len(calls) <= 32
+    assert 0 < len(calls) <= 32
     assert all(masks is magic._PENTAGRAM_MASKS and m == 10
                for masks, _, m in calls)
 
@@ -739,10 +795,10 @@ def test_every_pentagram_candidate_has_the_builtin_columns():
     columns are those of ``_PENTAGRAM_MASKS``, on which it is decided."""
     contexts = _contexts(all_words(3), 4)
     masks = [m for _, m, _ in contexts]
-    found, complete = cover_rows(contexts, 5, {1})
-    want = (0,) * 54 + magic._columns(magic._PENTAGRAM_MASKS, 10)
+    found, complete = cover_rows(contexts, 5)
+    want = (0,) * 54 + columns(magic._PENTAGRAM_MASKS, 10)
     assert complete and len(found) == 12096
-    assert all(magic._columns([masks[ci] for ci in s], 64) == want
+    assert all(columns([masks[ci] for ci in s], 64) == want
                for s in found)
 
 
@@ -752,7 +808,7 @@ def test_full_pentagram_cover_is_compact():
     contexts = _contexts(all_words(3), 4)
     tracemalloc.start()
     try:
-        found, complete = _cover_twice(contexts, 5, {1})
+        found, complete = _cover_twice(contexts, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -765,7 +821,7 @@ def test_cover_twice_refuses_contexts_past_uint16():
     """Each set's indices are kept as uint16: a family of more contexts
     is refused before any table is read off it (these would not unpack)."""
     with pytest.raises(ValueError, match="65537 contexts"):
-        _cover_twice([None] * 65537, 5, {1})
+        _cover_twice([None] * 65537, 5)
 
 
 def test_search_shapes_keep_their_sorted_order(pentagram_search):
