@@ -501,112 +501,85 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
     return out
 
 
-def _cover_twice(contexts: list[tuple], c: int, budget: int | None = None):
-    """Sets of c contexts that cover each of their observables exactly
-    twice, any two sharing exactly one observable: the pentagram search's
-    cover, whose nodes ``search --kind pentagrams --budget`` counts.
+def _incidence(contexts: list[tuple]) -> tuple[dict, list[int]]:
+    """(at, holds) of a family of contexts: ``at`` maps each context's mask
+    to its index, and ``holds[o]`` is the bitset of the contexts holding
+    observable o."""
+    at = {mask: ci for ci, (_, mask, _) in enumerate(contexts)}
+    holds = [0] * max(at, default=0).bit_length()
+    for ci, (cells, _, _) in enumerate(contexts):
+        for o in cells:
+            holds[o] |= 1 << ci
+    return at, holds
 
-    Exact cover with multiplicity 2 in the style of Knuth's *Dancing
-    Links*, on bitsets: each step branches on the observable covered once
-    that the fewest remaining contexts can cover a second time, and a
-    context once tried is left out of its later siblings.  A set that
-    closes before c contexts is dropped, so only connected sets are found.
-    ``budget`` caps the tree nodes (contexts placed).  Returns the sets as
-    the rows of a read-only (k, c) uint16 array, each row a set's context
-    indices sorted, in the order found, and whether the search completed.
 
-    Counting candidates stops once the choice is settled: at an observable
-    with none, or at one with exactly one, x.  Only a later observable with
-    none can displace x, and x is a candidate for every one it holds, so
-    only the others are tested, for emptiness alone.
+def _pentagram_sets(contexts: list[tuple], budget: int | None = None):
+    """Sets of 5 contexts of 4 observables, any two sharing exactly one
+    observable: each is K5, its contexts the vertices and its 10
+    observables the edges.  ``contexts`` are sorted (cells, mask, sign)
+    triples of 4 cells, as ``_contexts`` returns them.  Returns the sets
+    as the rows of a read-only (k, 5) uint16 array, each row a set's
+    context indices sorted, in the order found, and whether the search
+    completed.
 
-    Every level places its options one at a time, lowest first, and each
-    context placed is one node.  At the last level a context closes the
-    set when its mask is the observables covered once.  A context placed
-    with no candidates left below it is counted but neither entered nor
-    given its avoid bitsets: its subtree would place nothing.
+    Each set is found once, from its lowest context a, whose cells are
+    o1 < o2 < o3 < o4.  Contexts b, c and d are placed through o1, o2 and
+    o3 in turn: each is later than a and meets a there alone, the three
+    pairwise meet once, and d avoids the cell that b and c share.  The
+    fifth context then holds o4 and the one cell off a that each of b, c
+    and d holds alone, and is looked up by that mask.  Its cells are all
+    above o1, as b's, c's and d's are, so it comes after a.
 
-    An observable covered twice shuts every context through it: each has
-    an "avoid" bitset, the contexts not holding it, ANDed in at each node.
-    Each set found is appended to one uint16 array, which the result views
-    without a copy, so a family of more than 65536 contexts is refused.
+    ``budget`` caps the tree nodes, one per context placed (a, b, c or d;
+    the fifth is a lookup), which ``search --kind pentagrams --budget``
+    counts.  Each set found is appended to one uint16 array, which the
+    result views without a copy, so a family of more than 65536 contexts
+    is refused.
     """
     if len(contexts) > 1 << 16:
         raise ValueError(f"{len(contexts)} contexts: at most 65536 fit uint16")
-    masks = [m for _, m, _ in contexts]
-    holds = {}  # observable's bit -> bitset of the contexts holding it
-    for ci, m in enumerate(masks):
-        for o in _bits(m):
-            holds[1 << o] = holds.get(1 << o, 0) | 1 << ci
-    everything = (1 << len(masks)) - 1
-    # context -> bitset of the contexts sharing exactly one observable with it
-    compat = []
-    for a, ma in enumerate(masks):
-        members = [1 << o for o in _bits(ma)]
-        share1 = share2 = 0  # contexts sharing >= 1, >= 2 observables with a
-        for k, o in enumerate(members):
+    at, holds = _incidence(contexts)
+    once = []  # context -> the contexts sharing exactly one observable with it
+    for ci, (cells, _, _) in enumerate(contexts):
+        share1 = share2 = 0  # contexts sharing >= 1, >= 2 observables with it
+        for k, o in enumerate(cells):
             share1 |= holds[o]
-            for o2 in members[k + 1:]:
+            for o2 in cells[k + 1:]:
                 share2 |= holds[o] & holds[o2]
-        compat.append(share1 & ~share2 & ~(1 << a))
-    avoid = {o: everything ^ held for o, held in holds.items()}
+        once.append(share1 & ~share2 & ~(1 << ci))
     found = array("H")
     nodes = 0
     limit = math.inf if budget is None else budget
-    too_many = len(masks) + 1  # more options than there are contexts
 
-    def extend(picked: tuple, once: int, allowed: int) -> bool:
+    def place() -> bool:
         nonlocal nodes
-        if picked and not once:
-            return True
-        if once:  # the first fewest, as min() would pick, lowest bit first
-            options, fewest, rest = 0, too_many, once
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                cands = allowed & holds[low]
-                k = cands.bit_count()
-                if k < fewest:
-                    options, fewest = cands, k
-                    if k < 2:
-                        break
-            if fewest == 1:  # settled unless a later one has no candidates
-                rest &= ~masks[options.bit_length() - 1]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if not allowed & holds[low]:
-                        options = 0
-                        break
-        else:
-            options = allowed
-        last = len(picked) == c - 1  # a context placed here closes the set
-        while options:
-            bit = options & -options
-            options ^= bit
-            ci = bit.bit_length() - 1
+        for ai, ((o1, o2, o3, o4), a, _) in enumerate(contexts):
             nodes += 1
             if nodes > limit:
                 return False
-            mask = masks[ci]
-            if last:
-                if mask == once:
-                    found.fromlist(sorted(picked + (ci,)))
-                continue
-            below = allowed & compat[ci]
-            twice = once & mask if below else 0  # now covered twice
-            while twice:
-                low = twice & -twice
-                twice ^= low
-                below &= avoid[low]
-            if below and not extend(picked + (ci,), once ^ mask, below):
-                return False
-            allowed ^= bit
+            meet_a = once[ai] & -(2 << ai)  # later, meeting a once
+            for b in _bits(holds[o1] & meet_a):
+                nodes += 1
+                if nodes > limit:
+                    return False
+                mb, meet_b = contexts[b][1], meet_a & once[b]
+                for c in _bits(holds[o2] & meet_b):
+                    nodes += 1
+                    if nodes > limit:
+                        return False
+                    mc = contexts[c][1]
+                    bc = (mb & mc).bit_length() - 1
+                    for d in _bits(holds[o3] & meet_b & once[c] & ~holds[bc]):
+                        nodes += 1
+                        if nodes > limit:
+                            return False
+                        e = at.get(1 << o4 | (mb ^ mc ^ contexts[d][1]) & ~a)
+                        if e is not None:
+                            found.fromlist(sorted((ai, b, c, d, e)))
         return True
 
-    complete = extend((), 0, everything)
-    del extend  # it holds itself through its closure: free the tables now
-    sets = np.frombuffer(found, dtype=np.uint16).reshape(-1, c)
+    complete = place()
+    sets = np.frombuffer(found, dtype=np.uint16).reshape(-1, 5)
     sets.flags.writeable = False
     return sets, complete
 
@@ -680,11 +653,7 @@ def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
     lowest cell, the grid's lowest, so both come after a.  The grids are
     decided once per pattern of their signs."""
     contexts = _contexts(words, 3)
-    at = {mask: ci for ci, (_, mask, _) in enumerate(contexts)}
-    holds = [0] * len(words)  # observable -> bitset of the contexts holding it
-    for ci, (cells, _, _) in enumerate(contexts):
-        for o in cells:
-            holds[o] |= 1 << ci
+    at, holds = _incidence(contexts)
     apart = [~(holds[i] | holds[j] | holds[k])  # the contexts disjoint from it
              for (i, j, k), _, _ in contexts]
     found = []  # each grid's rows, then its columns, as context indices
@@ -761,11 +730,12 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     """Exhaustive three-qubit magic pentagrams: 5 contexts of 4 observables,
     any two sharing exactly one observable, no +-1 valuation.
 
-    ``budget`` caps the number of search-tree nodes; when it is hit the
+    ``budget`` caps the number of search-tree nodes, one per context
+    placed by ``_pentagram_sets`` (69201 in all); when it is hit the
     results found so far are returned with ``complete=False``.
 
-    The cover's candidates arrive as its read-only (k, 5) uint16 table of
-    context indices, which is indexed as it stands.  Any two of a
+    The candidates arrive as ``_pentagram_sets``' read-only (k, 5) uint16
+    table of context indices, which is indexed as it stands.  Any two of a
     candidate's 5 contexts share one observable, so its 10 observables are
     the 10 pairs of its contexts, as in the built-in: it is decided on
     ``_PENTAGRAM_MASKS`` with its own signs, once per sign pattern, before
@@ -776,7 +746,7 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
-    pents, complete = _cover_twice(contexts, 5, budget)
+    pents, complete = _pentagram_sets(contexts, budget)
     # one decision per sign pattern, as 5 bits, serves all candidates with it
     signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
     _, firsts, pattern = np.unique(((signs < 0) << np.arange(5)).sum(axis=1),

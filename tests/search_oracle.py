@@ -1,15 +1,17 @@
 """Reference search routines for the tests: the package's earlier
-exact-cover extender, grid-transform generator and batch verifier, and the
+exact cover, grid-transform generator and batch verifier, and the
 sorted column masks of a system of contexts.
 
-``ref_cover_twice`` branches with ``min(..., key=int.bit_count)`` over a
-generator of set bits, where the package inlines the loops; it also returns
-the number of tree nodes it placed.  It keeps the ``overlaps`` rule the
-package's cover had when it also found the squares: with overlaps {0, 1} it
-is the earlier square search's cover, whose grids the package now finds by
-a direct search.  ``ref_grid_transforms`` rebuilds the 72 row/column
-permutations (with or without transposition) of a row-major 3x3 grid as
-nested tuples, where the package applies precomputed index permutations.
+``ref_cover_twice`` is the exact cover both searches once ran on, branching
+with ``min(..., key=int.bit_count)`` over a generator of set bits; it also
+returns the number of tree nodes it placed.  It keeps the ``overlaps`` rule
+the package's cover had when it also found the squares: with overlaps
+{0, 1} it is the earlier square search's cover, and with {1} the earlier
+pentagram search's; the package now finds both by direct searches, over
+3x3 grids and over five contexts.  ``ref_grid_transforms`` rebuilds the
+72 row/column permutations (with or without transposition) of a row-major
+3x3 grid as nested tuples, where the package applies precomputed index
+permutations.
 ``ref_verify_each`` re-verifies each configuration from its observables,
 keying each context by their (n, x, z, phase) tuples, where the package
 interns each word as a small int and reads search results as rows of those

@@ -288,7 +288,7 @@ def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
 
 
 def test_full_pentagram_search_holds_little_besides_its_results(capsys):
-    """The cover's candidates and their tables are freed once packed, the
+    """The search's candidates and their tables are freed once packed, the
     12096 results are compact rows (about 0.6 MB with their 1231 shape
     templates) built into configurations as they are read, and the
     re-verification reports are checked one at a time."""

@@ -1,7 +1,7 @@
-"""The context enumerator, the exact-cover search and the sign-taking BKS
-decider against brute-force oracles: a scan of every size-subset for
-contexts, every subset of c contexts for the search, and a numpy scan of
-every +-1 assignment for the decider."""
+"""The context enumerator, the direct grid and five-context searches and
+the sign-taking BKS decider against brute-force oracles: a scan of every
+size-subset for contexts, every subset of 6 or 5 contexts for the
+searches, and a numpy scan of every +-1 assignment for the decider."""
 
 import itertools
 import random
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ringline as rl
-from ringline.magic import (DeciderDisagreement, _contexts, _cover_twice,
-                            _decide)
+from ringline.magic import (DeciderDisagreement, _bits, _contexts, _decide,
+                            _pentagram_sets)
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
@@ -38,26 +38,24 @@ def oracle_contexts(words, size):
     return out
 
 
-OBSERVABLES = 6  # at most, in the random context families
-
-
-def cover_rows(*args):
-    """``_cover_twice`` with its sets read as index tuples, in the order
+def pentagram_rows(*args):
+    """``_pentagram_sets`` with its sets read as index tuples, in the order
     found."""
-    found, complete = _cover_twice(*args)
+    found, complete = _pentagram_sets(*args)
     return [tuple(r) for r in found.tolist()], complete
 
 
-def oracle_cover_twice(masks, c):
-    """Every connected set of c contexts covering each of its observables
-    exactly twice, any two sharing exactly one observable."""
+def oracle_cover_twice(masks, c, m):
+    """Every connected set of c contexts covering each of their m
+    observables exactly twice or not at all, any two sharing exactly one
+    observable."""
     found = []
     for combo in itertools.combinations(range(len(masks)), c):
-        counts = [sum(masks[ci] >> o & 1 for ci in combo)
-                  for o in range(OBSERVABLES)]
-        if set(counts) - {0, 2} or any(
-                (masks[a] & masks[b]).bit_count() != 1
-                for a, b in itertools.combinations(combo, 2)):
+        if any((masks[a] & masks[b]).bit_count() != 1
+               for a, b in itertools.combinations(combo, 2)):
+            continue
+        counts = [sum(masks[ci] >> o & 1 for ci in combo) for o in range(m)]
+        if set(counts) - {0, 2}:
             continue
         reached = {combo[0]}
         for _ in combo:
@@ -191,77 +189,86 @@ def test_three_qubit_grid_search():
 
 
 @st.composite
-def context_families(draw):
-    m = draw(st.integers(2, OBSERVABLES))
-    masks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1,
-                          max_size=12))
-    c = draw(st.integers(1, 5))
-    return masks, c
+def pentagram_families(draw):
+    """(contexts, m): distinct masks of 4 out of m = 10-12 observables, as
+    sorted (cells, mask, sign) triples like ``_contexts``': 0-2 copies of
+    the built-in pentagram's masks, each with its observables relabelled,
+    and up to 8 random masks."""
+    m = draw(st.integers(10, 12))
+    masks = set()
+    for _ in range(draw(st.integers(0, 2))):
+        label = draw(st.permutations(range(m)))
+        masks |= {sum(1 << label[o] for o in _bits(mask))
+                  for mask in magic._PENTAGRAM_MASKS}
+    masks |= {sum(1 << o for o in cells) for cells in draw(st.lists(
+        st.sets(st.integers(0, m - 1), min_size=4, max_size=4), max_size=8))}
+    return sorted((tuple(_bits(mask)), mask, 1) for mask in masks), m
+
+
+def k5_tree(masks):
+    """The nodes of ``_pentagram_sets``' tree over contexts with these
+    masks, in order, one per context a, b, c and d placed, each as the
+    number of sets it finds: found by testing each later context against
+    the masks, with no lookup."""
+    nodes = []
+    for ai, a in enumerate(masks):
+        nodes.append(0)
+        # the later contexts meeting a at each of its cells alone
+        b_s, c_s, d_s, e_s = ([x for x in masks[ai + 1:] if x & a == 1 << o]
+                              for o in _bits(a))
+        for b in b_s:
+            nodes.append(0)
+            for c in c_s:
+                if (b & c).bit_count() != 1:
+                    continue
+                nodes.append(0)
+                for d in d_s:
+                    if (b & d).bit_count() == (c & d).bit_count() == 1 \
+                            and not b & c & d:
+                        nodes.append(sum(
+                            all((x & e).bit_count() == 1 for x in (b, c, d))
+                            and not (b & c | b & d | c & d) & e for e in e_s))
+    return nodes
 
 
 @settings(max_examples=150, deadline=None)
-@given(context_families())
-def test_cover_twice_matches_subset_scan(family):
-    masks, c = family
-    contexts = [((), mask, 1) for mask in masks]
-    found, complete = cover_rows(contexts, c)
-    assert sorted(found) == oracle_cover_twice(masks, c)
+@given(pentagram_families())
+def test_pentagram_sets_match_subset_scan(family):
+    """Every set of 5 contexts that meet pairwise once, found once."""
+    contexts, m = family
+    found, complete = pentagram_rows(contexts)
     assert complete
-    assert (found, complete) == ref_cover_twice(contexts, c, {1})[:2]
+    assert sorted(found) == oracle_cover_twice([c[1] for c in contexts], 5, m)
 
 
 @settings(max_examples=60, deadline=None)
-@given(context_families(), st.data())
-def test_cover_twice_cuts_every_budget_as_the_reference(family, data):
-    """The last level counts its options as nodes all at once; the cut
-    inside it must fall where the reference's node-by-node count falls,
-    also when contexts share a mask."""
-    masks, c = family
-    masks = masks + data.draw(st.lists(st.sampled_from(masks), min_size=1,
-                                       max_size=4))
-    contexts = [((), mask, 1) for mask in masks]
-    _, _, nodes = ref_cover_twice(contexts, c, {1})
-    for budget in range(nodes + 1):
-        assert cover_rows(contexts, c, budget) == \
-            ref_cover_twice(contexts, c, {1}, budget)[:2]
+@given(pentagram_families())
+def test_pentagram_sets_cut_every_budget_to_a_prefix(family):
+    """A budget keeps the sets found within its nodes, in order, and the
+    search completes exactly when the budget reaches the tree's nodes."""
+    contexts, _ = family
+    found, _ = pentagram_rows(contexts)
+    nodes = k5_tree([c[1] for c in contexts])
+    assert sum(nodes) == len(found)
+    for budget in range(len(nodes) + 2):
+        cut, complete = pentagram_rows(contexts, budget)
+        assert cut == found[:sum(nodes[:budget])]
+        assert complete == (budget >= len(nodes))
 
 
-@pytest.mark.parametrize("masks, c, found, nodes", [
-    # context 1 is the one candidate for observable 0 and does not hold
-    # observable 1, which has none: nothing is placed below context 0
-    ([0b0011, 0b0101], 2, [], 2),
-    # a triangle: below two sides, the one candidate for the first
-    # observable covered once holds the other
-    ([0b011, 0b110, 0b101], 3, [(0, 1, 2)], 5),
-])
-def test_cover_twice_settles_on_one_candidate(masks, c, found, nodes):
-    """Once an observable has one candidate, only the later observables it
-    does not hold are tested, for no candidates: the tree is the
-    reference's at every budget."""
-    contexts = [((), mask, 1) for mask in masks]
-    assert ref_cover_twice(contexts, c, {1}) == (found, True, nodes)
-    for budget in [*range(nodes + 1), None]:
-        assert cover_rows(contexts, c, budget) == \
-            ref_cover_twice(contexts, c, {1}, budget)[:2]
-
-
-# (qubits, context size, contexts per set) of each search on the cover
-SEARCHES = {"pentagrams": (3, 4, 5)}
-
-
-@pytest.mark.parametrize("kind", SEARCHES)
-def test_cover_twice_keeps_the_reference_order(kind):
-    """The same sets in the same order, and the same cut at every budget:
-    the tree is visited node for node as by the min()-based extender."""
-    n, size, c = SEARCHES[kind]
-    contexts = _contexts(all_words(n), size)
-    for budget in (1, 100, 5000):
-        found, complete, _ = ref_cover_twice(contexts, c, {1}, budget)
-        assert cover_rows(contexts, c, budget) == (found, complete)
-    found, complete, nodes = ref_cover_twice(contexts, c, {1})
-    assert complete and cover_rows(contexts, c) == (found, True)
-    assert cover_rows(contexts, c, nodes) == (found, True)
-    assert not cover_rows(contexts, c, nodes - 1)[1]
+def test_pentagram_sets_match_the_reference_cover():
+    """The 12096 three-qubit sets are the connected twice-covers that the
+    earlier exact cover found, each once; the tree has 69201 nodes, and
+    its last finds no set."""
+    contexts = _contexts(all_words(3), 4)
+    found, complete = pentagram_rows(contexts)
+    want, _, _ = ref_cover_twice(contexts, 5, {1})
+    assert complete and len(set(found)) == len(found) == 12096
+    assert set(found) == set(want)
+    assert pentagram_rows(contexts, 69201) == (found, True)
+    assert pentagram_rows(contexts, 69200) == (found, False)
+    nodes = k5_tree([c[1] for c in contexts])
+    assert len(nodes) == 69201 and sum(nodes) == 12096
 
 
 def test_grid_transforms_match_the_reference():
@@ -507,7 +514,7 @@ def test_verify_each_finds_a_repeated_word_in_search_rows(pentagram_search):
     assert not reports[0].magic
 
 
-@pytest.mark.parametrize("budget, count", [(0, 0), (1, 0), (5000, 857)])
+@pytest.mark.parametrize("budget, count", [(0, 0), (1, 0), (5000, 973)])
 def test_verify_each_reads_cut_searches_as_the_reference(budget, count):
     """A search cut by its budget, with fewer shapes or none, is read in
     blocks as the configurations it holds."""
@@ -790,12 +797,12 @@ def test_search_decides_on_the_builtin_masks_alone(monkeypatch):
 
 
 def test_every_pentagram_candidate_has_the_builtin_columns():
-    """Every set the full three-qubit cover returns is the built-in
+    """Every set the full three-qubit search returns is the built-in
     pentagram's system up to relabelling its observables: its sorted
     columns are those of ``_PENTAGRAM_MASKS``, on which it is decided."""
     contexts = _contexts(all_words(3), 4)
     masks = [m for _, m, _ in contexts]
-    found, complete = cover_rows(contexts, 5)
+    found, complete = pentagram_rows(contexts)
     want = (0,) * 54 + columns(magic._PENTAGRAM_MASKS, 10)
     assert complete and len(found) == 12096
     assert all(columns([masks[ci] for ci in s], 64) == want
@@ -803,25 +810,25 @@ def test_every_pentagram_candidate_has_the_builtin_columns():
 
 
 def test_full_pentagram_cover_is_compact():
-    """The full three-qubit cover returns its sets as one read-only uint16
+    """The full three-qubit search returns its sets as one read-only uint16
     table, not as 12096 tuples (1.29 MB traced)."""
     contexts = _contexts(all_words(3), 4)
     tracemalloc.start()
     try:
-        found, complete = _cover_twice(contexts, 5)
+        found, complete = _pentagram_sets(contexts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert complete and found.dtype == np.uint16 and found.shape == (12096, 5)
     assert not found.flags.writeable
-    assert peak < 0.6e6  # 0.31 MB measured, 0.12 MB of it the table
+    assert peak < 0.6e6  # 0.34 MB measured, 0.12 MB of it the table
 
 
-def test_cover_twice_refuses_contexts_past_uint16():
+def test_pentagram_sets_refuse_contexts_past_uint16():
     """Each set's indices are kept as uint16: a family of more contexts
     is refused before any table is read off it (these would not unpack)."""
     with pytest.raises(ValueError, match="65537 contexts"):
-        _cover_twice([None] * 65537, 5)
+        _pentagram_sets([None] * 65537)
 
 
 def test_search_shapes_keep_their_sorted_order(pentagram_search):
