@@ -25,8 +25,7 @@ import numpy as np
 
 from . import gf2
 from .pauli import (PauliError, PauliObservable, all_words,
-                    anticommuting_pair, commutes, context_product_sign,
-                    scalar_sign)
+                    anticommuting_pair, context_product_sign, scalar_sign)
 
 
 class ConfigError(ValueError):
@@ -463,53 +462,70 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
     """All contexts of `size` observables among `words`, as sorted
     (index tuple, bitmask, sign) triples.
 
-    Grows commuting cliques of size - 1 members over commutation bitsets;
-    their product fixes the last member, which must come later in `words`.
-    Products are folded on masks as in ``pauli.scalar_sign``.
+    Grows commuting cliques of size - 2 members over bitsets of the later
+    words each word commutes with, then closes each in one flat loop: a
+    candidate j, and the word their product fixes, which must come after
+    j.  Products are folded on masks as in ``pauli.scalar_sign``.
     """
-    comm = [0] * len(words)
-    for i, j in itertools.combinations(range(len(words)), 2):
-        if commutes(words[i], words[j]):
-            comm[i] |= 1 << j
-            comm[j] |= 1 << i
-    at: dict[tuple[int, int], list[int]] = {}
-    for i, w in enumerate(words):
-        at.setdefault((w.x, w.z), []).append(i)
+    if any(w.n != words[0].n for w in words):
+        raise PauliError("qubit counts differ")
     # word i is i^a X^x Z^z with a its phase plus its Y count
     xza = [(w.x, w.z, w.phase + (w.x & w.z).bit_count()) for w in words]
+    at: dict[tuple[int, int], list[int]] = {}
+    later = []  # word i -> the later words commuting with it
+    for i, (x, z, _) in enumerate(xza):
+        at.setdefault((x, z), []).append(i)
+        later.append(sum([1 << j for j, (wx, wz, _) in enumerate(xza)
+                          if j > i and not (x & wz ^ z & wx).bit_count() & 1]))
     out = []
 
-    def grow(members: tuple, a: int, x: int, z: int, cands: int):
+    def close(members: tuple, a: int, x: int, z: int, cands: int):
         # the members' product is i^a X^x Z^z; cands: the later words
         # that commute with every member
-        if len(members) == size - 1:
-            for last in at.get((x, z), ()):
-                wx, _, wa = xza[last]
-                full = a + wa + 2 * (z & wx).bit_count()  # product i^full
-                if cands >> last & 1 and full % 2 == 0:
-                    idx = members + (last,)
-                    out.append((idx, _mask(idx), 1 if full % 4 == 0 else -1))
+        if len(members) < size - 2:
+            for i in _bits(cands):
+                wx, wz, wa = xza[i]
+                close(members + (i,), a + wa + 2 * (z & wx).bit_count(),
+                      x ^ wx, z ^ wz, cands & later[i])
             return
-        for i in _bits(cands):
-            wx, wz, wa = xza[i]
-            grow(members + (i,), a + wa + 2 * (z & wx).bit_count(),
-                 x ^ wx, z ^ wz, cands & comm[i] & -(2 << i))
+        base = _mask(members)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            j = low.bit_length() - 1
+            wx, wz, wa = xza[j]
+            a_j = a + wa + 2 * (z & wx).bit_count()
+            z_j, fits = z ^ wz, cands & later[j]
+            for last in at.get((x ^ wx, z_j), ()):
+                lx, _, la = xza[last]
+                full = a_j + la + 2 * (z_j & lx).bit_count()  # product i^full
+                if fits >> last & 1 and full % 2 == 0:
+                    out.append(((*members, j, last), base | low | 1 << last,
+                                1 if full % 4 == 0 else -1))
 
-    grow((), 0, 0, 0, (1 << len(words)) - 1)
-    del grow  # it holds itself through its closure: free the tables now
+    if size == 1:  # a word that is +-identity on its own
+        out = [((i,), 1 << i, 1 if xza[i][2] % 4 == 0 else -1)
+               for i in at.get((0, 0), ()) if xza[i][2] % 2 == 0]
+    elif size > 1:
+        close((), 0, 0, 0, (1 << len(words)) - 1)
+    del close  # it holds itself through its closure: free the tables now
     out.sort()
     return out
 
 
-def _incidence(contexts: list[tuple]) -> tuple[dict, list[int]]:
+def _incidence(contexts: list[tuple],
+               reverse: bool = False) -> tuple[dict, list[int]]:
     """(at, holds) of a family of contexts: ``at`` maps each context's mask
     to its index, and ``holds[o]`` is the bitset of the contexts holding
-    observable o."""
+    observable o, in which bit ci stands for context ci, or with
+    ``reverse`` bit ``len(contexts) - 1 - ci``."""
     at = {mask: ci for ci, (_, mask, _) in enumerate(contexts)}
     holds = [0] * max(at, default=0).bit_length()
+    last = len(contexts) - 1
     for ci, (cells, _, _) in enumerate(contexts):
+        bit = 1 << (last - ci if reverse else ci)
         for o in cells:
-            holds[o] |= 1 << ci
+            holds[o] |= bit
     return at, holds
 
 
@@ -530,15 +546,25 @@ def _pentagram_sets(contexts: list[tuple], budget: int | None = None):
     and d holds alone, and is looked up by that mask.  Its cells are all
     above o1, as b's, c's and d's are, so it comes after a.
 
+    The tree is walked in one flat loop over bitsets of contexts, each
+    candidate set computed at the level where it is fixed.  Bit
+    ``last - ci`` of a bitset stands for context ci, so a set's earliest
+    context is its highest bit: ``bit_length`` reads it and one AND with
+    ``below`` clears it.  No bitset is ANDed with a negative int, which
+    CPython does through a two's-complement copy, so d's exclusion of the
+    cell b and c share is read from a positive complement, ``avoid``.
+
     ``budget`` caps the tree nodes, one per context placed (a, b, c or d;
     the fifth is a lookup), which ``search --kind pentagrams --budget``
-    counts.  Each set found is appended to one uint16 array, which the
-    result views without a copy, so a family of more than 65536 contexts
-    is refused.
+    counts; the search completed when it counted no more than that.  Each
+    set found is appended, unsorted, to one uint16 array, which the result
+    views without a copy and sorts row by row in place, so a family of
+    more than 65536 contexts is refused.
     """
     if len(contexts) > 1 << 16:
         raise ValueError(f"{len(contexts)} contexts: at most 65536 fit uint16")
-    at, holds = _incidence(contexts)
+    last = len(contexts) - 1
+    at, holds = _incidence(contexts, reverse=True)
     once = []  # context -> the contexts sharing exactly one observable with it
     for ci, (cells, _, _) in enumerate(contexts):
         share1 = share2 = 0  # contexts sharing >= 1, >= 2 observables with it
@@ -546,40 +572,56 @@ def _pentagram_sets(contexts: list[tuple], budget: int | None = None):
             share1 |= holds[o]
             for o2 in cells[k + 1:]:
                 share2 |= holds[o] & holds[o2]
-        once.append(share1 & ~share2 & ~(1 << ci))
+        once.append(share1 & ~share2 & ~(1 << last - ci))
+    below = [(1 << p) - 1 for p in range(last + 2)]  # the bits below bit p
+    avoid = [below[-1] ^ h for h in holds]  # o -> the contexts without o
     found = array("H")
-    nodes = 0
     limit = math.inf if budget is None else budget
 
-    def place() -> bool:
-        nonlocal nodes
+    def place() -> int:
+        # the nodes counted: all of them, or limit + 1 at the cut
+        nodes = 0
         for ai, ((o1, o2, o3, o4), a, _) in enumerate(contexts):
             nodes += 1
             if nodes > limit:
-                return False
-            meet_a = once[ai] & -(2 << ai)  # later, meeting a once
-            for b in _bits(holds[o1] & meet_a):
+                return nodes
+            meet_a = once[ai] & below[last - ai]  # later, meeting a once
+            bs, h2, h3 = (holds[o] & meet_a for o in (o1, o2, o3))
+            top, off = 1 << o4, ~a
+            while bs:
+                p = bs.bit_length() - 1
+                bs &= below[p]
                 nodes += 1
                 if nodes > limit:
-                    return False
-                mb, meet_b = contexts[b][1], meet_a & once[b]
-                for c in _bits(holds[o2] & meet_b):
+                    return nodes
+                b = last - p
+                mb = contexts[b][1]
+                cs, ds_b = h2 & once[b], h3 & once[b]
+                while cs:
+                    p = cs.bit_length() - 1
+                    cs &= below[p]
                     nodes += 1
                     if nodes > limit:
-                        return False
+                        return nodes
+                    c = last - p
                     mc = contexts[c][1]
-                    bc = (mb & mc).bit_length() - 1
-                    for d in _bits(holds[o3] & meet_b & once[c] & ~holds[bc]):
+                    ds = ds_b & once[c] & avoid[(mb & mc).bit_length() - 1]
+                    mbc = mb ^ mc
+                    while ds:
+                        p = ds.bit_length() - 1
+                        ds &= below[p]
                         nodes += 1
                         if nodes > limit:
-                            return False
-                        e = at.get(1 << o4 | (mb ^ mc ^ contexts[d][1]) & ~a)
+                            return nodes
+                        d = last - p
+                        e = at.get(top | (mbc ^ contexts[d][1]) & off)
                         if e is not None:
-                            found.fromlist(sorted((ai, b, c, d, e)))
-        return True
+                            found.extend((ai, b, c, d, e))
+        return nodes
 
-    complete = place()
+    complete = place() <= limit
     sets = np.frombuffer(found, dtype=np.uint16).reshape(-1, 5)
+    sets.sort(axis=1)
     sets.flags.writeable = False
     return sets, complete
 
@@ -699,7 +741,17 @@ def _grid_transforms(grid: tuple) -> list[tuple]:
 
 
 def _grid_canonical(grid: tuple) -> tuple:
-    return min(_grid_transforms(grid))
+    """The least of the 72 arrangements of a grid of distinct cells, built
+    directly.  Its first row is the line through the smallest cell, that
+    cell's row or its column, whichever holds the smaller second cell; the
+    columns follow that line's cells in order, and the rows the cells of
+    the smallest cell's column."""
+    r, c = divmod(grid.index(min(grid)), 3)
+    if sorted(grid[c::3])[1] < sorted(grid[3 * r:3 * r + 3])[1]:
+        grid, r, c = grid[0::3] + grid[1::3] + grid[2::3], c, r
+    cols = sorted(range(3), key=grid[3 * r:3 * r + 3].__getitem__)
+    rows = sorted(range(0, 9, 3), key=lambda i: grid[i + c])
+    return tuple([grid[i + j] for i in rows for j in cols])
 
 
 def _grid_config(observables: tuple[PauliObservable, ...]) -> Configuration:

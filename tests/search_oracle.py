@@ -1,5 +1,6 @@
 """Reference search routines for the tests: the package's earlier
-exact cover, grid-transform generator and batch verifier, and the
+exact cover, grid-transform generator, grid canonical form and batch
+verifier, and the
 sorted column masks of a system of contexts.
 
 ``ref_cover_twice`` is the exact cover both searches once ran on, branching
@@ -11,7 +12,8 @@ pentagram search's; the package now finds both by direct searches, over
 3x3 grids and over five contexts.  ``ref_grid_transforms`` rebuilds the
 72 row/column permutations (with or without transposition) of a row-major
 3x3 grid as nested tuples, where the package applies precomputed index
-permutations.
+permutations.  ``ref_grid_canonical`` takes the least of those 72
+arrangements, where the package builds it directly from the smallest cell.
 ``ref_verify_each`` re-verifies each configuration from its observables,
 keying each context by their (n, x, z, phase) tuples, where the package
 interns each word as a small int and reads search results as rows of those
@@ -109,6 +111,12 @@ def ref_grid_transforms(grid):
         for rp in itertools.permutations(range(3)):
             for cp in itertools.permutations(range(3)):
                 yield tuple(mat[i][j] for i in rp for j in cp)
+
+
+def ref_grid_canonical(grid):
+    """The least of a grid's 72 arrangements, by taking the minimum over
+    all of them, as the package once did."""
+    return min(magic._grid_transforms(grid))
 
 
 def ref_verify_each(configs):

@@ -3,6 +3,7 @@ the sign-taking BKS decider against brute-force oracles: a scan of every
 size-subset for contexts, every subset of 6 or 5 contexts for the
 searches, and a numpy scan of every +-1 assignment for the decider."""
 
+import collections
 import itertools
 import random
 import time
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringline as rl
@@ -19,8 +20,8 @@ from ringline.magic import (DeciderDisagreement, _bits, _contexts, _decide,
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
-from search_oracle import (columns, ref_cover_twice, ref_grid_transforms,
-                           ref_verify_each)
+from search_oracle import (columns, ref_cover_twice, ref_grid_canonical,
+                           ref_grid_transforms, ref_verify_each)
 
 
 def oracle_contexts(words, size):
@@ -76,6 +77,31 @@ def test_contexts_match_subset_scan(n, size, identity, count):
     assert _contexts(words, size) == expected
     assert rl.infer_contexts(words, size) == [idx for idx, _, _ in expected]
     assert len(expected) == count
+
+
+@st.composite
+def phased_word_lists(draw):
+    """Up to 12 distinct words of the 64 on three qubits, the identity
+    included, each with a random phase, in a random order."""
+    words = draw(st.lists(st.sampled_from(all_words(3, include_identity=True)),
+                          max_size=12, unique=True))
+    return [PauliObservable.from_masks(3, w.x, w.z, draw(st.integers(0, 3)))
+            for w in words]
+
+
+@settings(max_examples=150, deadline=None)
+@given(phased_word_lists(), st.integers(1, 4))
+def test_contexts_match_subset_scan_on_phased_words(words, size):
+    assert _contexts(words, size) == oracle_contexts(words, size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_contexts_refuse_mixed_qubit_counts(size):
+    """Words on two qubit counts are refused at any size, as ``commutes``
+    refuses a pair of them."""
+    words = all_words(2) + [PauliObservable("XYZ")]
+    with pytest.raises(rl.PauliError, match="qubit counts differ"):
+        _contexts(words, size)
 
 
 def _grid(lines):
@@ -170,7 +196,8 @@ def test_grid_search_finds_the_cover_grids(words):
 def test_three_qubit_grid_search():
     """3360 grids at three qubits, as the earlier cover and grid test found
     and as |Sp(6, 2)| / 432 counts: each found once, each a 3x3 grid of
-    contexts whose signs multiply to -1, in well under 2 s of CPU."""
+    contexts whose signs multiply to -1, in well under 2 s of CPU; the
+    canonical form of each is the least of its 72 arrangements."""
     words = all_words(3)
     sign_of = {mask: sign for _, mask, sign in _contexts(words, 3)}
     start = time.process_time()
@@ -181,6 +208,7 @@ def test_three_qubit_grid_search():
         # nine distinct cells: the rows are disjoint, and each meets each
         # column in its one cell
         assert len(set(grid)) == 9
+        assert magic._grid_canonical(grid) == ref_grid_canonical(grid)
         prod = 1
         for line in _grid_lines(grid):
             prod *= sign_of[magic._mask(line)]
@@ -207,27 +235,28 @@ def pentagram_families(draw):
 
 def k5_tree(masks):
     """The nodes of ``_pentagram_sets``' tree over contexts with these
-    masks, in order, one per context a, b, c and d placed, each as the
-    number of sets it finds: found by testing each later context against
-    the masks, with no lookup."""
+    masks, in order, one per context a, b, c and d placed, each as its
+    level ("a" to "d") and the number of sets it finds: found by testing
+    each later context against the masks, with no lookup."""
     nodes = []
     for ai, a in enumerate(masks):
-        nodes.append(0)
+        nodes.append(("a", 0))
         # the later contexts meeting a at each of its cells alone
         b_s, c_s, d_s, e_s = ([x for x in masks[ai + 1:] if x & a == 1 << o]
                               for o in _bits(a))
         for b in b_s:
-            nodes.append(0)
+            nodes.append(("b", 0))
             for c in c_s:
                 if (b & c).bit_count() != 1:
                     continue
-                nodes.append(0)
+                nodes.append(("c", 0))
                 for d in d_s:
                     if (b & d).bit_count() == (c & d).bit_count() == 1 \
                             and not b & c & d:
-                        nodes.append(sum(
+                        nodes.append(("d", sum(
                             all((x & e).bit_count() == 1 for x in (b, c, d))
-                            and not (b & c | b & d | c & d) & e for e in e_s))
+                            and not (b & c | b & d | c & d) & e
+                            for e in e_s)))
     return nodes
 
 
@@ -241,25 +270,34 @@ def test_pentagram_sets_match_subset_scan(family):
     assert sorted(found) == oracle_cover_twice([c[1] for c in contexts], 5, m)
 
 
+# the built-in's five contexts and one more, on cells 0, 1, 2 and 4: a
+# tree with nodes at every level, and c nodes with and without a d below
+_PENTAGRAM_AND_ONE = sorted((tuple(_bits(mask)), mask, 1) for mask in
+                            magic._PENTAGRAM_MASKS + [0b10111])
+
+
 @settings(max_examples=60, deadline=None)
 @given(pentagram_families())
+@example((_PENTAGRAM_AND_ONE, 10))
 def test_pentagram_sets_cut_every_budget_to_a_prefix(family):
     """A budget keeps the sets found within its nodes, in order, and the
-    search completes exactly when the budget reaches the tree's nodes."""
+    search completes exactly when the budget reaches the tree's nodes;
+    a cut at a node of any level reads incomplete."""
     contexts, _ = family
     found, _ = pentagram_rows(contexts)
-    nodes = k5_tree([c[1] for c in contexts])
-    assert sum(nodes) == len(found)
-    for budget in range(len(nodes) + 2):
+    finds = [f for _, f in k5_tree([c[1] for c in contexts])]
+    assert sum(finds) == len(found)
+    for budget in range(len(finds) + 2):
         cut, complete = pentagram_rows(contexts, budget)
-        assert cut == found[:sum(nodes[:budget])]
-        assert complete == (budget >= len(nodes))
+        assert cut == found[:sum(finds[:budget])]
+        assert complete == (budget >= len(finds))
 
 
 def test_pentagram_sets_match_the_reference_cover():
     """The 12096 three-qubit sets are the connected twice-covers that the
-    earlier exact cover found, each once; the tree has 69201 nodes, and
-    its last finds no set."""
+    earlier exact cover found, each once.  The tree's work is pinned: 945
+    a, 11400 b, 44760 c and 12096 d nodes, 69201 in all, each d node
+    finding one set, and a budget one short of them all cuts it."""
     contexts = _contexts(all_words(3), 4)
     found, complete = pentagram_rows(contexts)
     want, _, _ = ref_cover_twice(contexts, 5, {1})
@@ -268,7 +306,14 @@ def test_pentagram_sets_match_the_reference_cover():
     assert pentagram_rows(contexts, 69201) == (found, True)
     assert pentagram_rows(contexts, 69200) == (found, False)
     nodes = k5_tree([c[1] for c in contexts])
-    assert len(nodes) == 69201 and sum(nodes) == 12096
+    assert collections.Counter(nodes) == {
+        ("a", 0): 945, ("b", 0): 11400, ("c", 0): 44760, ("d", 1): 12096}
+
+
+@given(st.lists(st.integers(-99, 99), min_size=9, max_size=9, unique=True))
+def test_grid_canonical_is_the_least_arrangement(cells):
+    assert magic._grid_canonical(tuple(cells)) == \
+        ref_grid_canonical(tuple(cells))
 
 
 def test_grid_transforms_match_the_reference():
@@ -821,7 +866,8 @@ def test_full_pentagram_cover_is_compact():
         tracemalloc.stop()
     assert complete and found.dtype == np.uint16 and found.shape == (12096, 5)
     assert not found.flags.writeable
-    assert peak < 0.6e6  # 0.34 MB measured, 0.12 MB of it the table
+    # 0.45 MB measured: 0.12 MB the table, 0.09 MB the 946 `below` masks
+    assert peak < 0.6e6
 
 
 def test_pentagram_sets_refuse_contexts_past_uint16():
