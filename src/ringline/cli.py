@@ -181,32 +181,39 @@ _KNOWN_COUNTS = {
 }
 
 
+@functools.cache
+def _known_spellings() -> dict:
+    """The ``_KNOWN_COUNTS`` spelling of each ring in it, by spec_key."""
+    return {rg.build_ring(s).spec_key: s for s in _KNOWN_COUNTS}
+
+
 def run_line(args):
     ring = rg.build_ring(args.ring, size_cap=_size_cap())
     catalog = pl.enumerate_points(ring)
     claims = Claims()
-    spec_text = args.ring.lower().replace(" ", "")
     if args.check:
-        if spec_text in _KNOWN_COUNTS:
-            want = _KNOWN_COUNTS[spec_text]
-            claims.expect(f"point count of the line over {spec_text}",
+        if (known := _known_spellings().get(ring.spec_key)) is not None:
+            want = _KNOWN_COUNTS[known]
+            claims.expect(f"point count of the line over {known}",
                           len(catalog) == want,
                           f"expected {want}, got {len(catalog)}")
         expected = pl.expected_point_count(ring)
         claims.expect("closed-form point count matches enumeration",
                       expected == len(catalog),
                       f"closed form {expected}, enumeration {len(catalog)}")
+    names = [str(p) for p in catalog.points]
+    name_of = dict(zip(catalog.points, names))
     subsets = pl.distinguished_subsets(catalog)
     data = {
         "ring": ring.spec_str(),
-        "points": [str(p) for p in catalog.points],
+        "points": names,
         "relation": catalog.relation.tolist(),
-        "distinguished": {k: sorted(str(p) for p in v)
+        "distinguished": {k: sorted(name_of[p] for p in v)
                           for k, v in subsets.items()},
     }
     lines = [f"projective line over {ring.spec_str()}: "
              f"{len(catalog)} points"]
-    lines += ["  " + str(p) for p in catalog.points]
+    lines += ["  " + name for name in names]
     for k, v in data["distinguished"].items():
         lines.append(f"{k}: " + (" ".join(v) or "(none)"))
     dot = None

@@ -39,7 +39,8 @@ class ProjPoint:
     b: int
 
     def __str__(self):
-        return f"({self.ring.el_str(self.a)},{self.ring.el_str(self.b)})"
+        names = self.ring.names
+        return f"({names[self.a]},{names[self.b]})"
 
     def __repr__(self):
         return f"<point {self} over {self.ring.spec_str()}>"

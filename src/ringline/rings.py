@@ -19,10 +19,16 @@ homomorphism validity) and printed name is a table lookup, and a ring
 homomorphism is an index array from one ring's tables into another's.  The
 payload arithmetic the tables are checked against lives in the tests.  Ring
 sizes are capped (default 256) and every answer is exact.
+
+``build_ring`` reads a spec string such as ``"gf(2)[x]/(x^3-x)"`` into
+canonical atoms and builds each ring it names once per process, in a
+bounded memo keyed by those atoms and the size cap: every spelling of one
+ring gives the same object, whose tables are therefore read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -136,7 +142,8 @@ class RingTables:
 
     ``add`` and ``mul`` are n x n index tables, ``neg`` the additive
     inverses, ``unit`` the unit mask; ``zero`` and ``one`` are the indices
-    of the two identities.
+    of the two identities.  ``build_ring`` shares one ring among all its
+    callers, so every array here is read-only.
     """
 
     def __init__(self, add: np.ndarray, mul: np.ndarray):
@@ -147,6 +154,8 @@ class RingTables:
         self.one = int(np.argmax((mul == identity).all(axis=1)))
         self.neg = np.argmax(add == self.zero, axis=1)
         self.unit = (mul == self.one).any(axis=1)
+        for table in (self.add, self.mul, self.neg, self.unit):
+            table.flags.writeable = False
 
     @cached_property
     def unimodular(self) -> np.ndarray:
@@ -166,7 +175,9 @@ class RingTables:
         one_minus = self.add[self.one, self.neg]
         comaximal = (ideals[:, one_minus].astype(np.int32)
                      @ ideals.T.astype(np.int32)) > 0
-        return comaximal[ideal_of[:, None], ideal_of[None, :]]
+        mask = comaximal[ideal_of[:, None], ideal_of[None, :]]
+        mask.flags.writeable = False
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +399,16 @@ _TERM = re.compile(r"([+-]*)(?:(\d+)\*?)?(x(?:\^(\d+))?)?")
 
 
 def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
+    """The ring a spec string names.  Every spelling of one ring gives the
+    same object while it stays in the memo, so its tables and admissibility
+    mask are built once per process."""
+    return _interned(_parse_spec(spec_text, size_cap), size_cap)
+
+
+def _parse_spec(spec_text: str, size_cap: int) -> tuple:
+    """Every check ``build_ring`` makes, in its order, and nothing built:
+    the spec's canonical atoms ``(p, k, modulus or None)`` of GF(p^k) and
+    of GF(p^k)[x]/(f), f's little-endian coefficients reduced mod p."""
     text = spec_text.lower().replace(" ", "")
 
     def fail(msg):
@@ -426,25 +447,44 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
         pos, more = m.end(), m[5]
     if pos < len(text):
         fail(f"unexpected input at position {pos}")
-    factors = []
+    canonical, size = [], 1
     for q, k, coeffs in atoms:
         if q > size_cap or not within_cap(q, k, size_cap):
             raise RingError(f"GF({q}^{k}) exceeds size cap {size_cap}")
         if not (pk := _prime_power(q)) or (k != 1 and pk[1] != 1):
             fail(f"{q} is not {'a prime power' if k == 1 else 'prime'}")
-        ring = GaloisField(pk[0], pk[1] * k, size_cap=size_cap)
+        p, k = pk[0], pk[1] * k
+        if k < 1:
+            raise RingError("extension degree must be >= 1")
+        f = None
         if coeffs is not None:
-            if not within_cap(ring.size, deg := max(coeffs), size_cap):
+            if not within_cap(p ** k, deg := max(coeffs), size_cap):
                 raise RingError(f"quotient ring exceeds size cap {size_cap}")
             # integer c mod p lifts to c * 1, the element of index c
-            f = tuple(coeffs.get(i, 0) % ring.p for i in range(deg + 1))
-            if f[-1] != ring.one:
+            f = tuple(coeffs.get(i, 0) % p for i in range(deg + 1))
+            if f[-1] != 1:
                 fail("modulus must be monic")
-            ring = QuotientRing(ring, f, size_cap=size_cap)
-        factors.append(ring)
-    if len(factors) == 1:
-        return factors[0]
-    return ProductRing(factors, size_cap=size_cap)
+            if deg < 1:
+                raise RingError("modulus must have degree >= 1")
+        canonical.append((p, k, f))
+        size *= p ** k if f is None else p ** (k * deg)
+    if size > size_cap:  # only a product can be over the cap here
+        raise RingError(f"product ring exceeds size cap {size_cap}")
+    return tuple(canonical)
+
+
+@functools.lru_cache(maxsize=32)
+def _interned(atoms: tuple, size_cap: int) -> Ring:
+    """The ring of ``_parse_spec``'s atoms; factors and base fields come
+    through this memo too, so a new product or quotient reuses them."""
+    if len(atoms) > 1:
+        return ProductRing([_interned((a,), size_cap) for a in atoms],
+                           size_cap=size_cap)
+    (p, k, modulus), = atoms
+    if modulus is None:
+        return GaloisField(p, k, size_cap=size_cap)
+    return QuotientRing(_interned(((p, k, None),), size_cap), modulus,
+                        size_cap=size_cap)
 
 
 # ---------------------------------------------------------------------------

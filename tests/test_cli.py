@@ -464,6 +464,51 @@ def test_claim_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "line", "--ring", "gf(4)", "--check")
     assert code == cli.EXIT_CLAIM
     assert "[FAIL]" in out
+    # the table is matched by ring, so another spelling reads the same count
+    code, out, _ = run(capsys, "line", "--ring", "GF(2^2)", "--check")
+    assert code == cli.EXIT_CLAIM
+    assert "[FAIL] point count of the line over gf(4): expected 6, got 5" in out
+
+
+@pytest.mark.parametrize("spec, known, count", [
+    ("gf(2)[x]/(x^3-x)", "gf(2)[x]/(x^3-x)", 18),
+    ("gf(2)[x]/(x^3+x)", "gf(2)[x]/(x^3-x)", 18),
+    ("GF(2^1)[x]/(x+x^3)", "gf(2)[x]/(x^3-x)", 18),
+    ("gf(2)[x]/(x^2+x)", "gf(2)[x]/(x^2-x)", 9),
+    ("GF(2) X GF(2)", "gf(2)xgf(2)", 9),
+    ("gf(2^3)", "gf(8)", 9),
+    ("gf(2^2)", "gf(4)", 5),
+])
+def test_known_count_is_found_by_ring_not_spelling(capsys, spec, known, count):
+    code, out, _ = run(capsys, "line", "--ring", spec, "--check",
+                       "--format", "json")
+    assert code == cli.EXIT_OK
+    assert {"claim": f"point count of the line over {known}", "ok": True,
+            "detail": f"expected {count}, got {count}"} \
+        in json.loads(out)["claims"]["checked"]
+
+
+def test_ring_without_a_known_count_claims_only_the_closed_form(capsys):
+    code, out, _ = run(capsys, "line", "--ring", "gf(7)", "--check",
+                       "--format", "json")
+    assert code == cli.EXIT_OK
+    assert [c["claim"] for c in json.loads(out)["claims"]["checked"]] == [
+        "closed-form point count matches enumeration"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_line_renders_each_point_once(capsys, monkeypatch, fmt):
+    calls = []
+    render = rl.ProjPoint.__str__
+
+    def counted(p):
+        calls.append(p)
+        return render(p)
+    monkeypatch.setattr(rl.ProjPoint, "__str__", counted)
+    code, _, _ = run(capsys, "line", "--ring", "gf(2)[x]/(x^3-x)", "--check",
+                     "--format", fmt)
+    assert code == cli.EXIT_OK
+    assert len(calls) == len(set(calls)) == 18
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -692,6 +737,15 @@ def test_size_cap_env(capsys, monkeypatch):
     code, _, err = run(capsys, "ring", "--ring", "gf(8)")
     assert code == cli.EXIT_INPUT
     assert "input error" in err
+
+
+def test_size_cap_env_refuses_a_ring_already_built(capsys, monkeypatch):
+    # one process builds each ring once; the cap still refuses it later
+    assert run(capsys, "line", "--ring", "gf(4)xgf(4)", "--check")[0] == 0
+    monkeypatch.setenv("RINGLINE_SIZE_CAP", "8")
+    code, out, err = run(capsys, "line", "--ring", "GF(4) x GF(2^2)")
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "input error: product ring exceeds size cap 8\n"
 
 
 def test_non_integer_size_cap_env(capsys, monkeypatch):

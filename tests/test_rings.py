@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ringline as rl
-from ringline.rings import RingError, build_ring, find_isomorphism
+from ringline.rings import RingError, _interned, build_ring, find_isomorphism
 
 
 # --- independent oracle: GF(2)[x] mod x^3 - x as int lists -----------------
@@ -113,6 +113,71 @@ def test_gf4_modulus_choice():
 def test_gf8_modulus_choice():
     f = build_ring("gf(8)")
     assert f.modulus == (1, 1, 0, 1)  # x^3 + x + 1
+
+
+# --- one ring per spelling --------------------------------------------------
+
+@pytest.mark.parametrize("spellings", [
+    ["gf(2)[x]/(x^3-x)", "gf(2)[x]/(x^3+x)", "GF(2^1)[x]/(x+x^3)",
+     "gf(2)[x]/(x^3 + 3x + 2x^2 + 2)"],
+    ["gf(8)", "gf(2^3)", "GF(8)"],
+    ["gf(4)xgf(4)", "gf(2^2) x GF(4)"],
+    ["gf(9)[x]/(x^2)", "gf(3^2)[x]/(x^2+3x+3)"],
+], ids=["x3-x", "gf8", "product", "quotient"])
+def test_every_spelling_of_a_ring_is_one_object(spellings):
+    first = build_ring(spellings[0])
+    assert all(build_ring(s) is first for s in spellings)
+
+
+def test_factors_and_base_fields_are_shared():
+    gf4 = build_ring("gf(4)")
+    product = build_ring("gf(4)xgf(2)xgf(2^2)")
+    assert product.factors[0] is product.factors[2] is gf4
+    assert product.factors[1] is build_ring("gf(2)")
+    assert build_ring("gf(2^2)[x]/(x^2)").base is gf4
+
+
+def test_a_built_ring_is_refused_under_a_smaller_cap():
+    for spec, message in [("gf(8)", "GF\\(8\\^1\\) exceeds size cap 4"),
+                          ("gf(4)[x]/(x^2)", "quotient ring exceeds size cap 8"),
+                          ("gf(4)xgf(4)", "product ring exceeds size cap 8")]:
+        cap = 4 if spec == "gf(8)" else 8
+        ring = build_ring(spec)
+        with pytest.raises(RingError, match=message):
+            build_ring(spec, size_cap=cap)
+        assert build_ring(spec) is ring
+
+
+@pytest.mark.parametrize("spec", ["gf(6)", "gf(2^0)", "gf(2)[x]/(x^9)",
+                                  "gf(2)[x]/(1)", "gf(3)[x]/(2x^2+1)",
+                                  "gf(16)xgf(16)xgf(2)", "gf(2)xx"])
+def test_a_refusal_is_never_cached(spec):
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(RingError) as info:
+            build_ring(spec)
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
+
+
+def test_shared_tables_are_read_only():
+    ring = build_ring("gf(2)[x]/(x^3-x)")
+    t = ring.tables
+    for table in (t.add, t.mul, t.neg, t.unit, t.unimodular):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = table[(0,) * table.ndim]
+    assert t.unimodular is build_ring("gf(2)[x]/(x^3+x)").tables.unimodular
+
+
+def test_the_ring_memo_stays_within_its_bound():
+    bound = _interned.cache_info().maxsize
+    # every monic polynomial over GF(2) of degree 1 to 5: 62 distinct rings
+    specs = [f"gf(2)[x]/(x^{d}" + "".join(f"+{c}*x^{e}" for e, c in
+                                          enumerate(low)) + ")"
+             for d in range(1, 6)
+             for low in itertools.product((0, 1), repeat=d)]
+    assert len({build_ring(s).spec_key for s in specs}) == len(specs) > bound
+    assert _interned.cache_info().currsize <= bound
 
 
 # --- arithmetic -------------------------------------------------------------
