@@ -222,8 +222,12 @@ def verify_each(configs):
     Each configuration gets its own structural check and is read from its
     own words, as a row of word ids: each word's (n, x, z, phase) is
     interned once per call as a small int.  Within one call, every
-    distinct context key (its members' ids in order) gets one commutation
-    test and one sign, every distinct shape of contexts its sorted column
+    distinct context key gets one commutation test and one sign.  A key is
+    its members' ids sorted when the row's words are plain (distinct,
+    phase 0 and on the configuration's qubit count), so a context is one
+    set of words; otherwise it is the ids in order, as the note on mixed
+    qubit counts depends on which pair comes first.  Every distinct
+    shape of contexts gets its sorted column
     masks (each observable's contexts as bits: the tests'
     ``search_oracle.columns``) and its shape check, and configurations with
     the same labels, context checks, structural errors and sorted columns
@@ -235,13 +239,12 @@ def verify_each(configs):
     Nothing is kept between calls.
 
     Configurations are read one at a time.  Search results
-    (``_ResultRows``) whose shapes all hold as many contexts of one size
-    are read in numpy blocks of 1024 rows: each context's ids, gathered
-    through its shape's ranks, are keyed as one int, the block's distinct
-    keys are checked, and a row takes the report of an earlier row with
-    the same class of shape (geometry, labels and columns) and context
-    checks.  Other rows are read one at a time, and a configuration is
-    built from a row only when it goes to ``bks_decide``.
+    (``_ResultRows``) whose template holds contexts of one size are read in
+    numpy blocks of 1024 rows: each context's sorted ids are keyed as one
+    int, the block's distinct keys are checked, and a row takes the report
+    of an earlier row with the same context checks.  A row that repeats an
+    id or holds a word of another kind is read on its own, and a
+    configuration is built from a row only when it goes to ``bks_decide``.
     """
     index = {}  # (n, x, z, phase) -> the word's id
     words = []  # id -> the first word interned to it
@@ -288,12 +291,15 @@ def verify_each(configs):
         n = template.n
         # a row can hold a phased word or one on another count only if some
         # word interned so far is one
-        if len(set(ids)) != len(ids) or (
-                kinds != {n} and {*map(qubits.__getitem__, ids)} != {n}):
+        plain = len(set(ids)) == len(ids) and (
+            kinds == {n} or {*map(qubits.__getitem__, ids)} == {n})
+        if plain:  # distinct plain words on n check alike in any order
+            checks = [check_of(tuple(sorted(get(ids)))) for get in getters]
+        else:
             errs = tuple(_observable_errors(n, [
                 (o.n, o.x, o.z, o.phase) for o in map(words.__getitem__, ids)
             ])) + errs
-        checks = [check_of(get(ids)) for get in getters]
+            checks = [check_of(get(ids)) for get in getters]
         labels = template.context_labels
         report_key = (labels, tuple(checks), errs, columns)
         report = shared.get(report_key)
@@ -318,64 +324,49 @@ def verify_each(configs):
                 shared[report_key] = report
         return report
 
-    def read_blocks(rows: _ResultRows, count: int, size: int):
-        templates, m = rows._templates, rows._observables.shape[1]
+    def read_blocks(rows: _ResultRows, size: int):
+        template, base = rows._template, len(rows._words)
         # the smallest dtypes keep each block's temporaries small
         ids_of = np.array(list(map(intern, rows._words)),
-                          dtype=np.min_scalar_type(len(rows._words)))
-        ranks = np.array([t.contexts for t in templates],
-                         dtype=np.min_scalar_type(m))
-        place = [len(rows._words) ** j for j in reversed(range(size))]
-        # shapes with the same geometry, labels and sorted columns (each
-        # observable's contexts as bits) are one class
-        columns = np.zeros((len(templates), m), dtype=np.int64)
-        for c in range(count):
-            columns[np.arange(len(templates))[:, None], ranks[:, c]] |= 1 << c
-        columns.sort(axis=1)
-        classes = {}
-        tclass = np.array([classes.setdefault(
-            (t.geometry, t.context_labels, cols), len(classes))
-            for t, cols in zip(templates, map(tuple, columns.tolist()))])
-        tn = np.array([t.n for t in templates])
+                          dtype=np.min_scalar_type(base))
+        contexts = np.array(template.contexts, dtype=np.min_scalar_type(
+            rows._observables.shape[1]))
+        place = [base ** j for j in reversed(range(size))]
         qubit = np.array([0 if q is None else q for q in qubits])
-        codes, coded = {}, {}  # check -> its number; context key -> that
-        found = {}  # (class, check numbers) -> its report, if not colorable
+        # check -> its number; context key -> its check's number, and the
+        # key -1 of a row read on its own -> -1
+        codes, coded = {}, {-1: -1}
+        found = {}  # check numbers -> their report, if not colorable
         for start in range(0, len(rows), 1024):
             ids = ids_of[rows._observables[start:start + 1024]]
-            shape = rows._shapes[start:start + 1024]
-            keys, inverse = np.unique(np.take_along_axis(
-                ids, ranks[shape].reshape(len(ids), -1), axis=1).reshape(
-                    -1, size) @ place, return_inverse=True)
+            # key -1: the row repeats an id or holds a word of another kind
+            ordered = np.sort(ids, axis=1)
+            keys = np.sort(ids[:, contexts], axis=2) @ place
+            keys[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+                 | (qubit[ids] != template.n).any(axis=1)] = -1
+            keys, inverse = np.unique(keys, return_inverse=True)
             code = []
             for key in keys.tolist():
                 if key not in coded:
                     coded[key] = codes.setdefault(check_of(tuple(
-                        [key // p % len(rows._words) for p in place])),
-                        len(codes))
+                        [key // p % base for p in place])), len(codes))
                 code.append(coded[key])
-            # class -1: the row repeats an id or holds a word of another kind
-            ordered = np.sort(ids, axis=1)
-            cls = np.where((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-                           | (qubit[ids] != tn[shape, None]).any(axis=1),
-                           -1, tclass[shape])
-            for r, row in enumerate(zip(cls.tolist(), *np.array(code)[
-                    inverse.reshape(len(ids), -1)].T.tolist())):
+            for r, row in enumerate(map(tuple, np.array(code)[
+                    inverse.reshape(len(ids), -1)].tolist())):
                 report = found.get(row)
                 if report is None:
-                    report = read(templates[shape[r]], ids[r].tolist())
+                    report = read(template, ids[r].tolist())
                     if row[0] >= 0 and not (report.bks and
                                             report.bks.colorable):
                         found[row] = report
                 yield report
 
     if isinstance(configs, _ResultRows):
-        layouts = {tuple(map(len, t.contexts)) for t in configs._templates}
-        layout = layouts.pop() if len(layouts) == 1 else ()
-        # each context's ids as digits in base len(words), and each
-        # observable's contexts as bits, must fit one int64
-        if len(set(layout)) == 1 and len(layout) < 63 and (
-                len(configs._words) ** layout[0] < 2 ** 63):
-            yield from read_blocks(configs, len(layout), layout[0])
+        sizes = {len(ctx) for ctx in configs._template.contexts}
+        size = sizes.pop() if len(sizes) == 1 else 0
+        # each context's ids, as digits in base len(words), must fit one int64
+        if size and len(configs._words) ** size < 2 ** 63:
+            yield from read_blocks(configs, size)
             return
     for cfg in configs:
         yield read(cfg, list(map(intern, cfg.observables)), cfg)
@@ -643,44 +634,47 @@ class SearchOutcome:
 class _ResultRows(Sequence):
     """Search results kept as compact rows, each built as it is read.
 
-    Row i is result i's observables, as indices into ``words``, and its
-    shape, an index into ``templates``: one validated configuration per
-    shape of contexts, whose placeholder observables a read replaces with
-    the row's through ``_with_observables``.  An int index or iteration
-    builds configurations; a slice is a view of the same kind, so the
-    results are never all held as objects at once.
+    Row i is result i's observables, as indices into ``words``, in the
+    places of ``template``: one validated configuration, whose placeholder
+    observables a read replaces with the row's through
+    ``_with_observables``.  An int index or iteration builds
+    configurations; a slice is a view of the same kind, so the results are
+    never all held as objects at once.
     """
 
-    __slots__ = ("_words", "_templates", "_observables", "_shapes")
+    __slots__ = ("_words", "_template", "_observables")
 
-    def __init__(self, words, templates, observables, shapes):
-        self._words, self._templates = words, templates
-        self._observables, self._shapes = observables, shapes
+    def __init__(self, words, template, observables):
+        self._words, self._template = words, template
+        self._observables = observables
 
     def __len__(self) -> int:
-        return len(self._shapes)
+        return len(self._observables)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _ResultRows(self._words, self._templates,
-                               self._observables[i], self._shapes[i])
-        i = operator.index(i)
-        return self._build(self._observables[i].tolist(), int(self._shapes[i]))
+            return _ResultRows(self._words, self._template,
+                               self._observables[i])
+        return self._build(self._observables[operator.index(i)].tolist())
 
     def __iter__(self):
         for start in range(0, len(self), 1024):  # listed 1024 rows at a time
-            stop = start + 1024
-            for row, shape in zip(self._observables[start:stop].tolist(),
-                                  self._shapes[start:stop].tolist()):
-                yield self._build(row, shape)
+            for row in self._observables[start:start + 1024].tolist():
+                yield self._build(row)
 
-    def _build(self, row: list[int], shape: int) -> Configuration:
-        return self._templates[shape]._with_observables(
+    def _build(self, row: list[int]) -> Configuration:
+        return self._template._with_observables(
             tuple(map(self._words.__getitem__, row)))
 
 
 _SQUARE_MASKS = [_mask(c) for c in _SQUARE_CONTEXTS]
 _PENTAGRAM_MASKS = [_mask(c) for _, c in PENTAGRAM_EDGE_SLOTS]
+# A search result's layout, the incidence of K5: observable k is where
+# contexts p and q meet, (p, q) = _K5_PAIRS[k], so context v holds the
+# observables of the pairs through v: (0, 1, 2, 3), (0, 4, 5, 6), ...
+_K5_PAIRS = tuple(itertools.combinations(range(5), 2))
+_K5_CONTEXTS = tuple(tuple(k for k, pair in enumerate(_K5_PAIRS) if v in pair)
+                     for v in range(5))
 
 
 def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
@@ -784,17 +778,18 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
 
     ``budget`` caps the number of search-tree nodes, one per context
     placed by ``_pentagram_sets`` (69201 in all); when it is hit the
-    results found so far are returned with ``complete=False``.
+    results found so far are returned with ``complete=False``.  The
+    results come in the order the search finds them, so a cut search
+    returns a prefix of the full one.
 
     The candidates arrive as ``_pentagram_sets``' read-only (k, 5) uint16
-    table of context indices, which is indexed as it stands.  Any two of a
+    table of context indices, each row in index order.  Any two of a
     candidate's 5 contexts share one observable, so its 10 observables are
     the 10 pairs of its contexts, as in the built-in: it is decided on
-    ``_PENTAGRAM_MASKS`` with its own signs, once per sign pattern, before
-    it is shaped.  The results are compact rows (see ``_ResultRows``), with
-    one validated configuration for each shape of remapped contexts; the
-    shapes are found, in sorted order, by sorting each magic candidate's 20
-    context ranks as one byte string.
+    ``_PENTAGRAM_MASKS`` with its own signs, once per sign pattern.  Each
+    magic candidate becomes one compact row (see ``_ResultRows``) in the
+    places of one template, the incidence of K5: observable k is the word
+    its contexts p and q share, (p, q) the k-th of ``_K5_PAIRS``.
     """
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
@@ -807,43 +802,18 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
                  for r in firsts.tolist()]
     pents = pents[~np.array(colorable, dtype=bool)[pattern]]
     del signs, pattern
-    # Row r of `held` lists the observables of magic candidate r context by
-    # context.  A candidate's contexts come in index order, which is the
-    # order of their observable tuples, and hold each of its 10 observables
-    # twice; renumbering the observables by rank keeps that order, so each
-    # row's remapped contexts are already sorted.  Indices < 63 fit int8.
-    # Each table is dropped once the next is packed from it.
-    held = np.array([idx for idx, _, _ in contexts],
-                    dtype=np.int8)[pents].reshape(-1, 20)
-    del pents
-    obs = np.sort(held, axis=1)[:, ::2]
-    rank = np.zeros_like(held)  # how many of the row's observables are lower
-    for lower in obs.T[:-1]:
-        rank += held > lower[:, None]
-    del held
-    order = np.lexsort(np.hstack([obs, rank]).T[::-1])  # by (obs, contexts)
-    obs, rank = obs[order], rank[order]
-    del order
-    # Each row as one 20-byte value: the ranks are 0-9, so the bytes sort
-    # in the same order as the rows, and one sort of the values finds the
-    # shapes far faster than np.unique(axis=0), which compares field by
-    # field.  The view keeps `rank` alive until it is dropped.
-    rows = np.ascontiguousarray(rank).view(np.dtype((np.void, 20))).ravel()
-    del rank
-    flats, shapes = np.unique(rows, return_inverse=True)
-    del rows
-    flats = flats.view(np.int8).reshape(-1, 20)
-    shapes = shapes.reshape(-1)  # numpy 2.0.0 returns it as a column
-    quads = {}  # a context of ranks -> the one tuple kept for it
-    shaped = [tuple([quads.setdefault(q, q) for q in zip(*[iter(flat)] * 4)])
-              for flat in flats.tolist()]
-    placeholder = tuple(words[:10])
-    templates = tuple([Configuration(3, placeholder, ctxs, "pentagram")
-                       for ctxs in shaped])
-    # at most 12096 shapes, the full search's row count, fit int16
-    return SearchOutcome(_ResultRows(words, templates, obs,
-                                     shapes.astype(np.int16)),
-                         complete)
+    # The meets, one column at a time: the masks of contexts p and q share
+    # one bit, whose index, the count of the bits below it, is the word's
+    # (< 63, so int8).
+    masks = np.array([mask for _, mask, _ in contexts], dtype=np.uint64)
+    observables = np.empty((len(pents), len(_K5_PAIRS)), dtype=np.int8)
+    for k, (p, q) in enumerate(_K5_PAIRS):
+        meet = masks[pents[:, p]]
+        meet &= masks[pents[:, q]]
+        meet -= 1
+        observables[:, k] = np.bitwise_count(meet)
+    template = Configuration(3, tuple(words[:10]), _K5_CONTEXTS, "pentagram")
+    return SearchOutcome(_ResultRows(words, template, observables), complete)
 
 
 # ---------------------------------------------------------------------------

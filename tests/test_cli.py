@@ -289,8 +289,8 @@ def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):
 
 def test_full_pentagram_search_holds_little_besides_its_results(capsys):
     """The search's candidates and their tables are freed once packed, the
-    12096 results are compact rows (about 0.6 MB with their 1231 shape
-    templates) built into configurations as they are read, and the
+    12096 results are compact rows (about 0.26 MB with their one K5
+    template) built into configurations as they are read, and the
     re-verification reports are checked one at a time."""
     tracemalloc.start()
     try:
@@ -300,8 +300,9 @@ def test_full_pentagram_search_holds_little_besides_its_results(capsys):
     finally:
         tracemalloc.stop()
     assert code == cli.EXIT_OK and json.loads(out)["count"] == 12096
-    # 2.0-2.3 MB measured, plus a margin for other Python and numpy builds;
-    # 5.8 MB with all 12096 results held as configurations
+    # 1.1 MB measured on its own (1.65 MB with one template per shape of
+    # contexts), plus a margin for other Python and numpy builds; 5.8 MB
+    # with all 12096 results held as configurations
     assert peak < 4e6
 
 

@@ -106,11 +106,15 @@ GOLDEN = [
     (('search', '--kind', 'squares', '--check', '--full', '--format', 'json'),
      0, "644e6f81f90d6528d1cdee0b0c97e7d5b416b23d1771e5a7f4e54248107bde0e"),
     # taken before the pentagram search shared decisions and shapes among
-    # its results; --full pins the order and contents of all 12096
+    # its results
     (('search', '--kind', 'pentagrams', '--check', '--format', 'json'),
      0, "ab8126f5522e33bc86ed0c58ed271aef452c9ca1a85426eddae25201322dfd8c"),
+    # --full pins the order and contents of all 12096; taken when each
+    # result came to be listed in one K5 layout (observable k where its
+    # contexts p and q meet), in the order the five-context search finds
+    # them, where they had been renumbered in word order and sorted
     (('search', '--kind', 'pentagrams', '--full', '--format', 'json'),
-     0, "c24e15e0213aa7ce5a79e4c8884305a8ebae3d46244468c02061a8b61d96604b"),
+     0, "15bc0cbdd88428994fb4aaab4c2b6d5be5d98efe7a475a0f61f588f58d8376ce"),
     # taken when --budget came to count the direct five-context search's
     # nodes: the 973 sets it finds within 5000 of them
     (('search', '--kind', 'pentagrams', '--budget', '5000', '--format', 'text'),

@@ -552,8 +552,8 @@ def test_verify_each_finds_a_repeated_word_in_search_rows(pentagram_search):
     words = list(results._words)
     first, second = results._observables[0, :2].tolist()
     words[second] = words[first]
-    doubled = magic._ResultRows(words, results._templates,
-                                results._observables, results._shapes)
+    doubled = magic._ResultRows(words, results._template,
+                                results._observables)
     reports = _same_reports(doubled)
     assert "duplicate observable" in reports[0].structural_errors
     assert not reports[0].magic
@@ -579,24 +579,23 @@ def test_verify_each_reads_slices_as_the_reference(pentagram_search):
 
 def test_verify_each_decides_each_colorable_search_row(monkeypatch,
                                                        pentagram_search):
-    """Rows read in a shape whose last context repeats its first are all
-    colorable: each is decided on its own, while the pentagram rows among
-    them share their decisions."""
+    """Rows read in a template whose last context repeats its first are all
+    colorable: each is decided on its own, though many share their
+    context checks, while the search's own rows share their decisions."""
     results = pentagram_search.results[:300]
-    templates = results._templates
-    again = tuple(rl.Configuration(3, t.observables,
-                                   t.contexts[:4] + t.contexts[:1], "custom")
-                  for t in templates)
-    shapes = results._shapes.copy()
-    shapes[::3] += len(templates)
-    rows = magic._ResultRows(results._words, templates + again,
-                             results._observables, shapes)
+    template = results._template
+    again = rl.Configuration(3, template.observables,
+                             template.contexts[:4] + template.contexts[:1],
+                             "custom")
+    rows = magic._ResultRows(results._words, again, results._observables)
     calls = _counting(monkeypatch, "bks_decide")
     reports = list(rl.verify_each(rows))
-    colorable = [r.bks.colorable for r in reports]
-    assert colorable == [k % 3 == 0 for k in range(300)]
-    assert [cfg.geometry for cfg, _ in calls].count("custom") == 100
-    assert len(calls) <= 100 + 32
+    assert all(r.bks.colorable for r in reports)
+    assert len({r.contexts for r in reports}) < 300
+    assert [cfg.geometry for cfg, _ in calls] == ["custom"] * 300
+    del calls[:]
+    assert all(r.magic for r in rl.verify_each(results))
+    assert 0 < len(calls) <= 32
     assert reports == _same_reports(rows)
 
 
@@ -607,8 +606,7 @@ def test_verify_each_finds_a_phased_word_in_search_rows(pentagram_search):
     results = pentagram_search.results[:2000]
     words = list(results._words)
     words[0] = PauliObservable(words[0].word, 2)
-    rows = magic._ResultRows(words, results._templates, results._observables,
-                             results._shapes)
+    rows = magic._ResultRows(words, results._template, results._observables)
     reports = _same_reports(rows)
     phased = ["observables must have phase 0" in r.structural_errors
               for r in reports]
@@ -673,17 +671,31 @@ def _word_key(ops):
 def test_verify_each_checks_each_distinct_context_once(monkeypatch,
                                                        pentagram_search):
     """Commutation and sign run once per distinct context words per call,
-    also across labels; nothing is kept for the next call."""
+    also across labels; nothing is kept for the next call.  A context of
+    plain words (distinct, phase 0, on the configuration's qubit count)
+    counts as the set of its words, and is checked in the order the words
+    were first read; any other in its own order."""
     results = list(pentagram_search.results) + _mixed_batch()
     pairs = _counting(monkeypatch, "anticommuting_pair")
     signs = _counting(monkeypatch, "scalar_sign")
     reports = list(rl.verify_each(results))
-    keys = {_word_key(cfg.context_ops(ci))
-            for cfg in results for ci in range(len(cfg.contexts))}
+    first = {}  # a word's key -> when it was first read
+    for cfg in results:
+        for o in cfg.observables:
+            first.setdefault(_word_key([o]), len(first))
+    keys, commuting = set(), set()
+    for cfg, report in zip(results, reports):
+        plain = (len(set(cfg.observables)) == len(cfg.observables)
+                 and all(o.n == cfg.n and not o.phase
+                         for o in cfg.observables))
+        for ci, ctx in enumerate(report.contexts):
+            key = _word_key(cfg.context_ops(ci))
+            if plain:
+                key = tuple(sorted(key, key=lambda k: first[(k,)]))
+            keys.add(key)
+            if ctx.commuting:
+                commuting.add(key)
     assert sorted(_word_key(ops) for ops, in pairs) == sorted(keys)
-    commuting = {_word_key(cfg.context_ops(ci))
-                 for cfg, report in zip(results, reports)
-                 for ci, ctx in enumerate(report.contexts) if ctx.commuting}
     assert sorted(_word_key(ops) for ops, in signs) == sorted(commuting)
     assert len(keys) > 945 and len(commuting) > 945
     list(rl.verify_each(results[:1]))
@@ -877,17 +889,41 @@ def test_pentagram_sets_refuse_contexts_past_uint16():
         _pentagram_sets([None] * 65537)
 
 
-def test_search_shapes_keep_their_sorted_order(pentagram_search):
-    """The shapes are numbered in the order of their flattened contexts,
-    the order that sorting the rank rows gives; each result reads its
-    shape's one contexts tuple."""
+def test_search_results_read_one_k5_template(pentagram_search):
+    """Every result's contexts are the template's own K5 tuple, and slot k
+    holds the one word shared by the words of its contexts p and q, (p, q)
+    the k-th pair of five.  Read from the words, each result's contexts
+    are enumerated contexts in index order, and the results come in the
+    order ``_pentagram_sets`` finds them."""
     results = pentagram_search.results
-    flats = [tuple(i for ctx in t.contexts for i in ctx)
-             for t in results._templates]
-    assert all(a < b for a, b in zip(flats, flats[1:]))
-    for k in range(0, len(results), 89):
-        shape = int(results._shapes[k])
-        assert results[k].contexts is results._templates[shape].contexts
+    template = results._template
+    assert template.contexts == ((0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8),
+                                 (2, 5, 7, 9), (3, 6, 8, 9))
+    words = all_words(3)
+    contexts = _contexts(words, 4)
+    at = {frozenset(words[i].word for i in cells): ci
+          for ci, (cells, _, _) in enumerate(contexts)}
+    found = []
+    for cfg in results:
+        assert cfg.contexts is template.contexts
+        lines = [frozenset(o.word for o in cfg.context_ops(v))
+                 for v in range(5)]
+        for k, (p, q) in enumerate(itertools.combinations(range(5), 2)):
+            assert lines[p] & lines[q] == {cfg.observables[k].word}
+        assert len({o.word for o in cfg.observables}) == 10
+        found.append(tuple(at[line] for line in lines))
+    assert found == pentagram_rows(contexts)[0]
+
+
+@pytest.mark.parametrize("budget, count", [
+    (0, 0), (1, 0), (5000, 973), (20000, 3716), (69200, 12096)])
+def test_cut_search_results_are_a_prefix_of_the_full_results(
+        budget, count, pentagram_search):
+    """A search cut by its budget returns the full search's first results,
+    each in the same places: the results are listed in the order found."""
+    cut = rl.search_pentagrams(budget)
+    assert not cut.complete and len(cut.results) == count
+    assert list(cut.results) == list(pentagram_search.results[:count])
 
 
 def test_grid_search_decides_each_distinct_sign_pattern_once(monkeypatch):
