@@ -389,17 +389,14 @@ def run_entangle(args):
         for label in ("row 1", "row 2", "column 1", "column 2"):
             claims.expect(f"{label} basis is product",
                           by_label[label] == "product", by_label[label])
-        claims.expect("column 3 basis is maximally entangled",
-                      by_label["column 3"] == "maximally-entangled",
-                      by_label["column 3"])
+        for label in ("row 3", "column 3"):  # row 3 is the Bell basis
+            claims.expect(f"{label} basis is maximally entangled",
+                          by_label[label] == "maximally-entangled",
+                          by_label[label])
         table = en.overlap_table(cfg.context_ops(0), cfg.context_ops(1))
         claims.expect("row 1 and row 2 bases mutually unbiased at 1/4",
                       pairwise[0]["mutually_unbiased"]
                       and all(v == Fraction(1, 4) for r in table for v in r))
-        claims.note("row 3 basis classification",
-                    f"computed {by_label['row 3']}; this disagrees with the "
-                    "documented expectation that every row basis is a "
-                    "product basis")
     if args.check and getattr(args, "builtin", None) == "mermin_pentagram":
         claims.expect("horizontal edge basis is maximally entangled "
                       "(1 bit across every 1-vs-2 bipartition)",

@@ -12,7 +12,6 @@ answer is checked as the proof it is before it is returned.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -34,12 +33,6 @@ class ConfigError(ValueError):
 
 class DeciderDisagreement(RuntimeError):
     """A BKS answer failed its proof check; a bug, never policy."""
-
-
-@functools.lru_cache(maxsize=64)
-def _default_labels(count: int) -> tuple[str, ...]:
-    """The labels "context 1" .. "context count", one tuple per count."""
-    return tuple([f"context {i + 1}" for i in range(count)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +67,8 @@ class Configuration:
             if seen.bit_count() != len(ctx):
                 raise ConfigError(f"context {list(ctx)} repeats an observable")
         if not self.context_labels:
-            object.__setattr__(self, "context_labels",
-                               _default_labels(len(self.contexts)))
+            object.__setattr__(self, "context_labels", tuple(
+                [f"context {i + 1}" for i in range(len(self.contexts))]))
         elif len(self.context_labels) != len(self.contexts):
             raise ConfigError(f"{len(self.context_labels)} context label(s) "
                               f"for {len(self.contexts)} context(s)")
@@ -226,25 +219,21 @@ def verify_each(configs):
     its members' ids sorted when the row's words are plain (distinct,
     phase 0 and on the configuration's qubit count), so a context is one
     set of words; otherwise it is the ids in order, as the note on mixed
-    qubit counts depends on which pair comes first.  Every distinct
-    shape of contexts gets its sorted column
-    masks (each observable's contexts as bits: the tests'
-    ``search_oracle.columns``) and its shape check, and configurations with
-    the same labels, context checks, structural errors and sorted columns
-    share one report unless it is colorable: the columns and the signs fix
-    the system up to relabelling its observables, so its certificate,
-    which names contexts only, serves them all.  Observable errors are
-    looked for only in a row that repeats an id or holds a phased word or
-    one on another qubit count.  Equal context reports are one object.
-    Nothing is kept between calls.
+    qubit counts depends on which pair comes first.  Every template
+    (geometry, observable count and contexts) gets its shape check once,
+    and configurations with the same template, labels, context checks and
+    structural errors share one report unless it is colorable.  Observable
+    errors are looked for only in a row that repeats an id or holds a
+    phased word or one on another qubit count.  Nothing is kept between
+    calls.
 
-    Configurations are read one at a time.  Search results
-    (``_ResultRows``) whose template holds contexts of one size are read in
-    numpy blocks of 1024 rows: each context's sorted ids are keyed as one
-    int, the block's distinct keys are checked, and a row takes the report
-    of an earlier row with the same context checks.  A row that repeats an
-    id or holds a word of another kind is read on its own, and a
-    configuration is built from a row only when it goes to ``bks_decide``.
+    Configurations are read one at a time, and search results
+    (``_ResultRows``) in numpy blocks of 1024 rows: each context's sorted
+    ids are keyed as one int, the block's distinct keys are checked, and a
+    row takes the report of an earlier row with the same context checks.
+    A row that repeats an id or holds a word of another kind is read on
+    its own, and a configuration is built from a row only when it goes to
+    ``bks_decide``.
     """
     index = {}  # (n, x, z, phase) -> the word's id
     words = []  # id -> the first word interned to it
@@ -261,10 +250,10 @@ def verify_each(configs):
             kinds.add(qubits[-1])
         return i
 
-    shapes = {}  # (geometry, count, contexts) -> (errors, columns, getters)
+    # (geometry, count, contexts) -> (errors, getters, shared), shared:
+    # (labels, checks, errors) -> the template's report, if not colorable
+    templates = {}
     checked = {}  # context key -> (commuting, sign, note)
-    made = {}  # (label, commuting, sign, note) -> the one ContextReport
-    shared = {}  # (labels, checks, errors, columns) -> report, not colorable
 
     def check_of(key: tuple) -> tuple:
         found = checked.get(key)
@@ -276,18 +265,14 @@ def verify_each(configs):
              cfg: Configuration | None = None) -> VerificationReport:
         # the report of the words `ids` in template's places; cfg is the
         # configuration they make, if it is built
-        shape_key = (template.geometry, len(ids), template.contexts)
-        shape = shapes.get(shape_key)
-        if shape is None:
-            cols, got = [0] * len(ids), []
-            for ci, ctx in enumerate(template.contexts):
-                for i in ctx:
-                    cols[i] |= 1 << ci
-                got.append(operator.itemgetter(*ctx) if len(ctx) > 1
-                           else lambda ids, i=ctx[0]: (ids[i],))
-            shape = shapes[shape_key] = (tuple(_shape_errors(*shape_key)),
-                                         tuple(sorted(cols)), got)
-        errs, columns, getters = shape
+        key = (template.geometry, len(ids), template.contexts)
+        known = templates.get(key)
+        if known is None:
+            known = templates[key] = (tuple(_shape_errors(*key)), [
+                operator.itemgetter(*ctx) if len(ctx) > 1
+                else lambda ids, i=ctx[0]: (ids[i],)
+                for ctx in template.contexts], {})
+        errs, getters, shared = known
         n = template.n
         # a row can hold a phased word or one on another count only if some
         # word interned so far is one
@@ -301,7 +286,7 @@ def verify_each(configs):
             ])) + errs
             checks = [check_of(get(ids)) for get in getters]
         labels = template.context_labels
-        report_key = (labels, tuple(checks), errs, columns)
+        report_key = (labels, tuple(checks), errs)
         report = shared.get(report_key)
         if report is None:
             signs = [sign for _, sign, _ in checks]
@@ -311,27 +296,22 @@ def verify_each(configs):
                     cfg = template._with_observables(
                         tuple(map(words.__getitem__, ids)))
                 bks = bks_decide(cfg, signs)
-            reports = []
-            for label, check in zip(labels, checks):
-                fields = (label, *check)
-                context = made.get(fields)
-                if context is None:
-                    context = made[fields] = ContextReport(*fields)
-                reports.append(context)
             magic = not errs and bks is not None and not bks.colorable
-            report = VerificationReport(tuple(reports), errs, magic, bks)
+            report = VerificationReport(tuple([
+                ContextReport(label, *check)
+                for label, check in zip(labels, checks)]), errs, magic, bks)
             if bks is None or not bks.colorable:
                 shared[report_key] = report
         return report
 
-    def read_blocks(rows: _ResultRows, size: int):
+    def read_blocks(rows: _ResultRows):
         template, base = rows._template, len(rows._words)
         # the smallest dtypes keep each block's temporaries small
         ids_of = np.array(list(map(intern, rows._words)),
                           dtype=np.min_scalar_type(base))
         contexts = np.array(template.contexts, dtype=np.min_scalar_type(
             rows._observables.shape[1]))
-        place = [base ** j for j in reversed(range(size))]
+        place = [base ** j for j in reversed(range(contexts.shape[1]))]
         qubit = np.array([0 if q is None else q for q in qubits])
         # check -> its number; context key -> its check's number, and the
         # key -1 of a row read on its own -> -1
@@ -362,12 +342,8 @@ def verify_each(configs):
                 yield report
 
     if isinstance(configs, _ResultRows):
-        sizes = {len(ctx) for ctx in configs._template.contexts}
-        size = sizes.pop() if len(sizes) == 1 else 0
-        # each context's ids, as digits in base len(words), must fit one int64
-        if size and len(configs._words) ** size < 2 ** 63:
-            yield from read_blocks(configs, size)
-            return
+        yield from read_blocks(configs)
+        return
     for cfg in configs:
         yield read(cfg, list(map(intern, cfg.observables)), cfg)
 
@@ -640,11 +616,23 @@ class _ResultRows(Sequence):
     ``_with_observables``.  An int index or iteration builds
     configurations; a slice is a view of the same kind, so the results are
     never all held as objects at once.
+
+    ``verify_each`` keys each context of a row as one int64, its ids as
+    digits in base ``len(words)``, so a table is refused, with a
+    ``ValueError``, unless its template's contexts have one size and such
+    a key fits.
     """
 
     __slots__ = ("_words", "_template", "_observables")
 
     def __init__(self, words, template, observables):
+        sizes = {len(ctx) for ctx in template.contexts}
+        if len(sizes) != 1:
+            raise ValueError(f"template contexts of sizes {sorted(sizes)}: "
+                             "rows are keyed by one context size")
+        if len(words) ** sizes.pop() >= 2 ** 63:
+            raise ValueError(f"{len(words)} words: a context's key would not "
+                             "fit int64")
         self._words, self._template = words, template
         self._observables = observables
 

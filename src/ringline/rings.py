@@ -406,9 +406,12 @@ def build_ring(spec_text: str, size_cap: int = DEFAULT_SIZE_CAP) -> Ring:
 
 
 def _parse_spec(spec_text: str, size_cap: int) -> tuple:
-    """Every check ``build_ring`` makes, in its order, and nothing built:
-    the spec's canonical atoms ``(p, k, modulus or None)`` of GF(p^k) and
-    of GF(p^k)[x]/(f), f's little-endian coefficients reduced mod p."""
+    """The spec's canonical atoms ``(p, k, modulus or None)`` of GF(p^k)
+    and of GF(p^k)[x]/(f), f's little-endian coefficients reduced mod p,
+    and nothing built.  Each atom is refused here if it is malformed or
+    over the size cap, before any factor is built; the modulus degree and
+    the size of a product are left to ``QuotientRing`` and
+    ``ProductRing``."""
     text = spec_text.lower().replace(" ", "")
 
     def fail(msg):
@@ -447,7 +450,7 @@ def _parse_spec(spec_text: str, size_cap: int) -> tuple:
         pos, more = m.end(), m[5]
     if pos < len(text):
         fail(f"unexpected input at position {pos}")
-    canonical, size = [], 1
+    canonical = []
     for q, k, coeffs in atoms:
         if q > size_cap or not within_cap(q, k, size_cap):
             raise RingError(f"GF({q}^{k}) exceeds size cap {size_cap}")
@@ -464,12 +467,7 @@ def _parse_spec(spec_text: str, size_cap: int) -> tuple:
             f = tuple(coeffs.get(i, 0) % p for i in range(deg + 1))
             if f[-1] != 1:
                 fail("modulus must be monic")
-            if deg < 1:
-                raise RingError("modulus must have degree >= 1")
         canonical.append((p, k, f))
-        size *= p ** k if f is None else p ** (k * deg)
-    if size > size_cap:  # only a product can be over the cap here
-        raise RingError(f"product ring exceeds size cap {size_cap}")
     return tuple(canonical)
 
 

@@ -44,9 +44,9 @@ def columns(masks, m):
     the observables are numbered.  ``gf2.eliminate`` takes pivot rows
     greedily in row order, so its null combinations, and the first odd
     one that ``_decide`` returns as the certificate, are the same for
-    every system with the same columns and signs: ``verify_each`` shares
-    one report among them when their labels, context checks and structural
-    errors agree too.
+    every system with the same columns and signs: ``ref_verify_each``
+    shares one certificate among them, where ``verify_each`` shares
+    reports only among configurations of one template.
     """
     cols = [0] * m
     for ci, mask in enumerate(masks):

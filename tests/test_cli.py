@@ -105,7 +105,8 @@ def test_entangle_check(capsys):
                        "--check")
     assert code == 0
     assert "[FAIL]" not in out
-    assert "[INFO] row 3 basis classification" in out
+    assert "[PASS] row 3 basis is maximally entangled" in out
+    assert "[INFO]" not in out
 
 
 def test_correspond_square_check(capsys):

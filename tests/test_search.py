@@ -524,12 +524,9 @@ def test_verify_each_matches_one_at_a_time(pentagram_search):
 
 
 def _same_reports(configs):
-    """verify_each's reports equal the reference's, and equal context
-    reports are one object among them."""
+    """verify_each's reports, which equal the reference's."""
     reports = list(rl.verify_each(configs))
     assert reports == list(ref_verify_each(configs))
-    contexts = [c for r in reports for c in r.contexts]
-    assert len(set(map(id, contexts))) == len(set(contexts))
     return reports
 
 
@@ -722,8 +719,9 @@ def _counting(monkeypatch, name):
 
 
 def test_verify_each_decides_each_distinct_system_once(monkeypatch):
-    """Same sorted column masks and signs share a certificate; the same
-    masks with other signs get their own decision, and a colorable system
+    """The same template and signs share one report; the same template
+    with other signs gets its own decision, and so does a relabelling,
+    whose certificate, naming contexts only, is equal.  A colorable system
     is decided where it occurs."""
     square = rl.builtin("mermin_square")
     z_grid = rl.Configuration(2, tuple(PauliObservable(w) for w in (
@@ -735,16 +733,54 @@ def test_verify_each_decides_each_distinct_system_once(monkeypatch):
     calls = _counting(monkeypatch, "bks_decide")
     first, other, again, more, shared, other_again = rl.verify_each(
         [square, z_grid, square, wider, moved, z_grid])
-    assert [cfg for cfg, _ in calls if cfg is not z_grid] == [square, wider]
-    assert shared.bks is first.bks  # a certificate serves a relabelling
+    assert [cfg for cfg, _ in calls if cfg is not z_grid] == [square, wider,
+                                                              moved]
+    assert shared.bks == first.bks and shared.bks is not first.bks
     assert other == other_again == rl.verify_magic(z_grid)
     assert [c.sign for c in other.contexts] == [1] * 6
     assert not first.bks.colorable and other.bks.colorable
-    assert again.bks is first.bks and again == first
-    assert all(a is b for a, b in zip(again.contexts, first.contexts))
+    assert again is first
     assert len(other.bks.valuation) == 9 and len(more.bks.valuation) == 10
     assert [first, other, more] == [rl.verify_magic(c)
                                     for c in (square, z_grid, wider)]
+
+
+def test_verify_each_decides_once_per_template_and_signs(monkeypatch,
+                                                       pentagram_search):
+    """Squares and pentagrams interleaved in one list, two templates: the
+    reference's reports, from one decision per template and sign
+    pattern."""
+    batch = rl.search_squares() + list(pentagram_search.results[::40])
+    random.Random(5).shuffle(batch)
+    calls = _counting(monkeypatch, "bks_decide")
+    reports = list(rl.verify_each(batch))
+    decided = [(cfg.contexts, tuple(signs)) for cfg, signs in calls]
+    systems = {(cfg.contexts, tuple(context_product_sign(cfg.context_ops(ci))
+                                    for ci in range(len(cfg.contexts))))
+               for cfg in batch}
+    assert len({contexts for contexts, _ in systems}) == 2
+    assert sorted(decided) == sorted(systems) and len(systems) > 2
+    monkeypatch.undo()
+    assert reports == list(ref_verify_each(batch))
+    assert all(r.magic for r in reports)
+
+
+def test_result_rows_refuse_a_table_they_cannot_key(pentagram_search):
+    """Rows are keyed by one context size, each context's ids as one int64
+    in base len(words): a template of mixed sizes, or of none, and a word
+    list too long for the key are refused."""
+    results = pentagram_search.results
+    template, rows = results._template, results._observables
+    contexts = template.contexts
+    for other in (contexts[:4] + (contexts[4][:3],), ()):
+        with pytest.raises(ValueError, match="one context size"):
+            magic._ResultRows(results._words, rl.Configuration(
+                3, template.observables, other, "custom"), rows)
+    most = 55108  # the most words w with w ** 4 < 2 ** 63
+    assert most ** 4 < 2 ** 63 <= (most + 1) ** 4
+    magic._ResultRows(results._words[:1] * most, template, rows)
+    with pytest.raises(ValueError, match="55109 words"):
+        magic._ResultRows(results._words[:1] * (most + 1), template, rows)
 
 
 def _relabel(cfg, perm):
