@@ -318,6 +318,10 @@ def run_bks(args):
     return data, lines, None, claims
 
 
+# the 3! row and 3! column orders of a grid, with or without transposition
+_SQUARE_ORBIT = {"arrangements": 72, "orbits": 1, "orbit_sizes": [72]}
+
+
 def run_search(args):
     claims = Claims()
     if args.kind == "squares":
@@ -338,6 +342,12 @@ def run_search(args):
                       builtin_found)
         claims.expect(f"search {args.kind}: all results re-verify as magic",
                       reverified)
+        if orbit is not None:
+            claims.expect("search squares: the built-in square's nine "
+                          "observables have 72 arrangements in one orbit",
+                          orbit == _SQUARE_ORBIT,
+                          f"{orbit['arrangements']} in {orbit['orbits']} "
+                          f"orbit(s) of sizes {orbit['orbit_sizes']}")
     data = {
         "kind": args.kind,
         "count": len(results),
@@ -355,6 +365,11 @@ def run_search(args):
             "arrangements of the built-in square's nine observables: "
             f"{orbit['arrangements']} in {orbit['orbits']} orbit(s) of sizes "
             f"{orbit['orbit_sizes']} under row/column permutation + transpose")
+    if args.full and args.format == "text":
+        for i, cfg in enumerate(results, 1):
+            lines.append(f"result {i}: " + " | ".join(
+                " ".join([cfg.observables[o].word for o in ctx])
+                for ctx in cfg.contexts))
     return data, lines, None, claims
 
 

@@ -12,6 +12,7 @@ answer is checked as the proof it is before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -190,14 +191,28 @@ def infer_contexts(observables: list[PauliObservable],
     return [idx for idx, _, _ in _contexts(observables, size)]
 
 
+_BUILTINS = ("mermin_square", "mermin_pentagram")
+
+
 def builtin(name: str) -> Configuration:
+    """The built-in configuration called ``name``: ``mermin_square`` or
+    ``mermin_pentagram``; any other name raises ``ConfigError``.
+
+    Each is built once per process, on its first request, and every call
+    returns that one frozen ``Configuration``.  A refusal is never kept.
+    """
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin {name!r}")
+    return _builtin(name)
+
+
+@functools.lru_cache(maxsize=len(_BUILTINS))
+def _builtin(name: str) -> Configuration:
     if name == "mermin_square":
         return _grid_config(tuple(PauliObservable(w) for w in SQUARE_WORDS))
-    if name == "mermin_pentagram":
-        obs = tuple(PauliObservable(w) for w in PENTAGRAM_WORDS)
-        labels, contexts = zip(*PENTAGRAM_EDGE_SLOTS)
-        return Configuration(3, obs, contexts, "pentagram", labels)
-    raise ConfigError(f"unknown builtin {name!r}")
+    obs = tuple(PauliObservable(w) for w in PENTAGRAM_WORDS)
+    labels, contexts = zip(*PENTAGRAM_EDGE_SLOTS)
+    return Configuration(3, obs, contexts, "pentagram", labels)
 
 
 # ---------------------------------------------------------------------------
@@ -743,21 +758,49 @@ def _grid_config(observables: tuple[PauliObservable, ...]) -> Configuration:
 
 def search_squares() -> list[Configuration]:
     """Exhaustive two-qubit magic squares, deduplicated up to row/column
-    permutation and transposition."""
+    permutation and transposition: 10, each in its least arrangement, in
+    the order of those arrangements.
+
+    The search is a constant of the two-qubit Pauli group, so it runs once
+    per process, on the first call.  Every call returns a new list of the
+    same frozen configurations.
+    """
+    return list(_squares())
+
+
+@functools.lru_cache(maxsize=1)
+def _squares() -> tuple[Configuration, ...]:
     words = all_words(2)  # sorted by word, so index order is word order
     canon = {_grid_canonical(g) for g in _magic_grids(words)}
-    return [_grid_config(tuple([words[i] for i in g])) for g in sorted(canon)]
+    return tuple([_grid_config(tuple([words[i] for i in g]))
+                  for g in sorted(canon)])
 
 
-def square_orbit_report(words: tuple[str, ...]) -> dict:
-    """Magic arrangements of a fixed 9-observable set and their symmetry orbits."""
+def square_orbit_report(words: Sequence[str]) -> dict:
+    """Magic arrangements of a fixed 9-observable set and their symmetry
+    orbits: ``arrangements``, ``orbits`` and the ``orbit_sizes``, largest
+    first.
+
+    Reports are kept per process by ``tuple(words)``, the 8 most recently
+    used, so a list and a tuple of the same words share one.  Every call returns
+    a new dict with a new ``orbit_sizes`` list.  A bad word raises
+    ``PauliError`` on every call: a refusal is never kept.
+    """
+    words = tuple(words)
+    for w in words:  # an unhashable word could not key the memo
+        if not isinstance(w, str):
+            raise PauliError(f"bad Pauli word {w!r}")
+    arrangements, sizes = _square_orbits(words)
+    return {"arrangements": arrangements, "orbits": len(sizes),
+            "orbit_sizes": list(sizes)}
+
+
+@functools.lru_cache(maxsize=8)
+def _square_orbits(words: tuple[str, ...]) -> tuple[int, tuple[int, ...]]:
     orbits = [set(_grid_transforms(g))
               for g in _magic_grids([PauliObservable(w) for w in words])]
-    return {
-        "arrangements": len(set().union(*orbits)),
-        "orbits": len(orbits),
-        "orbit_sizes": sorted(map(len, orbits), reverse=True),
-    }
+    return (len(set().union(*orbits)),
+            tuple(sorted(map(len, orbits), reverse=True)))
 
 
 def search_pentagrams(budget: int | None = None) -> SearchOutcome:

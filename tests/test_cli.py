@@ -157,6 +157,21 @@ def test_search_squares_check(capsys):
     assert "10 result(s)" in out
     assert "72 in 1 orbit(s)" in out
     assert "[FAIL]" not in out
+    assert ("[PASS] search squares: the built-in square's nine observables "
+            "have 72 arrangements in one orbit: 72 in 1 orbit(s) of sizes "
+            "[72]") in out
+
+
+def test_search_squares_check_fails_on_another_orbit(capsys, monkeypatch):
+    """The orbit of the built-in square is a checked claim: any other
+    report exits 2 and names what it read."""
+    monkeypatch.setattr(cli.mg, "square_orbit_report", lambda words: {
+        "arrangements": 144, "orbits": 2, "orbit_sizes": [72, 72]})
+    code, out, _ = run(capsys, "search", "--kind", "squares", "--check")
+    assert code == 2
+    assert ("[FAIL] search squares: the built-in square's nine observables "
+            "have 72 arrangements in one orbit: 144 in 2 orbit(s) of sizes "
+            "[72, 72]") in out
 
 
 def test_search_pentagrams_budget(capsys):
@@ -265,6 +280,26 @@ def test_search_full_results_are_the_config_json(capsys):
     assert code == 0
     assert json.loads(out)["results"] == [json.loads(rl.config_to_json(c))
                                           for c in rl.search_squares()]
+
+
+@pytest.mark.parametrize("argv, search", [
+    (("--kind", "squares"), rl.search_squares),
+    (("--kind", "pentagrams", "--budget", "2000"),
+     lambda: rl.search_pentagrams(2000).results)])
+def test_search_full_text_lists_each_result_by_its_contexts(capsys, argv,
+                                                           search):
+    """Text --full adds one line per result, in result order, with the
+    words of each of its contexts; without --full the text has none."""
+    code, out, _ = run(capsys, "search", *argv, "--full")
+    assert code == 0
+    listed = [line for line in out.splitlines() if line.startswith("result ")]
+    assert listed == [f"result {i}: " + " | ".join(
+        " ".join(o.word for o in c.context_ops(ci))
+        for ci in range(len(c.contexts)))
+        for i, c in enumerate(search(), 1)]
+    code, short, _ = run(capsys, "search", *argv)
+    assert code == 0 and listed and short.splitlines() == [
+        line for line in out.splitlines() if not line.startswith("result ")]
 
 
 def test_search_reverifies_only_what_it_shows(capsys, monkeypatch):

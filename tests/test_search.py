@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringline as rl
+from ringline import cli
 from ringline.magic import (DeciderDisagreement, _bits, _contexts, _decide,
                             _pentagram_sets)
 from ringline import magic
@@ -962,12 +963,79 @@ def test_cut_search_results_are_a_prefix_of_the_full_results(
     assert list(cut.results) == list(pentagram_search.results[:count])
 
 
+def _clear_memos():
+    """Forget the square search, the orbit reports and the built-ins, so
+    the next calls compute them as a new process's first calls do."""
+    for memo in (magic._squares, magic._square_orbits, magic._builtin):
+        memo.cache_clear()
+
+
 def test_grid_search_decides_each_distinct_sign_pattern_once(monkeypatch):
     """Every grid is decided on the same masks, so one ``_decide`` per
     distinct tuple of row and column signs serves all grids with it."""
+    _clear_memos()
     calls = _counting(monkeypatch, "_decide")
     squares = rl.search_squares()
     decided = [tuple(signs) for _, signs, _ in calls]
     assert len(set(decided)) == len(decided)
     assert {tuple(r.sign for r in rl.verify_magic(s).contexts)
             for s in squares} <= set(decided)
+
+
+def test_square_search_hands_each_call_a_new_list_of_the_same_squares():
+    """The search runs once per process: every call gets a new list of the
+    same frozen configurations, so a caller's edits reach no later call."""
+    first, second = rl.search_squares(), rl.search_squares()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    kept = list(second)
+    first.reverse()
+    first.append(None)
+    assert rl.search_squares() == second == kept
+
+
+def test_square_orbit_report_hands_each_call_a_new_report():
+    """Reports are kept by the tuple of words, so a list of the same words
+    reads the same report, and each call gets its own dict and list."""
+    first = rl.square_orbit_report(magic.SQUARE_WORDS)
+    first["orbit_sizes"].append(1)
+    first["orbits"] = 2
+    again = rl.square_orbit_report(list(magic.SQUARE_WORDS))
+    assert again == {"arrangements": 72, "orbits": 1, "orbit_sizes": [72]}
+    assert again["orbit_sizes"] is not rl.square_orbit_report(
+        magic.SQUARE_WORDS)["orbit_sizes"]
+
+
+@pytest.mark.parametrize("bad", ["XQ", "", ["XI"], 7])
+def test_refusals_are_never_kept(bad):
+    """A bad word and an unknown built-in are refused on every call, and
+    each built-in is one object per process."""
+    _clear_memos()
+    for _ in range(2):
+        with pytest.raises(rl.PauliError):
+            rl.square_orbit_report(magic.SQUARE_WORDS[:8] + (bad,))
+        with pytest.raises(rl.ConfigError):
+            rl.builtin(bad)
+    assert rl.square_orbit_report(magic.SQUARE_WORDS)["arrangements"] == 72
+    for name in ("mermin_square", "mermin_pentagram"):
+        assert rl.builtin(name) is rl.builtin(name)
+
+
+def test_a_warm_squares_request_only_reverifies(monkeypatch, capsys):
+    """The first squares request in a process runs the grid search, for the
+    results and for the orbit; a second runs neither, and prints the same.
+    Both re-verify the 10 results: 15 context checks, 3 decisions."""
+    _clear_memos()
+    counted = {name: _counting(monkeypatch, name) for name in (
+        "_magic_grids", "_contexts", "bks_decide", "_context_check")}
+    outs = []
+    for searches in (2, 0):
+        for calls in counted.values():
+            calls.clear()
+        assert cli.main(["search", "--kind", "squares", "--check",
+                         "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            "_magic_grids": searches, "_contexts": searches,
+            "bks_decide": 3, "_context_check": 15}
+    assert outs[0] == outs[1]
