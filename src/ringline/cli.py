@@ -10,12 +10,13 @@ fail the run.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 from json.encoder import encode_basestring_ascii as _json_str
 import os
+import re
 import sys
+import types
 from fractions import Fraction
 
 from . import correspond as co
@@ -593,83 +594,202 @@ def _finish_claims(claims: Claims, data: dict, lines: list[str]):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by every
-    later main() in the process."""
-    ap = argparse.ArgumentParser(
-        prog="ringline",
-        description="projective ring lines, Pauli contexts and magic "
-                    "configurations, exactly")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, dot_ok=False):
-        p.add_argument("--format", choices=("text", "json") + (("dot",)
-                       if dot_ok else ()), default="text")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--check", action="store_true",
-                       help="evaluate the documented expectations")
-
-    p = sub.add_parser("ring", help="elements, units, radical, quotient")
-    p.add_argument("--ring", required=True, help='e.g. "gf(2)[x]/(x^3-x)"')
-    common(p)
-
-    p = sub.add_parser("line", help="projective line catalog")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--graph", choices=("distant", "neighbour"),
-                   default="distant", help="which graph for dot output")
-    common(p, dot_ok=True)
-
-    for name, desc in (("verify", "context commutation, signs, magic flag"),
-                       ("bks", "valuation or parity certificate"),
-                       ("entangle", "eigenbasis entanglement classes")):
-        p = sub.add_parser(name, help=desc)
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--builtin", choices=("mermin_square",
-                                             "mermin_pentagram"))
-        g.add_argument("--config", help="configuration JSON file")
-        common(p)
-
-    p = sub.add_parser("search", help="exhaustive square/pentagram search")
-    p.add_argument("--kind", choices=("squares", "pentagrams"), required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="search-node cap for pentagrams")
-    p.add_argument("--full", action="store_true",
-                   help="include every result in the report body")
-    common(p)
-
-    p = sub.add_parser("correspond", help="slot bijections and graph comparison")
-    p.add_argument("--variant", choices=("square",) + co.VARIANTS,
-                   required=True)
-    p.add_argument("--permute", help="comma-separated slot permutation")
-    common(p, dot_ok=True)
-
-    p = sub.add_parser("map", help="condensation under the radical quotient")
-    p.add_argument("--ring", default=co.R_CLUB_SPEC, dest="ring",
-                   help="source ring (the 18-point line's ring)")
-    p.add_argument("--variant", choices=co.VARIANTS, required=True)
-    common(p)
-    return ap
+# the options of every request: one table, and a parser over it that reads
+# argv by argparse's rules, with argparse's wording for every refusal
 
 
-_RUNNERS = {"ring": run_ring, "line": run_line, "verify": run_verify,
-            "bks": run_bks, "search": run_search, "entangle": run_entangle,
-            "correspond": run_correspond, "map": run_map}
+def _common(*formats):
+    return {"--format": (("text", "json", *formats), "text", None),
+            "--out": (str, None, "write the report to this path"),
+            "--check": (bool, False, "evaluate the documented expectations")}
+
+
+_SOURCE = {"--builtin": (("mermin_square", "mermin_pentagram"), None, None),
+           "--config": (str, None, "configuration JSON file")}
+_OTHER_SOURCE = {"--builtin": "--config", "--config": "--builtin"}
+
+# command: (runner, help, {option: (kind, default, help)}), in usage order.
+# A kind is bool (a flag), str, int or a tuple of choices; a default of ...
+# marks a required option; one of --builtin and --config is required, not both
+COMMANDS = {
+    "ring": (run_ring, "elements, units, radical, quotient",
+             {"--ring": (str, ..., 'e.g. "gf(2)[x]/(x^3-x)"'), **_common()}),
+    "line": (run_line, "projective line catalog",
+             {"--ring": (str, ..., None), "--graph": (
+                 ("distant", "neighbour"), "distant",
+                 "which graph for dot output"), **_common("dot")}),
+    "verify": (run_verify, "context commutation, signs, magic flag",
+               {**_SOURCE, **_common()}),
+    "bks": (run_bks, "valuation or parity certificate",
+            {**_SOURCE, **_common()}),
+    "entangle": (run_entangle, "eigenbasis entanglement classes",
+                 {**_SOURCE, **_common()}),
+    "search": (run_search, "exhaustive square/pentagram search",
+               {"--kind": (("squares", "pentagrams"), ..., None),
+                "--budget": (int, None, "search-node cap for pentagrams"),
+                "--full": (bool, False,
+                           "include every result in the report body"),
+                **_common()}),
+    "correspond": (run_correspond, "slot bijections and graph comparison",
+                   {"--variant": (("square",) + co.VARIANTS, ..., None),
+                    "--permute": (str, None,
+                                  "comma-separated slot permutation"),
+                    **_common("dot")}),
+    "map": (run_map, "condensation under the radical quotient",
+            {"--ring": (str, co.R_CLUB_SPEC,
+                        "source ring (the 18-point line's ring)"),
+             "--variant": (co.VARIANTS, ..., None), **_common()}),
+}
+_HELP = ("-h", "--help")
+_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # a value, though it starts with -
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: ringline [-h] {" + ",".join(COMMANDS) + "} ..."
+    parts = [f"usage: ringline {command} [-h]"]
+    for name, (kind, default, _) in COMMANDS[command][2].items():
+        part = _spelling(name, kind)
+        parts.append({"--builtin": f"({part}", "--config": f"| {part})"}.get(
+            name, part if default is ... else f"[{part}]"))
+    return " ".join(parts)
+
+
+def _spelling(name: str, kind) -> str:
+    if kind is bool:
+        return name
+    return f"{name} " + ("{" + ",".join(kind) + "}" if type(kind) is tuple
+                         else name[2:].upper())
+
+
+def _refuse(command: str | None, error: str, name: str = ""):
+    """Every argument error: the usage line and argparse's wording, naming
+    the option if given, on stderr; exit 3."""
+    prog = "ringline" if command is None else f"ringline {command}"
+    error = f"argument {name}: {error}" if name else error
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {error}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _help(command: str | None, name: str, value: str | None):
+    """Help on stdout and exit 0, for -h, --help and -hh...; any other value
+    after them is an error."""
+    if value is not None and (name != "-h" or not value or value.strip("h")):
+        _refuse(command, "ignored explicit argument " + repr(
+            value.lstrip("h") if name == "-h" else value), "-h/--help")
+    _, about, options = COMMANDS.get(command, (None, (
+        "projective ring lines, Pauli contexts and magic configurations, "
+        "exactly\n\ncommands:\n" + "".join(
+            f"  {c:<12}  {h}\n" for c, (_, h, _) in COMMANDS.items())), {}))
+    sys.stdout.write(f"{_usage(command)}\n\n{about.rstrip()}\n\noptions:\n"
+                     "  -h, --help      show this help message and exit\n"
+                     + "".join(f"  {_spelling(n, k):<14}  {h or ''}".rstrip()
+                               + "\n" for n, (k, _, h) in options.items()))
+    raise SystemExit(EXIT_OK)
+
+
+def _read(token: str, options: dict, command: str | None):
+    """argparse's reading of a token among -h and the options: None for a
+    value, (None, None) for an unknown option, else (name, "=" value or
+    None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    names = (*_HELP, *options)
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token[1] == "-":  # a unique prefix names its option
+        found = [(n, value if eq else None) for n in names
+                 if n.startswith(head)]
+    else:
+        found = [("-h", token[2:])] if token[:2] == "-h" else []
+    if len(found) > 1:
+        _refuse(command, f"ambiguous option: {token} could match "
+                + ", ".join(n for n, _ in found))
+    if found:
+        return found[0]
+    return None if re.match(_NUMBER, token) or " " in token else (None, None)
+
+
+def parse_args(argv: list[str]) -> types.SimpleNamespace:
+    """The request argv names, read as argparse reads it into a namespace,
+    then with the two --budget checks.  Help and refusals raise SystemExit,
+    with code 0 and 3."""
+    extras, command, i = [], None, 0
+    for i, token in enumerate(argv):
+        if token == "--":  # argparse reads "--" and what follows as a command
+            command = token if argv[i + 1:] else None
+            break
+        if token[:1] != "-" or (read := _read(token, {}, None)) is None:
+            command = token
+            break
+        if read[0]:
+            _help(None, *read)
+        extras.append(token)
+    if command not in COMMANDS:
+        _refuse(None, "the following arguments are required: command"
+                if command is None else f"argument command: invalid choice: "
+                f"{command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    options, rest = COMMANDS[command][2], argv[i + 1:]
+    stop = rest.index("--") if "--" in rest else len(rest)
+    # exact names and plain values, the tokens of most requests, first
+    reads = [(t, None) if t in options else None if t[:1] != "-" else
+             _read(t, options, command) for t in rest[:stop]]
+    args = {"command": command}
+    for name, (_, default, _) in options.items():
+        args[name[2:]] = default
+    j = 0
+    while j < stop:
+        name, value = reads[j] or (None, None)
+        j += 1
+        if name is None:
+            extras.append(rest[j - 1])
+            continue
+        if name in _HELP:
+            _help(command, name, value)
+        kind = options[name][0]
+        if kind is bool:
+            if value is not None:
+                _refuse(command, f"ignored explicit argument {value!r}", name)
+            value = True
+        elif value is None or value == "--":  # argparse stored "=--" as []
+            if value or j == stop or reads[j] is not None:
+                _refuse(command, "expected one argument", name)
+            value, j = rest[j], j + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(command, f"invalid int value: {value!r}", name)
+        elif type(kind) is tuple and value not in kind:
+            _refuse(command, f"invalid choice: {value!r} (choose from "
+                    f"{', '.join(map(repr, kind))})", name)
+        if (other := _OTHER_SOURCE.get(name)) and args[other[2:]] is not None:
+            _refuse(command, f"not allowed with argument {other}", name)
+        args[name[2:]] = value
+    if ... in args.values():
+        _refuse(command, "the following arguments are required: "
+                + ", ".join(n for n in options if args[n[2:]] is ...))
+    if "--builtin" in options and args["builtin"] == args["config"] is None:
+        _refuse(command, "one of the arguments --builtin --config is required")
+    if extras := extras + rest[stop:]:
+        _refuse(None, "unrecognized arguments: " + " ".join(extras))
+    budget = args.get("budget")
+    if budget is not None and (budget < 0 or args["kind"] == "squares"):
+        _refuse(None, f"must be >= 0, got {budget}" if budget < 0
+                else "applies to --kind pentagrams only", "--budget")
+    return types.SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        if getattr(args, "budget", None) is not None:
-            if args.budget < 0:
-                ap.error(f"argument --budget: must be >= 0, got {args.budget}")
-            if args.kind == "squares":
-                ap.error("argument --budget: applies to --kind pentagrams only")
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
-        return EXIT_INPUT if e.code not in (0, None) else 0
+        return e.code
     try:
-        data, lines, dot, claims = _RUNNERS[args.command](args)
+        data, lines, dot, claims = COMMANDS[args.command][0](args)
         _finish_claims(claims, data, lines)
         body = _render(data, lines, args.format, dot)
         if args.out:

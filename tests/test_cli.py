@@ -211,7 +211,7 @@ def test_out_file(capsys, tmp_path):
 def test_line_json_keeps_the_bytes_of_json_dumps(spec):
     """The relation is written row by row; the report stays byte for byte
     what json.dumps(indent=2) makes, up to a 243-point product line."""
-    args = cli.build_parser().parse_args(
+    args = cli.parse_args(
         ["line", "--ring", spec, "--check", "--format", "json"])
     data, lines, dot, claims = cli.run_line(args)
     cli._finish_claims(claims, data, lines)  # as main does
@@ -347,7 +347,7 @@ def test_full_pentagram_search_holds_little_besides_its_results(capsys):
 def _entangle(*source):
     """The JSON data of ``ringline entangle`` on one source, and the
     configuration it read."""
-    args = cli.build_parser().parse_args(["entangle", *source])
+    args = cli.parse_args(["entangle", *source])
     return cli.run_entangle(args)[0], cli._load_config(args)
 
 
@@ -570,7 +570,7 @@ def test_unreadable_paths_exit_code(capsys, tmp_path):
 def test_unexpected_exception_exit_code(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("forced for the test")
-    monkeypatch.setitem(cli._RUNNERS, "ring", boom)
+    monkeypatch.setitem(cli.COMMANDS, "ring", (boom, *cli.COMMANDS["ring"][1:]))
     code, out, err = run(capsys, "ring", "--ring", "gf(4)")
     assert code == cli.EXIT_INTERNAL
     assert out == ""
@@ -722,7 +722,8 @@ def test_mixed_qubit_counts_are_reported_by_verify(capsys, tmp_path):
 
 
 def test_parser_is_reused_after_a_failed_parse(capsys):
-    assert cli.build_parser() is cli.build_parser()
+    # a refused request leaves nothing behind: the next one reads as in a
+    # fresh process
     argv = ("line", "--ring", "gf(2)[x]/(x^2-x)", "--check", "--format", "json")
     fresh = _run_process(*argv)
     code, _, err = run(capsys, "verify", "--builtin", "mermin_square",
