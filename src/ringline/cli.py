@@ -19,6 +19,8 @@ import sys
 import types
 from fractions import Fraction
 
+import numpy as np
+
 from . import correspond as co
 from . import entangle as en
 from . import magic as mg
@@ -85,13 +87,40 @@ def _render(data: dict, text_lines: list[str], fmt: str,
 
 
 _INT_ONLY = frozenset({int})
+_DIGITS = bytes(range(48, 58)).ljust(256, b"x")  # byte k -> digit k, if k < 10
+
+
+def _json_codes(matrix: np.ndarray, indent: str) -> str:
+    """A square int8 matrix of codes 0-9 as json.dumps(matrix.tolist(),
+    indent=2) writes it: each byte becomes its ASCII digit, and each row
+    is one join.  Any other array raises TypeError."""
+    if (matrix.dtype != np.int8 or matrix.ndim != 2
+            or matrix.shape[0] != matrix.shape[1]):
+        raise TypeError(f"no report holds a {matrix.dtype} array of shape "
+                        f"{matrix.shape}")
+    n = len(matrix)
+    if not n:
+        return "[]"
+    digits = matrix.tobytes().translate(_DIGITS)
+    if not digits.isdigit():
+        raise TypeError("a report's matrix holds codes 0-9 only")
+    digits = digits.decode("ascii")
+    inner = indent + "  "
+    sep, start, end = f",{inner}  ", f"[{inner}  ", f"{inner}]"
+    rows = [start + sep.join(digits[i:i + n]) + end
+            for i in range(0, n * n, n)]
+    # as in _json, the brackets go on the end rows: one copy of the whole
+    rows[0] = "[" + inner + rows[0]
+    rows[-1] += indent + "]"
+    return ("," + inner).join(rows)
 
 
 def _json(value, indent: str) -> str:
     """value as json.dumps(value, indent=2) writes it, where indent is the
     line break and spaces before the line value starts on.  value holds
-    what reports hold: str, int, bool, None, lists, tuples and dicts with
-    str keys; anything else raises TypeError.
+    what reports hold: str, int, bool, None, lists, tuples, dicts with str
+    keys and square int8 matrices of codes 0-9 (``_json_codes``), written
+    as their ``tolist()``; anything else raises TypeError.
 
     Python 3.11's json has no C encoder for indented output, and its
     Python one makes a string per token: far slower for the reports here.
@@ -125,6 +154,8 @@ def _json(value, indent: str) -> str:
         items = [f"{_json_str(k)}: {_json(v, inner)}"
                  for k, v in value.items()]
         brackets = "{}"
+    elif isinstance(value, np.ndarray):
+        return _json_codes(value, indent)
     else:
         raise TypeError(f"no report holds a {type(value).__name__}")
     # with the brackets on the end items, the join is the one copy made of
@@ -208,7 +239,7 @@ def run_line(args):
     data = {
         "ring": ring.spec_str(),
         "points": names,
-        "relation": catalog.relation.tolist(),
+        "relation": catalog.relation,  # written by _json_codes
         "distinguished": {k: sorted(name_of[p] for p in v)
                           for k, v in subsets.items()},
     }

@@ -12,7 +12,8 @@ coordinates are element indices: admissibility is looked up per pair of
 principal ideals, each admissible pair's canonical code is the least
 ``u*a, u*b`` over the units u, and the relation is one vectorized
 determinant matrix.  Index order is value order, so points sort by
-``(a, b)``.
+``(a, b)``.  A ring's points are built once and kept with the ring; its
+relation is built anew on every call.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rings import (MixedRingError, Ring, RingHomomorphism, RingTables,
-                    jacobson_radical)
+from .rings import MixedRingError, Ring, RingHomomorphism, jacobson_radical
 
 EQUAL, NEIGHBOUR, DISTANT = "equal", "neighbour", "distant"
 REL_CODE = {EQUAL: 0, NEIGHBOUR: 1, DISTANT: 2}
@@ -32,7 +32,7 @@ class LineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjPoint:
     ring: Ring
     a: int
@@ -54,24 +54,13 @@ def is_admissible(ring: Ring, a: int, b: int) -> bool:
     return bool(t.unit[a] or t.unit[b] or t.unimodular[a, b])
 
 
-def _canonical_codes(t: RingTables, a: np.ndarray, b: np.ndarray):
-    """Per pair of indices (a[i], b[i]), the least code u*a * n + u*b over
-    the units u: the code of the orbit's lexicographically least pair.
-    One unit at a time keeps the temporaries at the size of a."""
-    best = None
-    for u in np.flatnonzero(t.unit):
-        code = t.mul[u, a] * t.n + t.mul[u, b]
-        best = code if best is None else np.minimum(best, code)
-    return best
-
-
 def canonicalize(ring: Ring, a: int, b: int) -> ProjPoint:
     """Lexicographically least representative of the unit-scaling orbit."""
     if not is_admissible(ring, a, b):
         raise LineError(
             f"pair ({ring.el_str(a)},{ring.el_str(b)}) is not admissible")
     t = ring.tables
-    code = int(_canonical_codes(t, a, b))
+    code = int(t.orbit_codes(a, b))
     return ProjPoint(ring, code // t.n, code % t.n)
 
 
@@ -98,18 +87,27 @@ class LineCatalog:
         return len(self.points)
 
 
+def _points(ring: Ring) -> tuple[ProjPoint, ...]:
+    """The points of ``RingTables.line_pairs``, made once per ring and kept
+    on it: a ring in ``build_ring``'s memo keeps its points, and a ring
+    that is dropped takes them with it."""
+    if ring._line_points is None:
+        pa, pb = ring.tables.line_pairs
+        ring._line_points = tuple(ProjPoint(ring, a, b)
+                                  for a, b in zip(pa.tolist(), pb.tolist()))
+    return ring._line_points
+
+
 def enumerate_points(ring: Ring) -> LineCatalog:
-    """All canonical points in lexicographic order plus the relation matrix."""
+    """All canonical points in lexicographic order plus a new relation
+    matrix."""
     t = ring.tables
-    a, b = np.nonzero(t.unimodular)  # row-major: a*n + b ascends
-    canonical = _canonical_codes(t, a, b) == a * t.n + b
-    pa, pb = a[canonical], b[canonical]
-    points = tuple(ProjPoint(ring, i, j)
-                   for i, j in zip(pa.tolist(), pb.tolist()))
-    det = t.add[t.mul[np.ix_(pa, pb)], t.neg[t.mul[np.ix_(pb, pa)]]]
-    rel = np.where(t.unit[det], np.int8(REL_CODE[DISTANT]),
-                   np.int8(REL_CODE[NEIGHBOUR]))
-    np.fill_diagonal(rel, REL_CODE[EQUAL])
+    pa, pb = t.line_pairs
+    points = _points(ring)
+    # the determinant a*b' - b*a' is a unit: distant (2), else neighbour (1)
+    distant = t.unit_difference[t.mul[pa[:, None], pb], t.mul[pb[:, None], pa]]
+    rel = distant.view(np.int8) + np.int8(REL_CODE[NEIGHBOUR])
+    rel.flat[::len(rel) + 1] = REL_CODE[EQUAL]
     rel.flags.writeable = False
     return LineCatalog(ring, points, rel)
 
@@ -140,18 +138,19 @@ def distant_points(catalog: LineCatalog, p: ProjPoint) -> set[ProjPoint]:
 
 
 def distinguished_subsets(catalog: LineCatalog) -> dict[str, set[ProjPoint]]:
-    """gf2 subline (0/1 coordinates), both-zero-divisor and unit-unit points."""
+    """gf2 subline (0/1 coordinates), both-zero-divisor and unit-unit points.
+    A point with a zero coordinate has a unit in the other, so a point
+    whose coordinates are both non-units has two zero divisors."""
     ring = catalog.ring
-    zd = set(ring.zero_divisors())
-    units = set(ring.units())
+    unit = ring.tables.unit.tolist()
     zero_one = {ring.zero, ring.one}
     return {
         "gf2_subline": {p for p in catalog.points
                         if p.a in zero_one and p.b in zero_one},
         "both_zero_divisor": {p for p in catalog.points
-                              if p.a in zd and p.b in zd},
+                              if not (unit[p.a] or unit[p.b])},
         "unit_unit": {p for p in catalog.points
-                      if p.a in units and p.b in units},
+                      if unit[p.a] and unit[p.b]},
     }
 
 
@@ -194,7 +193,7 @@ def induced_point_map(h: RingHomomorphism, src: LineCatalog,
         raise LineError(f"image of {src.points[int(np.argmin(admissible))]} "
                         "is not admissible")
     codes = [q.a * T.n + q.b for q in dst.points]
-    at = np.searchsorted(codes, _canonical_codes(T, ia, ib))
+    at = np.searchsorted(codes, T.orbit_codes(ia, ib))
     return dict(zip(src.points, [dst.points[k] for k in at.tolist()]))
 
 

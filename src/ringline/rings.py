@@ -157,6 +157,35 @@ class RingTables:
         for table in (self.add, self.mul, self.neg, self.unit):
             table.flags.writeable = False
 
+    def orbit_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per pair of indices (a[i], b[i]), the least code u*a * n + u*b
+        over the units u: the code of the lexicographically least pair of
+        its unit orbit.  One unit at a time keeps the temporaries at the
+        size of a."""
+        best = None
+        for u in np.flatnonzero(self.unit):
+            code = self.mul[u, a] * self.n + self.mul[u, b]
+            best = code if best is None else np.minimum(best, code)
+        return best
+
+    @cached_property
+    def unit_difference(self) -> np.ndarray:
+        """n x n read-only mask: [x, y] is True iff x - y is a unit."""
+        mask = self.unit[self.add[:, self.neg]]
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def line_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The points of the ring's projective line as two read-only index
+        arrays (a, b): the least pair of each unit orbit of unimodular
+        pairs, in ascending order of a * n + b."""
+        a, b = np.nonzero(self.unimodular)  # row-major: a*n + b ascends
+        least = self.orbit_codes(a, b) == a * self.n + b
+        a, b = a[least], b[least]
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
+
     @cached_property
     def unimodular(self) -> np.ndarray:
         """n x n mask of the pairs (a, b) with aR + bR = R.
@@ -194,18 +223,22 @@ class Ring:
     def __init__(self, spec_key: tuple, spec_text: str, names: list[str],
                  add: np.ndarray, mul: np.ndarray):
         self.spec_key = spec_key
+        self._hash = hash(spec_key)  # points hash their ring on every lookup
         self._spec_text = spec_text
         self.tables = RingTables(add, mul)
         self.size = self.tables.n
         self.zero, self.one = self.tables.zero, self.tables.one
         self.names = names
         self._by_name = {name: i for i, name in enumerate(names)}
+        # projline's points of this ring's line, built on first use and
+        # kept here, so that they live and die with the ring
+        self._line_points = None
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec_key == other.spec_key
 
     def __hash__(self):
-        return hash(self.spec_key)
+        return self._hash
 
     def __repr__(self):
         return f"<Ring {self.spec_str()} ({self.size} elements)>"

@@ -115,11 +115,11 @@ class PayloadRing:
 
 
 class MemoRing(PayloadRing):
-    """PayloadRing with every add/mul/neg/sub result memoized."""
+    """PayloadRing with every add/mul/neg/sub and el_value result memoized."""
 
     def __init__(self, ring):
         super().__init__(ring)
-        for op in ("add", "mul", "neg", "sub"):
+        for op in ("add", "mul", "neg", "sub", "el_value"):
             setattr(self, op, functools.lru_cache(maxsize=None)(getattr(self, op)))
 
 

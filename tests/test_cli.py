@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -209,15 +210,19 @@ def test_out_file(capsys, tmp_path):
 @pytest.mark.parametrize("spec", ["gf(2)", "gf(2)[x]/(x^3-x)", "gf(4)xgf(3)",
                                   "gf(2)xgf(2)xgf(2)xgf(2)xgf(2)", "gf(4)"])
 def test_line_json_keeps_the_bytes_of_json_dumps(spec):
-    """The relation is written row by row; the report stays byte for byte
-    what json.dumps(indent=2) makes, up to a 243-point product line."""
+    """The report holds the catalog's int8 relation itself, written from
+    its bytes; the report stays byte for byte what json.dumps(indent=2)
+    makes of it with the relation as lists, up to a 243-point product
+    line."""
     args = cli.parse_args(
         ["line", "--ring", spec, "--check", "--format", "json"])
     data, lines, dot, claims = cli.run_line(args)
     cli._finish_claims(claims, data, lines)  # as main does
     assert "claims" in data  # a key after the relation
+    assert data["relation"].dtype.name == "int8"
     body = cli._render(data, lines, "json", dot)
-    assert body == json.dumps(data, indent=2, default=str) + "\n"
+    listed = dict(data, relation=data["relation"].tolist())
+    assert body == json.dumps(listed, indent=2) + "\n"
     if spec == "gf(4)":  # a field's line: q + 1 points, pairwise distant
         report = json.loads(body)
         assert len(report["points"]) == 5
@@ -268,10 +273,42 @@ def test_json_writer_refuses_the_keys_json_refuses():
     [1, 0.5], {"a": Fraction(1, 4)}, {"a": {1: "b"}}, {None: 0}, {True: 0},
 ], ids=["float", "fraction", "int-key", "none-key", "bool-key"])
 def test_json_writer_refuses_what_no_report_holds(value):
-    """Reports hold str, int, bool, None, lists, tuples and str-keyed
-    dicts; anything else is a bug in a runner, not a value to print."""
+    """Reports hold str, int, bool, None, lists, tuples, str-keyed dicts
+    and code matrices; anything else is a bug in a runner, not a value to
+    print."""
     with pytest.raises(TypeError):
         cli._render(value, [], "json")
+
+
+_CODES = st.integers(0, 7).flatmap(lambda n: st.lists(
+    st.integers(0, 2), min_size=n * n, max_size=n * n).map(
+        lambda codes: np.array(codes, dtype=np.int8).reshape(n, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CODES, st.integers(0, 3))
+@example(np.zeros((0, 0), np.int8), 0)
+@example(np.ones((1, 1), np.int8), 0)
+@example(np.zeros((1, 1), np.int8), 2)
+def test_json_writer_writes_a_code_matrix_as_json_dumps(matrix, depth):
+    """A square int8 matrix of codes, written from its bytes, reads as
+    json.dumps(indent=2) writes its tolist() at any depth of a report."""
+    value = matrix
+    listed = matrix.tolist()
+    for _ in range(depth):
+        value, listed = {"relation": value, "z": [0]}, {"relation": listed,
+                                                        "z": [0]}
+    assert cli._render(value, [], "json") == json.dumps(listed, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros((2, 2)), np.full((2, 2), 10, dtype=np.int8),
+    np.full((2, 2), -1, dtype=np.int8), np.zeros((2, 3), dtype=np.int8),
+    np.zeros(3, dtype=np.int8), np.zeros((2, 2), dtype=np.int64),
+], ids=["float", "code-10", "negative", "non-square", "1-d", "int64"])
+def test_json_writer_refuses_other_arrays(matrix):
+    with pytest.raises(TypeError):
+        cli._render({"relation": matrix}, [], "json")
 
 
 def test_search_full_results_are_the_config_json(capsys):

@@ -132,6 +132,25 @@ def test_sweep_closed_form_and_brute_force():
     assert brute > 50
 
 
+def test_sweep_lines_read_from_the_memo_match_the_oracle():
+    """A second enumeration reads the points kept with the ring: the same
+    tuple, and on every sweep ring of at most 16 elements the oracle's
+    line, relation included (the larger rings would take the oracle about
+    25 s)."""
+    checked = 0
+    for ring in _sweep():
+        first, memo = rl.enumerate_points(ring), rl.enumerate_points(ring)
+        assert memo.points is first.points, ring
+        assert memo.relation is not first.relation, ring
+        if ring.size <= 16:
+            checked += 1
+            points, relation = oracle_line(ring)
+            els = PayloadRing(ring).elements()
+            assert [(els[p.a], els[p.b]) for p in memo.points] == points, ring
+            assert memo.relation.tolist() == relation, ring
+    assert checked > 200
+
+
 def test_sweep_names_round_trip():
     for ring in _sweep():
         for a in ring.elements():

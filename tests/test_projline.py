@@ -7,12 +7,15 @@ coefficient pairs in payload arithmetic, which shares no code path with
 the package's principal-ideal lookup on the ring tables.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 import ringline as rl
+from ringline.rings import _interned
 from ringline.correspond import (JACOBSON_LAYOUT, NEIGHBOURHOOD_LAYOUT,
                                  club_to_tilde_hom)
 from ringline.projline import LineError, ProjPoint, catalog_dot
@@ -153,6 +156,22 @@ def test_distinguished_subsets(club_catalog):
     assert as_strs["unit_unit"] == {"(1,1)", "(1,x^2+x+1)"}
 
 
+def test_distinguished_subsets_by_units_and_zero_divisors():
+    """The subsets read from the unit mask are the ones the ring's lists of
+    units and zero divisors define."""
+    for spec in ("gf(2)[x]/(x^3-x)", "gf(4)xgf(3)", "gf(3)[x]/(x^2)",
+                 "gf(2)xgf(2)xgf(2)", "gf(5)"):
+        ring = rl.build_ring(spec)
+        catalog = rl.enumerate_points(ring)
+        units, zd = set(ring.units()), set(ring.zero_divisors())
+        zero_one = {ring.zero, ring.one}
+        both = {name: {p for p in catalog.points if p.a in s and p.b in s}
+                for name, s in (("gf2_subline", zero_one),
+                                ("both_zero_divisor", zd),
+                                ("unit_unit", units))}
+        assert rl.distinguished_subsets(catalog) == both, spec
+
+
 def test_ten_point_layout_is_union_of_distinguished_sets(club_catalog):
     subs = rl.distinguished_subsets(club_catalog)
     hom = club_to_tilde_hom()
@@ -259,3 +278,43 @@ def test_point_by_str(tilde_catalog):
     assert str(tilde_catalog.point_by_str("( 1 , x )")) == "(1,x)"
     with pytest.raises(LineError):
         tilde_catalog.point_by_str("(x,x)")
+
+
+# --- the points kept with their ring --------------------------------------
+
+
+def test_points_are_built_once_and_relations_on_every_call(r_club):
+    first, second = rl.enumerate_points(r_club), rl.enumerate_points(r_club)
+    assert first.points is second.points
+    assert first.relation is not second.relation
+    assert not np.shares_memory(first.relation, second.relation)
+    assert (first.relation == second.relation).all()
+    pa, pb = r_club.tables.line_pairs
+    assert [(p.a, p.b) for p in first.points] == list(zip(pa.tolist(),
+                                                          pb.tolist()))
+    for array in (pa, pb, r_club.tables.unit_difference):
+        assert not array.flags.writeable
+
+
+def test_points_are_slotted_and_rings_hash_as_their_spec_key(r_club):
+    p = rl.enumerate_points(r_club).points[0]
+    assert not hasattr(p, "__dict__")
+    assert hash(r_club) == hash(r_club.spec_key)
+
+
+def test_points_live_and_die_with_their_ring():
+    """The memo keeps a ring with its points; once it forgets a ring that
+    nothing else holds, the ring, its index arrays and its points go (each
+    point holds its ring, so none is left once the ring is gone)."""
+    ring = rl.build_ring("gf(3)[x]/(x^2+x+2)")
+    points = len(rl.enumerate_points(ring))
+    refs = [weakref.ref(ring), weakref.ref(ring.tables),
+            weakref.ref(ring.tables.line_pairs[0])]
+    del ring
+    gc.collect()
+    assert all(r() is not None for r in refs)
+    assert sum(type(o) is ProjPoint and o.ring is refs[0]()
+               for o in gc.get_objects()) == points
+    _interned.cache_clear()
+    gc.collect()
+    assert all(r() is None for r in refs)
