@@ -233,15 +233,14 @@ def run_line(args):
         claims.expect("closed-form point count matches enumeration",
                       expected == len(catalog),
                       f"closed form {expected}, enumeration {len(catalog)}")
-    names = [str(p) for p in catalog.points]
-    name_of = dict(zip(catalog.points, names))
-    subsets = pl.distinguished_subsets(catalog)
+    names = catalog.names
     data = {
         "ring": ring.spec_str(),
         "points": names,
         "relation": catalog.relation,  # written by _json_codes
-        "distinguished": {k: sorted(name_of[p] for p in v)
-                          for k, v in subsets.items()},
+        # each subset's indices come in the order of the points' names
+        "distinguished": {k: [names[i] for i in v]
+                          for k, v in catalog.subsets.items()},
     }
     lines = [f"projective line over {ring.spec_str()}: "
              f"{len(catalog)} points"]

@@ -12,13 +12,17 @@ coordinates are element indices: admissibility is looked up per pair of
 principal ideals, each admissible pair's canonical code is the least
 ``u*a, u*b`` over the units u, and the relation is one vectorized
 determinant matrix.  Index order is value order, so points sort by
-``(a, b)``.  A ring's points are built once and kept with the ring; its
-relation is built anew on every call.
+``(a, b)``.  A ring's line is built once and kept with the ring: its
+points, their names, the distinguished subsets and, when it is no larger
+than the ring's ``add`` table, its relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,50 +70,80 @@ def canonicalize(ring: Ring, a: int, b: int) -> ProjPoint:
 
 @dataclass(frozen=True)
 class LineCatalog:
-    """The points of a line and their read-only int8 relation matrix:
-    relation[i, j] is 0 equal, 1 neighbour or 2 distant (``REL_CODE``).
-    The relation follows from the points, so equality ignores it."""
+    """The points of a line, their names, and their read-only int8
+    relation matrix: relation[i, j] is 0 equal, 1 neighbour or 2 distant
+    (``REL_CODE``).  ``subsets`` holds the ``distinguished_subsets`` as
+    point indices in the order of the points' names.  All but the points
+    follow from them, so equality compares the ring and the points only."""
     ring: Ring
     points: tuple[ProjPoint, ...]
     relation: np.ndarray = field(compare=False)
+    names: tuple[str, ...] = field(compare=False)
+    subsets: Mapping[str, tuple[int, ...]] = field(compare=False)
 
     def index(self, p: ProjPoint) -> int:
         return self.points.index(p)
 
     def point_by_str(self, s: str) -> ProjPoint:
-        key = s.replace(" ", "")
-        for p in self.points:
-            if str(p) == key:
-                return p
-        raise LineError(f"no point {s} on this line")
+        try:
+            return self.points[self.names.index(s.replace(" ", ""))]
+        except ValueError:
+            raise LineError(f"no point {s} on this line") from None
 
     def __len__(self):
         return len(self.points)
 
 
-def _points(ring: Ring) -> tuple[ProjPoint, ...]:
-    """The points of ``RingTables.line_pairs``, made once per ring and kept
-    on it: a ring in ``build_ring``'s memo keeps its points, and a ring
-    that is dropped takes them with it."""
-    if ring._line_points is None:
-        pa, pb = ring.tables.line_pairs
-        ring._line_points = tuple(ProjPoint(ring, a, b)
-                                  for a, b in zip(pa.tolist(), pb.tolist()))
-    return ring._line_points
-
-
-def enumerate_points(ring: Ring) -> LineCatalog:
-    """All canonical points in lexicographic order plus a new relation
-    matrix."""
-    t = ring.tables
-    pa, pb = t.line_pairs
-    points = _points(ring)
+def _relation(t, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """The read-only relation among the points (pa[i], pb[i])."""
     # the determinant a*b' - b*a' is a unit: distant (2), else neighbour (1)
     distant = t.unit_difference[t.mul[pa[:, None], pb], t.mul[pb[:, None], pa]]
     rel = distant.view(np.int8) + np.int8(REL_CODE[NEIGHBOUR])
     rel.flat[::len(rel) + 1] = REL_CODE[EQUAL]
     rel.flags.writeable = False
-    return LineCatalog(ring, points, rel)
+    return rel
+
+
+def _line(ring: Ring) -> LineCatalog:
+    """The catalog kept on the ring (``Ring._line``), made on first use: a
+    ring in ``build_ring``'s memo keeps its line, and a ring that is
+    dropped takes it with it.  Its relation is None when it would take
+    more bytes than the ring's ``add`` table (only rings of three or more
+    local factors), so a ring never keeps a relation larger than that
+    table."""
+    if ring._line is None:
+        t = ring.tables
+        pa, pb = t.line_pairs
+        a, b = pa.tolist(), pb.tolist()
+        points = tuple(ProjPoint(ring, x, y) for x, y in zip(a, b))
+        names = tuple(map(str, points))
+        # a point with a zero coordinate has a unit in the other, so a
+        # point whose coordinates are both non-units has two zero divisors
+        unit, zero_one = t.unit.tolist(), {ring.zero, ring.one}
+        belongs = {
+            "gf2_subline": lambda x, y: x in zero_one and y in zero_one,
+            "both_zero_divisor": lambda x, y: not (unit[x] or unit[y]),
+            "unit_unit": lambda x, y: unit[x] and unit[y],
+        }
+        order = sorted(range(len(names)), key=names.__getitem__)
+        subsets = MappingProxyType({
+            k: tuple(i for i in order if test(a[i], b[i]))
+            for k, test in belongs.items()})
+        relation = (_relation(t, pa, pb) if len(points) ** 2 <= t.add.nbytes
+                    else None)
+        ring._line = LineCatalog(ring, points, relation, names, subsets)
+    return ring._line
+
+
+def enumerate_points(ring: Ring) -> LineCatalog:
+    """All canonical points in lexicographic order, with their names,
+    distinguished subsets and relation: the catalog the ring keeps, or a
+    copy of it with a new relation when the ring keeps none."""
+    line = _line(ring)
+    if line.relation is not None:
+        return line
+    return replace(line, relation=_relation(ring.tables,
+                                            *ring.tables.line_pairs))
 
 
 def pair_relation(p: ProjPoint, q: ProjPoint) -> tuple[str, int]:
@@ -138,40 +172,20 @@ def distant_points(catalog: LineCatalog, p: ProjPoint) -> set[ProjPoint]:
 
 
 def distinguished_subsets(catalog: LineCatalog) -> dict[str, set[ProjPoint]]:
-    """gf2 subline (0/1 coordinates), both-zero-divisor and unit-unit points.
-    A point with a zero coordinate has a unit in the other, so a point
-    whose coordinates are both non-units has two zero divisors."""
-    ring = catalog.ring
-    unit = ring.tables.unit.tolist()
-    zero_one = {ring.zero, ring.one}
-    return {
-        "gf2_subline": {p for p in catalog.points
-                        if p.a in zero_one and p.b in zero_one},
-        "both_zero_divisor": {p for p in catalog.points
-                              if not (unit[p.a] or unit[p.b])},
-        "unit_unit": {p for p in catalog.points
-                      if unit[p.a] and unit[p.b]},
-    }
+    """gf2 subline (0/1 coordinates), both-zero-divisor and unit-unit
+    points, read from ``catalog.subsets``."""
+    return {k: {catalog.points[i] for i in v}
+            for k, v in catalog.subsets.items()}
 
 
 def expected_point_count(ring: Ring) -> int:
     """Closed-form count (Saniga, Planat, Kibler & Pracna, 2007): R is the
     product of the local rings eR over its primitive idempotents e, and
     the line has the product of (q+1)|J| points over them, J being the
-    radical (the non-units) of eR and q = |eR|/|J| its residue field size."""
-    t = ring.tables
-    elements = range(t.n)
-    idempotents = [a for a, aa in zip(elements, t.mul.diagonal().tolist())
-                   if aa == a]
-    unit = t.unit.tolist()
-    count = 1
-    for e, row in zip(idempotents, t.mul[idempotents].tolist()):
-        if sum(row[f] == f for f in idempotents) == 2:  # only 0, e in eR
-            # a in eR is a unit of eR iff a + 1 - e is a unit of R, and
-            # (q+1)|J| = |eR| + |J| counts the units once, the rest twice
-            shift = t.add[t.add[t.one, t.neg[e]]].tolist()
-            count *= sum(2 - unit[shift[a]] for a in elements if row[a] == a)
-    return count
+    radical (the non-units) of eR and q = |eR|/|J| its residue field size.
+    (q+1)|J| = |eR| + |J|, read from ``RingTables.local_factors``."""
+    return math.prod(size + radical
+                     for size, radical in ring.tables.local_factors)
 
 
 def induced_point_map(h: RingHomomorphism, src: LineCatalog,
@@ -204,7 +218,7 @@ def induced_point_map(h: RingHomomorphism, src: LineCatalog,
 def catalog_dot(catalog: LineCatalog, which: str = DISTANT) -> str:
     if which not in (DISTANT, NEIGHBOUR):
         raise LineError("dot export covers the distant or neighbour graph")
-    names = [str(p) for p in catalog.points]
+    names = catalog.names
     lines = [f'graph "{which} graph over {catalog.ring.spec_str()}" {{']
     lines += [f'  "{name}";' for name in names]
     i, j = np.nonzero(np.triu(catalog.relation == REL_CODE[which]))

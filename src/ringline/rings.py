@@ -187,6 +187,26 @@ class RingTables:
         return a, b
 
     @cached_property
+    def local_factors(self) -> tuple[tuple[int, int], ...]:
+        """(|eR|, |J(eR)|) for each primitive idempotent e, the ring being
+        the product of the local rings eR: eR is the set of a with ea = a,
+        it holds no idempotent but 0 and e, and a in eR is a unit of eR
+        iff a + 1 - e is a unit of the ring; J(eR) is the rest of eR."""
+        elements = range(self.n)
+        idempotents = [a for a, aa in zip(elements,
+                                          self.mul.diagonal().tolist())
+                       if aa == a]
+        unit = self.unit.tolist()
+        factors = []
+        for e, row in zip(idempotents, self.mul[idempotents].tolist()):
+            if sum(row[f] == f for f in idempotents) == 2:
+                shift = self.add[self.add[self.one, self.neg[e]]].tolist()
+                local = [a for a in elements if row[a] == a]
+                factors.append((len(local),
+                                sum(not unit[shift[a]] for a in local)))
+        return tuple(factors)
+
+    @cached_property
     def unimodular(self) -> np.ndarray:
         """n x n mask of the pairs (a, b) with aR + bR = R.
 
@@ -230,9 +250,9 @@ class Ring:
         self.zero, self.one = self.tables.zero, self.tables.one
         self.names = names
         self._by_name = {name: i for i, name in enumerate(names)}
-        # projline's points of this ring's line, built on first use and
-        # kept here, so that they live and die with the ring
-        self._line_points = None
+        # projline's catalog of this ring's line, built on first use and
+        # kept here, so that it lives and dies with the ring
+        self._line = None
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.spec_key == other.spec_key

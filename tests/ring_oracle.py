@@ -6,11 +6,11 @@ modulus, F[x]/(f) as polynomials over ``PayloadRing(F)`` reduced by f, and
 a product componentwise.  Its elements are payload labels listed in value
 order, so the package's element i is the i-th of them.  Nothing here reads
 ``Ring.tables`` or the ring's table-backed ``add``/``mul``/``neg``: units
-come from scanning
-products, admissibility from scanning every determinant completion (c, d)
-or every coefficient pair (s, t), and points from canonicalizing every
-admissible pair.  The package computes the same answers on its index
-tables, so the two share no code path below the element labels.
+come from scanning products, admissibility from scanning every
+determinant completion (c, d) or every coefficient pair (s, t), and points
+from listing the unit orbit of every admissible pair.  The package
+computes the same answers on its index tables, so the two share no code
+path below the element labels.
 """
 
 import functools
@@ -128,18 +128,6 @@ def oracle_units(ring: PayloadRing) -> frozenset:
     return frozenset(a for a in els if any(ring.mul(a, b) == ring.one for b in els))
 
 
-def oracle_det(ring: PayloadRing, a, b, c, d):
-    return ring.sub(ring.mul(a, d), ring.mul(b, c))
-
-
-def oracle_admissible(ring: PayloadRing, a, b, units=None) -> bool:
-    """Some (c, d) completes (a, b) to a unit determinant ad - bc."""
-    units = oracle_units(ring) if units is None else units
-    ad = {ring.mul(a, d) for d in ring.elements()}
-    bc = {ring.mul(b, c) for c in ring.elements()}
-    return any(ring.sub(x, y) in units for x in ad for y in bc)
-
-
 def oracle_unimodular(ring: PayloadRing, a, b) -> bool:
     """1 in the ideal (a, b), by brute force over coefficient pairs."""
     for s in ring.elements():
@@ -155,22 +143,44 @@ def is_admissible_componentwise(ring: ProductRing, a, b) -> bool:
                for f, x, y in zip(ring.factors, a, b))
 
 
-def oracle_canonicalize(ring: PayloadRing, a, b, units) -> tuple:
-    """Least (u*a, u*b) over the units u, by element value."""
-    return min(((ring.mul(u, a), ring.mul(u, b)) for u in units),
-               key=lambda p: (ring.el_value(p[0]), ring.el_value(p[1])))
-
-
 def oracle_line(ring) -> tuple[list[tuple], list[list[int]]]:
     """(sorted canonical points as payload pairs, relation as codes 0 equal,
-    1 neighbour, 2 distant), canonicalizing every admissible pair of the
-    ring's payloads."""
-    ring = MemoRing(ring)
-    units = oracle_units(ring)
-    seen = {oracle_canonicalize(ring, a, b, units)
-            for a, b in itertools.product(ring.elements(), repeat=2)
-            if oracle_admissible(ring, a, b, units)}
-    points = sorted(seen, key=lambda p: (ring.el_value(p[0]), ring.el_value(p[1])))
-    relation = [[0 if p == q else 2 if oracle_det(ring, *p, *q) in units else 1
-                 for q in points] for p in points]
-    return points, relation
+    1 neighbour, 2 distant), on the positions of the payloads in value
+    order.  Each product is computed once per unordered pair, the rings
+    being commutative, and gives the principal ideals aR; a is a unit iff
+    1 is in aR.  A pair (a, b) is admissible when some (c, d) makes
+    ad - bc a unit, i.e. some x in aR and y in bR have x - y a unit; that
+    is scanned once per pair of principal ideals.  Each admissible pair's
+    unit orbit is listed once, and its least pair is a point."""
+    ring = PayloadRing(ring)
+    els = ring.elements()
+    at = {a: i for i, a in enumerate(els)}
+    n = len(els)
+    mul = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mul[i][j] = mul[j][i] = at[ring.mul(els[i], els[j])]
+    ideal = [frozenset(row) for row in mul]
+    unit = [at[ring.one] in aR for aR in ideal]
+
+    @functools.cache
+    def sub(x, y):
+        return at[ring.sub(els[x], els[y])]
+
+    @functools.cache
+    def admissible(aR, bR):
+        return any(unit[sub(x, y)] for x in aR for y in bR)
+
+    points, seen = [], set()
+    for a, b in itertools.product(range(n), repeat=2):
+        if (a, b) not in seen and admissible(ideal[a], ideal[b]):
+            orbit = {(mul[u][a], mul[u][b]) for u in range(n) if unit[u]}
+            seen |= orbit
+            points.append(min(orbit))
+    points.sort()
+    relation = [[0] * len(points) for _ in points]
+    for i, j in itertools.combinations(range(len(points)), 2):
+        (a, b), (c, d) = points[i], points[j]
+        relation[i][j] = relation[j][i] = 2 if unit[sub(mul[a][d],
+                                                        mul[b][c])] else 1
+    return [(els[a], els[b]) for a, b in points], relation

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 import ringline as rl
 from ringline import cli
+from ringline import projline as pl
+from ringline.rings import _interned
 from ringline.magic import PENTAGRAM_EDGE_SLOTS, DeciderDisagreement
 
 
@@ -572,6 +574,9 @@ def test_ring_without_a_known_count_claims_only_the_closed_form(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_line_renders_each_point_once(capsys, monkeypatch, fmt):
+    """A point's name is rendered at most once per ring per process: the
+    first request on a ring new to the memo names its 18 points, and a
+    second request names none."""
     calls = []
     render = rl.ProjPoint.__str__
 
@@ -579,10 +584,38 @@ def test_line_renders_each_point_once(capsys, monkeypatch, fmt):
         calls.append(p)
         return render(p)
     monkeypatch.setattr(rl.ProjPoint, "__str__", counted)
-    code, _, _ = run(capsys, "line", "--ring", "gf(2)[x]/(x^3-x)", "--check",
-                     "--format", fmt)
-    assert code == cli.EXIT_OK
-    assert len(calls) == len(set(calls)) == 18
+    _interned.cache_clear()
+    outputs = []
+    for want in (18, 0):
+        calls.clear()
+        code, out, _ = run(capsys, "line", "--ring", "gf(2)[x]/(x^3-x)",
+                           "--check", "--format", fmt)
+        assert code == cli.EXIT_OK
+        assert len(calls) == len(set(calls)) == want
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_each_line_check_request_counts_and_enumerates_once(capsys,
+                                                            monkeypatch):
+    """The first and a warm ``line --check`` request each call
+    ``enumerate_points`` and ``expected_point_count`` once, through the
+    module attributes that ringbench's tracer wraps."""
+    calls = []
+    for name in ("enumerate_points", "expected_point_count"):
+        def counted(*args, fn=getattr(pl, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(pl, name, counted)
+    _interned.cache_clear()
+    assert rl.build_ring("gf(2)[x]/(x^3+x)")._line is None
+    for _ in range(2):
+        calls.clear()
+        code, _, _ = run(capsys, "line", "--ring", "gf(2)[x]/(x^3-x)",
+                         "--check", "--format", "json")
+        assert code == cli.EXIT_OK
+        assert sorted(calls) == ["enumerate_points", "expected_point_count"]
+    assert rl.build_ring("gf(2)[x]/(x^3-x)")._line is not None
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -14,7 +14,10 @@ of at most 32 elements whose factors are fields or quotients of degree >= 2
 
 import functools
 import itertools
+import math
 import random
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -133,22 +136,91 @@ def test_sweep_closed_form_and_brute_force():
 
 
 def test_sweep_lines_read_from_the_memo_match_the_oracle():
-    """A second enumeration reads the points kept with the ring: the same
-    tuple, and on every sweep ring of at most 16 elements the oracle's
-    line, relation included (the larger rings would take the oracle about
-    25 s)."""
-    checked = 0
+    """A second enumeration hands back the catalog the ring keeps, or its
+    points with a new relation when that would outgrow the add table, and
+    on every sweep ring it is the oracle's line, relation included."""
     for ring in _sweep():
         first, memo = rl.enumerate_points(ring), rl.enumerate_points(ring)
         assert memo.points is first.points, ring
-        assert memo.relation is not first.relation, ring
-        if ring.size <= 16:
-            checked += 1
-            points, relation = oracle_line(ring)
-            els = PayloadRing(ring).elements()
-            assert [(els[p.a], els[p.b]) for p in memo.points] == points, ring
-            assert memo.relation.tolist() == relation, ring
-    assert checked > 200
+        kept = len(first) ** 2 <= ring.tables.add.nbytes
+        assert (memo is first) == kept, ring
+        assert (memo.relation is first.relation) == kept, ring
+        points, relation = oracle_line(ring)
+        els = PayloadRing(ring).elements()
+        assert [(els[p.a], els[p.b]) for p in memo.points] == points, ring
+        assert memo.relation.tolist() == relation, ring
+
+
+def _many_factor_products():
+    f2, f3, f4 = GaloisField(2), GaloisField(3), GaloisField(2, 2)
+    return [ProductRing(factors) for factors in (
+        [f2, f2, f2], [f2, f3, f2], [f4, f2, f2], [f3, f3, f3],
+        [f2, f2, f2, f2], [f2, QuotientRing(f2, (0, 0, 1)), f3])]
+
+
+def _local_factors(ring) -> tuple[tuple[int, int], ...]:
+    """(|eR|, |J(eR)|) per primitive idempotent e, from the definitions:
+    e is primitive when 0 and e are the only idempotents f with ef = f,
+    and the radical of eR is its non-units, those a with no b in eR
+    making ab = e."""
+    mul, els = ring.tables.mul.tolist(), ring.elements()
+    idempotents = [e for e in els if mul[e][e] == e]
+    out = []
+    for e in idempotents:
+        if e != ring.zero and all(f in (ring.zero, e) for f in idempotents
+                                  if mul[e][f] == f):
+            local = {mul[e][a] for a in els}
+            radical = [a for a in local if e not in {mul[a][b] for b in local}]
+            out.append((len(local), len(radical)))
+    return tuple(out)
+
+
+def test_kept_lines_equal_a_fresh_computation():
+    """On every sweep ring and six products of three or four factors, all
+    built by their constructors, the kept line equals a fresh computation:
+    names as the points render, each distinguished subset as the indices
+    of the points whose coordinates lie in it (in name order), the closed
+    form from the local factors, and the relation from the determinants on
+    the add, mul and neg tables.  A relation within the add table's bytes
+    is kept read-only and handed back on every call; a larger one is new
+    on every call.  With at most two local factors a line has at most
+    (1.5)^2 |R| points, so only rings of three or more are past the bound:
+    45 sweep products with a non-local quotient factor, and four of the
+    six products here."""
+    past = []
+    for ring in _sweep() + tuple(_many_factor_products()):
+        catalog = rl.enumerate_points(ring)
+        points, t = catalog.points, ring.tables
+        names = [str(p) for p in points]
+        assert list(catalog.names) == names, ring
+        order = sorted(range(len(points)), key=names.__getitem__)
+        for name, members in (("gf2_subline", {ring.zero, ring.one}),
+                              ("both_zero_divisor", set(ring.zero_divisors())),
+                              ("unit_unit", set(ring.units()))):
+            assert catalog.subsets[name] == tuple(
+                i for i in order
+                if points[i].a in members and points[i].b in members), ring
+        factors = _local_factors(ring)
+        assert t.local_factors == factors, ring
+        assert rl.expected_point_count(ring) == len(catalog) == math.prod(
+            size + radical for size, radical in factors), ring
+        a = np.array([p.a for p in points])
+        b = np.array([p.b for p in points])
+        det = t.add[t.mul[a[:, None], b], t.neg[t.mul[b[:, None], a]]]
+        want = np.where(t.unit[det], 2, 1)
+        np.fill_diagonal(want, 0)
+        assert np.array_equal(catalog.relation, want), ring
+        assert not catalog.relation.flags.writeable, ring
+        again = rl.enumerate_points(ring)
+        if len(points) ** 2 <= t.add.nbytes:
+            assert again is catalog, ring
+        else:
+            past.append(ring)
+            assert len(factors) >= 3, ring
+            assert again.points is points and again.names is catalog.names
+            assert again.relation is not catalog.relation, ring
+            assert np.array_equal(again.relation, want), ring
+    assert len(past) == 45 + 4
 
 
 def test_sweep_names_round_trip():

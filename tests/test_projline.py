@@ -283,17 +283,34 @@ def test_point_by_str(tilde_catalog):
 # --- the points kept with their ring --------------------------------------
 
 
-def test_points_are_built_once_and_relations_on_every_call(r_club):
-    first, second = rl.enumerate_points(r_club), rl.enumerate_points(r_club)
+def test_points_are_built_once_and_relations_on_every_call():
+    """A ring whose relation would take more bytes than its add table
+    (27 points: 729 bytes, against 8 x 8 intp entries, 512 bytes) keeps
+    its points, names and subsets, but gets a new relation on every
+    call."""
+    ring = rl.build_ring("gf(2)xgf(2)xgf(2)")
+    first, second = rl.enumerate_points(ring), rl.enumerate_points(ring)
+    assert (ring.size, len(first)) == (8, 27)
+    assert len(first) ** 2 > ring.tables.add.nbytes
     assert first.points is second.points
+    assert first.names is second.names and first.subsets is second.subsets
     assert first.relation is not second.relation
     assert not np.shares_memory(first.relation, second.relation)
     assert (first.relation == second.relation).all()
-    pa, pb = r_club.tables.line_pairs
+    pa, pb = ring.tables.line_pairs
     assert [(p.a, p.b) for p in first.points] == list(zip(pa.tolist(),
                                                           pb.tolist()))
-    for array in (pa, pb, r_club.tables.unit_difference):
+    for array in (pa, pb, ring.tables.unit_difference, first.relation):
         assert not array.flags.writeable
+
+
+def test_a_ring_within_the_bound_keeps_its_whole_catalog(r_club):
+    first = rl.enumerate_points(r_club)
+    assert len(first) ** 2 <= r_club.tables.add.nbytes
+    assert rl.enumerate_points(r_club) is first
+    assert not first.relation.flags.writeable
+    with pytest.raises(TypeError):
+        first.subsets["unit_unit"] = ()
 
 
 def test_points_are_slotted_and_rings_hash_as_their_spec_key(r_club):
@@ -303,13 +320,17 @@ def test_points_are_slotted_and_rings_hash_as_their_spec_key(r_club):
 
 
 def test_points_live_and_die_with_their_ring():
-    """The memo keeps a ring with its points; once it forgets a ring that
-    nothing else holds, the ring, its index arrays and its points go (each
-    point holds its ring, so none is left once the ring is gone)."""
+    """The memo keeps a ring with its line; once it forgets a ring that
+    nothing else holds, the ring, its index arrays, its relation and its
+    points go (each point holds its ring, so none is left once the ring is
+    gone)."""
     ring = rl.build_ring("gf(3)[x]/(x^2+x+2)")
-    points = len(rl.enumerate_points(ring))
+    catalog = rl.enumerate_points(ring)
+    points = len(catalog)
     refs = [weakref.ref(ring), weakref.ref(ring.tables),
-            weakref.ref(ring.tables.line_pairs[0])]
+            weakref.ref(ring.tables.line_pairs[0]),
+            weakref.ref(catalog.relation)]
+    del catalog
     del ring
     gc.collect()
     assert all(r() is not None for r in refs)
