@@ -18,8 +18,9 @@ import json
 import math
 import operator
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -150,7 +151,9 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class BksResult:
-    valuation: dict[int, int] | None = None
+    """A valuation, read-only as ``verify_each`` shares its reports, or a
+    parity certificate."""
+    valuation: Mapping[int, int] | None = None
     certificate: tuple[int, ...] | None = None  # context indices
 
     @property
@@ -237,10 +240,10 @@ def verify_each(configs):
     qubit counts depends on which pair comes first.  Every template
     (geometry, observable count and contexts) gets its shape check once,
     and configurations with the same template, labels, context checks and
-    structural errors share one report unless it is colorable.  Observable
-    errors are looked for only in a row that repeats an id or holds a
-    phased word or one on another qubit count.  Nothing is kept between
-    calls.
+    structural errors share one report, decided once (its valuation, if
+    any, is read-only).  Observable errors are looked for only in a row
+    that repeats an id or holds a phased word or one on another qubit
+    count.  Nothing is kept between calls.
 
     Configurations are read one at a time, and search results
     (``_ResultRows``) in numpy blocks of 1024 rows: each context's sorted
@@ -266,7 +269,7 @@ def verify_each(configs):
         return i
 
     # (geometry, count, contexts) -> (errors, getters, shared), shared:
-    # (labels, checks, errors) -> the template's report, if not colorable
+    # (labels, checks, errors) -> the template's report
     templates = {}
     checked = {}  # context key -> (commuting, sign, note)
 
@@ -315,8 +318,7 @@ def verify_each(configs):
             report = VerificationReport(tuple([
                 ContextReport(label, *check)
                 for label, check in zip(labels, checks)]), errs, magic, bks)
-            if bks is None or not bks.colorable:
-                shared[report_key] = report
+            shared[report_key] = report
         return report
 
     def read_blocks(rows: _ResultRows):
@@ -331,7 +333,7 @@ def verify_each(configs):
         # check -> its number; context key -> its check's number, and the
         # key -1 of a row read on its own -> -1
         codes, coded = {}, {-1: -1}
-        found = {}  # check numbers -> their report, if not colorable
+        found = {}  # check numbers -> their report
         for start in range(0, len(rows), 1024):
             ids = ids_of[rows._observables[start:start + 1024]]
             # key -1: the row repeats an id or holds a word of another kind
@@ -351,8 +353,7 @@ def verify_each(configs):
                 report = found.get(row)
                 if report is None:
                     report = read(template, ids[r].tolist())
-                    if row[0] >= 0 and not (report.bks and
-                                            report.bks.colorable):
+                    if row[0] >= 0:
                         found[row] = report
                 yield report
 
@@ -416,8 +417,8 @@ def _decide(masks: list[int], signs: list[int], m: int) -> BksResult:
             if (mask & x).bit_count() & 1 != (sign == -1):
                 raise DeciderDisagreement(
                     "returned valuation violates a context")
-        return BksResult(valuation={i: -1 if x >> i & 1 else 1
-                                    for i in range(m)})
+        return BksResult(valuation=MappingProxyType(
+            {i: -1 if x >> i & 1 else 1 for i in range(m)}))
     certificate = tuple(_bits(y))
     odd, prod = 0, 1  # odd: the observables covered an odd number of times
     for ci in certificate:
@@ -441,13 +442,14 @@ def _bits(mask: int):
 
 
 def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
-    """All contexts of `size` observables among `words`, as sorted
-    (index tuple, bitmask, sign) triples.
+    """All contexts of `size` observables among `words`, as (index tuple,
+    bitmask, sign) triples, sorted by index tuple.
 
     Grows commuting cliques of size - 2 members over bitsets of the later
     words each word commutes with, then closes each in one flat loop: a
     candidate j, and the word their product fixes, which must come after
-    j.  Products are folded on masks as in ``pauli.scalar_sign``.
+    j.  Products are folded on masks as in ``pauli.scalar_sign``.  Every
+    word is taken lowest first, so the contexts come out sorted.
     """
     if any(w.n != words[0].n for w in words):
         raise PauliError("qubit counts differ")
@@ -491,7 +493,6 @@ def _contexts(words: list[PauliObservable], size: int) -> list[tuple]:
     elif size > 1:
         close((), 0, 0, 0, (1 << len(words)) - 1)
     del close  # it holds itself through its closure: free the tables now
-    out.sort()
     return out
 
 
@@ -681,29 +682,26 @@ _K5_CONTEXTS = tuple(tuple(k for k, pair in enumerate(_K5_PAIRS) if v in pair)
 
 
 def _magic_grids(words: list[PauliObservable]) -> list[tuple[int, ...]]:
-    """One row-major arrangement of each magic 3x3 grid of contexts among
-    `words`, as indices into `words`, each found once from its lowest
-    context a, as its first row.  The columns are later contexts through
-    a's cells in turn, meeting a there alone and pairwise disjoint (tests
-    that only prune: the lookups below refuse any other columns).  The
-    second row, through the first column's lowest cell off a, takes one
-    cell off a from each column: it is looked up by mask among the 4 such,
-    and the third row, the mask of the cells left, too.  Neither holds a's
+    """Each magic 3x3 grid of contexts among `words` once, as indices into
+    `words` in its least arrangement: found from its lowest context a, as
+    its first row, with the later contexts through a's cells in turn as
+    its columns.  The second row, through the first column's lowest cell
+    off a, takes one cell off a from each column: it is looked up by mask
+    among the 4 such, and the third row, the mask of the cells left, too.
+    Both rows exist only if the columns meet a there alone and are
+    disjoint, so the lookups enforce those rules.  Neither holds a's
     lowest cell, the grid's lowest, so both come after a.  The grids are
     decided once per pattern of their signs."""
     contexts = _contexts(words, 3)
     at, holds = _incidence(contexts)
-    apart = [~(holds[i] | holds[j] | holds[k])  # the contexts disjoint from it
-             for (i, j, k), _, _ in contexts]
     found = []  # each grid's rows, then its columns, as context indices
     for ai, ((o1, o2, o3), a, _) in enumerate(contexts):
         later = -(2 << ai)
-        h1, h2, h3 = holds[o1] & later, holds[o2] & later, holds[o3] & later
-        for c1 in _bits(h1 & ~h2 & ~h3):
-            m1 = contexts[c1][1] & ~a  # a column's two cells off a
-            for c2 in _bits(h2 & ~h3 & apart[c1]):
+        for c1 in _bits(holds[o1] & later):
+            m1 = contexts[c1][1] & ~a  # a column's cells off a
+            for c2 in _bits(holds[o2] & later):
                 m2 = contexts[c2][1] & ~a
-                for c3 in _bits(h3 & apart[c1] & apart[c2]):
+                for c3 in _bits(holds[o3] & later):
                     m3 = contexts[c3][1] & ~a
                     for q, r in itertools.product((m2 & -m2, m2 & m2 - 1),
                                                   (m3 & -m3, m3 & m3 - 1)):
@@ -737,20 +735,6 @@ def _grid_transforms(grid: tuple) -> list[tuple]:
     return [transform(grid) for transform in _GRID_TRANSFORMS]
 
 
-def _grid_canonical(grid: tuple) -> tuple:
-    """The least of the 72 arrangements of a grid of distinct cells, built
-    directly.  Its first row is the line through the smallest cell, that
-    cell's row or its column, whichever holds the smaller second cell; the
-    columns follow that line's cells in order, and the rows the cells of
-    the smallest cell's column."""
-    r, c = divmod(grid.index(min(grid)), 3)
-    if sorted(grid[c::3])[1] < sorted(grid[3 * r:3 * r + 3])[1]:
-        grid, r, c = grid[0::3] + grid[1::3] + grid[2::3], c, r
-    cols = sorted(range(3), key=grid[3 * r:3 * r + 3].__getitem__)
-    rows = sorted(range(0, 9, 3), key=lambda i: grid[i + c])
-    return tuple([grid[i + j] for i in rows for j in cols])
-
-
 def _grid_config(observables: tuple[PauliObservable, ...]) -> Configuration:
     return Configuration(2, observables, _SQUARE_CONTEXTS, "square",
                          _SQUARE_LABELS)
@@ -770,10 +754,10 @@ def search_squares() -> list[Configuration]:
 
 @functools.lru_cache(maxsize=1)
 def _squares() -> tuple[Configuration, ...]:
+    """The 10 squares, sorted, each in the least arrangement it is found in."""
     words = all_words(2)  # sorted by word, so index order is word order
-    canon = {_grid_canonical(g) for g in _magic_grids(words)}
     return tuple([_grid_config(tuple([words[i] for i in g]))
-                  for g in sorted(canon)])
+                  for g in sorted(_magic_grids(words))])
 
 
 def square_orbit_report(words: Sequence[str]) -> dict:
@@ -825,14 +809,16 @@ def search_pentagrams(budget: int | None = None) -> SearchOutcome:
     words = all_words(3)  # sorted by word, so index order is word order
     contexts = _contexts(words, 4)
     pents, complete = _pentagram_sets(contexts, budget)
-    # one decision per sign pattern, as 5 bits, serves all candidates with it
-    signs = np.array([sign for _, _, sign in contexts], dtype=np.int8)[pents]
-    _, firsts, pattern = np.unique(((signs < 0) << np.arange(5)).sum(axis=1),
-                                   return_index=True, return_inverse=True)
-    colorable = [_decide(_PENTAGRAM_MASKS, signs[r].tolist(), 10).colorable
-                 for r in firsts.tolist()]
-    pents = pents[~np.array(colorable, dtype=bool)[pattern]]
-    del signs, pattern
+    # one decision per sign pattern serves all candidates with it: bit j of
+    # a candidate's byte is set when its j-th context has sign -1
+    negative = np.array([sign < 0 for _, _, sign in contexts])
+    pattern = np.packbits(negative[pents], axis=1, bitorder="little")[:, 0]
+    magic = np.zeros(32, dtype=bool)  # sign pattern -> no valuation meets it
+    for p in np.flatnonzero(np.bincount(pattern, minlength=32)).tolist():
+        signs = [-1 if p >> v & 1 else 1 for v in range(5)]
+        magic[p] = not _decide(_PENTAGRAM_MASKS, signs, 10).colorable
+    pents = pents[magic[pattern]]
+    del pattern
     # The meets, one column at a time: the masks of contexts p and q share
     # one bit, whose index, the count of the bits below it, is the word's
     # (< 63, so int8).

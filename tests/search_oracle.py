@@ -13,7 +13,7 @@ pentagram search's; the package now finds both by direct searches, over
 72 row/column permutations (with or without transposition) of a row-major
 3x3 grid as nested tuples, where the package applies precomputed index
 permutations.  ``ref_grid_canonical`` takes the least of those 72
-arrangements, where the package builds it directly from the smallest cell.
+arrangements, in which the package's grid search builds each grid.
 ``ref_verify_each`` re-verifies each configuration from its observables,
 keying each context by their (n, x, z, phase) tuples, where the package
 interns each word as a small int and reads search results as rows of those

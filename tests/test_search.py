@@ -21,6 +21,7 @@ from ringline.magic import (DeciderDisagreement, _bits, _contexts, _decide,
 from ringline import magic
 from ringline.pauli import (PauliObservable, all_words, commutes,
                             context_product_sign)
+from gf2_oracle import ref_solve
 from search_oracle import (columns, ref_cover_twice, ref_grid_canonical,
                            ref_grid_transforms, ref_verify_each)
 
@@ -94,6 +95,23 @@ def phased_word_lists(draw):
 @given(phased_word_lists(), st.integers(1, 4))
 def test_contexts_match_subset_scan_on_phased_words(words, size):
     assert _contexts(words, size) == oracle_contexts(words, size)
+
+
+@st.composite
+def repeated_word_lists(draw):
+    """Up to 16 words on 1 to 3 qubits, the identity included, drawn with
+    repeats and in a random order."""
+    pool = all_words(draw(st.integers(1, 3)), include_identity=True)
+    return draw(st.lists(st.sampled_from(pool), max_size=16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_word_lists(), st.integers(1, 4))
+def test_contexts_come_out_sorted(words, size):
+    """The clique walk lists the contexts sorted by index tuple, with no
+    sort after it, also when words repeat and come in any order."""
+    found = _contexts(words, size)
+    assert found == sorted(found) == oracle_contexts(words, size)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
@@ -170,7 +188,7 @@ def _cover_grids(words):
     found, complete, _ = ref_cover_twice(contexts, 6, {0, 1})
     assert complete
     grids = filter(None, [_grid([contexts[ci] for ci in s]) for s in found])
-    return {magic._grid_canonical(g) for g, sign in grids if sign == -1}
+    return {ref_grid_canonical(g) for g, sign in grids if sign == -1}
 
 
 @st.composite
@@ -188,28 +206,44 @@ def two_qubit_word_lists(draw):
 @given(two_qubit_word_lists())
 def test_grid_search_finds_the_cover_grids(words):
     """The direct grid search finds each magic grid the earlier cover and
-    grid test found, and each once."""
-    grids = [magic._grid_canonical(g) for g in magic._magic_grids(words)]
+    grid test found, and each once, in its least arrangement."""
+    grids = magic._magic_grids(words)
+    assert grids == [ref_grid_canonical(g) for g in grids]
     assert len(set(grids)) == len(grids)
     assert set(grids) == _cover_grids(words)
+
+
+def test_grids_come_out_in_their_least_arrangement():
+    """Each grid is built in the least of its 72 arrangements, so the
+    square search takes it as it is: on the 15 two-qubit words, and on the
+    built-in square's words shuffled, alone or with more words."""
+    rng = random.Random(48)
+    lists = [all_words(2)]
+    for _ in range(200):
+        extra = rng.sample(all_words(2), rng.randint(0, 6))
+        lists.append(rng.sample(list(map(PauliObservable, magic.SQUARE_WORDS))
+                                + extra, 9 + len(extra)))
+    for words in lists:
+        grids = magic._magic_grids(words)
+        assert grids and grids == [ref_grid_canonical(g) for g in grids]
 
 
 def test_three_qubit_grid_search():
     """3360 grids at three qubits, as the earlier cover and grid test found
     and as |Sp(6, 2)| / 432 counts: each found once, each a 3x3 grid of
-    contexts whose signs multiply to -1, in well under 2 s of CPU; the
-    canonical form of each is the least of its 72 arrangements."""
+    contexts whose signs multiply to -1, in well under 2 s of CPU, each
+    in the least of its 72 arrangements."""
     words = all_words(3)
     sign_of = {mask: sign for _, mask, sign in _contexts(words, 3)}
     start = time.process_time()
     grids = magic._magic_grids(words)
     elapsed = time.process_time() - start
-    assert len({magic._grid_canonical(g) for g in grids}) == len(grids) == 3360
+    assert len(set(grids)) == len(grids) == 3360
     for grid in grids:
         # nine distinct cells: the rows are disjoint, and each meets each
         # column in its one cell
         assert len(set(grid)) == 9
-        assert magic._grid_canonical(grid) == ref_grid_canonical(grid)
+        assert grid == ref_grid_canonical(grid)
         prod = 1
         for line in _grid_lines(grid):
             prod *= sign_of[magic._mask(line)]
@@ -311,19 +345,13 @@ def test_pentagram_sets_match_the_reference_cover():
         ("a", 0): 945, ("b", 0): 11400, ("c", 0): 44760, ("d", 1): 12096}
 
 
-@given(st.lists(st.integers(-99, 99), min_size=9, max_size=9, unique=True))
-def test_grid_canonical_is_the_least_arrangement(cells):
-    assert magic._grid_canonical(tuple(cells)) == \
-        ref_grid_canonical(tuple(cells))
-
-
 def test_grid_transforms_match_the_reference():
     grids = [tuple(o.word for o in cfg.observables)
              for cfg in rl.search_squares()]
     grids.append(tuple("abcdefghi"))  # nine distinct cells: every move shows
     for grid in grids:
         assert magic._grid_transforms(grid) == list(ref_grid_transforms(grid))
-        assert magic._grid_canonical(grid) == min(ref_grid_transforms(grid))
+        assert ref_grid_canonical(grid) == min(ref_grid_transforms(grid))
 
 
 def oracle_exhaustive_valuation(masks, signs, m):
@@ -575,26 +603,50 @@ def test_verify_each_reads_slices_as_the_reference(pentagram_search):
         _same_reports(part)
 
 
-def test_verify_each_decides_each_colorable_search_row(monkeypatch,
-                                                       pentagram_search):
-    """Rows read in a template whose last context repeats its first are all
-    colorable: each is decided on its own, though many share their
-    context checks, while the search's own rows share their decisions."""
-    results = pentagram_search.results[:300]
+def _colorable_rows(results):
+    """The search rows read in a template whose last context repeats its
+    first: every row is colorable."""
     template = results._template
     again = rl.Configuration(3, template.observables,
                              template.contexts[:4] + template.contexts[:1],
                              "custom")
-    rows = magic._ResultRows(results._words, again, results._observables)
+    return magic._ResultRows(results._words, again, results._observables)
+
+
+def test_verify_each_decides_each_colorable_report_once(monkeypatch,
+                                                        pentagram_search):
+    """Colorable rows share their reports as the others do: one decision
+    per distinct report (8 among 300 rows), and the search's own rows
+    share their decisions too."""
+    results = pentagram_search.results[:300]
+    rows = _colorable_rows(results)
     calls = _counting(monkeypatch, "bks_decide")
     reports = list(rl.verify_each(rows))
     assert all(r.bks.colorable for r in reports)
-    assert len({r.contexts for r in reports}) < 300
-    assert [cfg.geometry for cfg, _ in calls] == ["custom"] * 300
+    assert len(calls) == len({id(r) for r in reports}) == \
+        len({r.contexts for r in reports}) == 8
+    assert [cfg.geometry for cfg, _ in calls] == ["custom"] * 8
     del calls[:]
     assert all(r.magic for r in rl.verify_each(results))
     assert 0 < len(calls) <= 32
     assert reports == _same_reports(rows)
+
+
+def test_a_shared_valuation_is_read_only(pentagram_search):
+    """A valuation served to many rows refuses item assignment, and equals
+    the dict built from the reference solver's answer for its signs."""
+    rows = _colorable_rows(pentagram_search.results[:300])
+    reports = list(rl.verify_each(rows))
+    shared = {id(r): r for r in reports}
+    assert len(shared) < len(reports)
+    masks = list(map(magic._mask, rows._template.contexts))
+    for report in shared.values():
+        valuation = report.bks.valuation
+        with pytest.raises(TypeError):
+            valuation[0] = -valuation[0]
+        x = ref_solve(masks, [c.sign == -1 for c in report.contexts])
+        assert valuation == {i: -1 if x >> i & 1 else 1 for i in range(10)}
+    assert reports == list(ref_verify_each(rows))
 
 
 def test_verify_each_finds_a_phased_word_in_search_rows(pentagram_search):
@@ -720,10 +772,9 @@ def _counting(monkeypatch, name):
 
 
 def test_verify_each_decides_each_distinct_system_once(monkeypatch):
-    """The same template and signs share one report; the same template
-    with other signs gets its own decision, and so does a relabelling,
-    whose certificate, naming contexts only, is equal.  A colorable system
-    is decided where it occurs."""
+    """The same template and signs share one report, colorable or not; the
+    same template with other signs gets its own decision, and so does a
+    relabelling, whose certificate, naming contexts only, is equal."""
     square = rl.builtin("mermin_square")
     z_grid = rl.Configuration(2, tuple(PauliObservable(w) for w in (
         "ZI", "IZ", "ZZ", "IZ", "ZI", "ZZ", "ZZ", "ZZ", "II")),
@@ -734,10 +785,9 @@ def test_verify_each_decides_each_distinct_system_once(monkeypatch):
     calls = _counting(monkeypatch, "bks_decide")
     first, other, again, more, shared, other_again = rl.verify_each(
         [square, z_grid, square, wider, moved, z_grid])
-    assert [cfg for cfg, _ in calls if cfg is not z_grid] == [square, wider,
-                                                              moved]
+    assert [cfg for cfg, _ in calls] == [square, z_grid, wider, moved]
     assert shared.bks == first.bks and shared.bks is not first.bks
-    assert other == other_again == rl.verify_magic(z_grid)
+    assert other_again is other == rl.verify_magic(z_grid)
     assert [c.sign for c in other.contexts] == [1] * 6
     assert not first.bks.colorable and other.bks.colorable
     assert again is first
