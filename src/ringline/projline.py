@@ -8,8 +8,9 @@ lexicographically least pair of the orbit.  Two points are *distant* when
 their cross-determinant is a unit and *neighbours* otherwise.
 
 Everything runs on the ring's index tables (``Ring.tables``), and a point's
-coordinates are element indices: admissibility is looked up per pair of
-principal ideals, each admissible pair's canonical code is the least
+coordinates are element indices: admissibility is looked up in the ring's
+mask of pairs with ea or eb a unit in every local factor eR (e a
+primitive idempotent), each admissible pair's canonical code is the least
 ``u*a, u*b`` over the units u, and the relation is one vectorized
 determinant matrix.  Index order is value order, so points sort by
 ``(a, b)``.  A ring's line is built once and kept with the ring: its
@@ -52,10 +53,9 @@ class ProjPoint:
 
 def is_admissible(ring: Ring, a: int, b: int) -> bool:
     """True iff aR + bR = R, i.e. some (c, d) completes (a, b) to a unit
-    determinant; a unit coordinate decides it at once."""
+    determinant; read from ``RingTables.unimodular``."""
     a, b = ring.element(a), ring.element(b)
-    t = ring.tables
-    return bool(t.unit[a] or t.unit[b] or t.unimodular[a, b])
+    return bool(ring.tables.unimodular[a, b])
 
 
 def canonicalize(ring: Ring, a: int, b: int) -> ProjPoint:

@@ -16,9 +16,11 @@ Each constructor validates its input and builds the tables by vectorized
 digit arithmetic over its parts' tables; none defines element arithmetic.
 Every operation, structural question (units, zero-divisors, radical,
 homomorphism validity) and printed name is a table lookup, and a ring
-homomorphism is an index array from one ring's tables into another's.  The
-payload arithmetic the tables are checked against lives in the tests.  Ring
-sizes are capped (default 256) and every answer is exact.
+homomorphism is an index array from one ring's tables into another's.
+Admissibility, the local factors and the radical are all read from one
+split of the ring into its local rings (``RingTables.local_units``).  The
+oracles the tables are checked against live in the tests.  Ring sizes are
+capped (default 256) and every answer is exact.
 
 ``build_ring`` reads a spec string such as ``"gf(2)[x]/(x^3-x)"`` into
 canonical atoms and builds each ring it names once per process, in a
@@ -187,44 +189,36 @@ class RingTables:
         return a, b
 
     @cached_property
+    def local_units(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The ring as the product of its local rings eR: one pair (e,
+        units) per primitive idempotent e (0 and e are the only idempotents
+        f with ef = f), in index order, units[a] being True iff ea is a
+        unit of eR, i.e. iff ea + 1 - e is a unit of the ring; read-only."""
+        idempotents = np.flatnonzero(self.mul.diagonal() == np.arange(self.n))
+        below = self.mul[idempotents[:, None], idempotents] == idempotents
+        primitive = idempotents[below.sum(axis=1) == 2]
+        one_minus = self.add[self.one, self.neg[primitive]]
+        units = self.unit[self.add[self.mul[primitive], one_minus[:, None]]]
+        units.flags.writeable = False
+        return tuple(zip(primitive.tolist(), units))
+
+    @cached_property
     def local_factors(self) -> tuple[tuple[int, int], ...]:
-        """(|eR|, |J(eR)|) for each primitive idempotent e, the ring being
-        the product of the local rings eR: eR is the set of a with ea = a,
-        it holds no idempotent but 0 and e, and a in eR is a unit of eR
-        iff a + 1 - e is a unit of the ring; J(eR) is the rest of eR."""
-        elements = range(self.n)
-        idempotents = [a for a, aa in zip(elements,
-                                          self.mul.diagonal().tolist())
-                       if aa == a]
-        unit = self.unit.tolist()
+        """(|eR|, |J(eR)|) for each primitive idempotent e: eR is the set
+        of a with ea = a, and J(eR) its non-units."""
         factors = []
-        for e, row in zip(idempotents, self.mul[idempotents].tolist()):
-            if sum(row[f] == f for f in idempotents) == 2:
-                shift = self.add[self.add[self.one, self.neg[e]]].tolist()
-                local = [a for a in elements if row[a] == a]
-                factors.append((len(local),
-                                sum(not unit[shift[a]] for a in local)))
+        for e, units in self.local_units:
+            local = self.mul[e] == np.arange(self.n)
+            factors.append((int(local.sum()), int((local & ~units).sum())))
         return tuple(factors)
 
     @cached_property
     def unimodular(self) -> np.ndarray:
-        """n x n mask of the pairs (a, b) with aR + bR = R.
-
-        Decided once per pair of distinct principal ideals: 1 lies in
-        I + J iff 1 - y lies in I for some y in J.
-        """
-        n = self.n
-        member = np.zeros((n, n), dtype=bool)  # member[a, x]: x in aR
-        member[np.arange(n)[:, None], self.mul] = True
-        number = {}  # a membership row's bytes -> its ideal's number
-        ideal_of = np.array([number.setdefault(row.tobytes(), len(number))
-                             for row in member])
-        # the dict keeps its keys in order of their numbers
-        ideals = np.frombuffer(b"".join(number), dtype=bool).reshape(-1, n)
-        one_minus = self.add[self.one, self.neg]
-        comaximal = (ideals[:, one_minus].astype(np.int32)
-                     @ ideals.T.astype(np.int32)) > 0
-        mask = comaximal[ideal_of[:, None], ideal_of[None, :]]
+        """n x n read-only mask of the pairs (a, b) with aR + bR = R: those
+        with ea or eb a unit of eR in every local factor eR."""
+        mask = np.ones((self.n, self.n), dtype=bool)
+        for _, units in self.local_units:
+            mask &= units[:, None] | units[None, :]
         mask.flags.writeable = False
         return mask
 
@@ -588,15 +582,12 @@ def validate_hom(h: RingHomomorphism) -> bool:
 
 
 def jacobson_radical(ring: Ring) -> list[int]:
-    """Nilpotent elements (= Jacobson radical for finite commutative rings).
-
-    a is nilpotent iff a^(2^k) = 0 for 2^k > |R|: repeated table squaring.
-    """
-    t = ring.tables
-    power = np.arange(t.n)
-    for _ in range(t.n.bit_length()):
-        power = t.mul[power, power]
-    return np.flatnonzero(power == t.zero).tolist()
+    """The Jacobson radical, in a finite commutative ring its nilpotent
+    elements: the a with ea a non-unit of eR in every local factor eR."""
+    radical = np.ones(ring.size, dtype=bool)
+    for _, units in ring.tables.local_units:
+        radical &= ~units
+    return np.flatnonzero(radical).tolist()
 
 
 def quotient_by_radical(ring: Ring) -> tuple[Ring, RingHomomorphism]:

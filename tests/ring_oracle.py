@@ -4,17 +4,24 @@
 data alone: GF(p^k) as polynomials over the integers mod p reduced by its
 modulus, F[x]/(f) as polynomials over ``PayloadRing(F)`` reduced by f, and
 a product componentwise.  Its elements are payload labels listed in value
-order, so the package's element i is the i-th of them.  Nothing here reads
-``Ring.tables`` or the ring's table-backed ``add``/``mul``/``neg``: units
-come from scanning products, admissibility from scanning every
-determinant completion (c, d) or every coefficient pair (s, t), and points
-from listing the unit orbit of every admissible pair.  The package
-computes the same answers on its index tables, so the two share no code
-path below the element labels.
+order, so the package's element i is the i-th of them.  Nothing here but
+the two table oracles at the end reads ``Ring.tables`` or the ring's
+table-backed ``add``/``mul``/``neg``: units come from scanning products,
+admissibility from scanning every determinant completion (c, d) or every
+coefficient pair (s, t), and points from listing the unit orbit of every
+admissible pair.  The package computes the same answers on its index
+tables, so the two share no code path below the element labels.
+
+The table oracles ``ideal_unimodular`` and ``nilpotents`` read the index
+tables but not the ring's split into local rings, which the package reads
+admissibility and the radical from: they decide the whole admissibility
+mask per pair of principal ideals and the radical by iterated squaring.
 """
 
 import functools
 import itertools
+
+import numpy as np
 
 from ringline.rings import GaloisField, ProductRing, QuotientRing
 
@@ -184,3 +191,31 @@ def oracle_line(ring) -> tuple[list[tuple], list[list[int]]]:
         relation[i][j] = relation[j][i] = 2 if unit[sub(mul[a][d],
                                                         mul[b][c])] else 1
     return [(els[a], els[b]) for a, b in points], relation
+
+
+def ideal_unimodular(t) -> np.ndarray:
+    """n x n mask of the pairs (a, b) with aR + bR = R, on ``RingTables``
+    t, decided once per pair of distinct principal ideals: 1 lies in
+    I + J iff 1 - y lies in I for some y in J."""
+    n = t.n
+    member = np.zeros((n, n), dtype=bool)  # member[a, x]: x in aR
+    member[np.arange(n)[:, None], t.mul] = True
+    number = {}  # a membership row's bytes -> its ideal's number
+    ideal_of = np.array([number.setdefault(row.tobytes(), len(number))
+                         for row in member])
+    # the dict keeps its keys in order of their numbers
+    ideals = np.frombuffer(b"".join(number), dtype=bool).reshape(-1, n)
+    one_minus = t.add[t.one, t.neg]
+    comaximal = (ideals[:, one_minus].astype(np.int32)
+                 @ ideals.T.astype(np.int32)) > 0
+    return comaximal[ideal_of[:, None], ideal_of[None, :]]
+
+
+def nilpotents(t) -> list[int]:
+    """The nilpotent elements of ``RingTables`` t, the Jacobson radical of
+    a finite commutative ring: a is nilpotent iff a^(2^k) = 0 for
+    2^k > |R|, found by repeated table squaring."""
+    power = np.arange(t.n)
+    for _ in range(t.n.bit_length()):
+        power = t.mul[power, power]
+    return np.flatnonzero(power == t.zero).tolist()

@@ -9,7 +9,10 @@ two-factor products, all of at most 32 elements.  The sweep covers every
 monic f over every GF(q) with q^deg f <= 32, and every two-factor product
 of at most 32 elements whose factors are fields or quotients of degree >= 2
 (a degree-1 quotient is a relabelled field).  Four larger fields, up to
-256 elements, are checked on a seeded sample of pairs.
+256 elements, are checked on a seeded sample of pairs.  The admissibility
+mask, local factors and radical read from each ring's local split are
+checked against table oracles that never read it, on the sweep, six
+products of three or four factors and five rings of 256 elements.
 """
 
 import functools
@@ -25,8 +28,8 @@ from hypothesis import strategies as st
 
 import ringline as rl
 from ringline.rings import GaloisField, ProductRing, QuotientRing
-from ring_oracle import (MemoRing, PayloadRing, oracle_line, oracle_units,
-                         oracle_unimodular)
+from ring_oracle import (MemoRing, PayloadRing, ideal_unimodular, nilpotents,
+                         oracle_line, oracle_units, oracle_unimodular)
 
 MAX_SIZE = 32
 FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -85,7 +88,8 @@ def test_large_field_tables_match_payload_on_sampled_pairs(spec):
 @settings(max_examples=20, deadline=None)
 @given(small_rings(), st.data())
 def test_admissibility_matches_ideal_oracle(ring, data):
-    # a unit coordinate short-circuits, so one coordinate is always a non-unit
+    # a pair with a unit coordinate is always admissible, so one
+    # coordinate is always a non-unit
     memo = MemoRing(ring)
     index = {a: i for i, a in enumerate(memo.elements())}
     nonunits = sorted(set(memo.elements()) - oracle_units(memo),
@@ -173,6 +177,26 @@ def _local_factors(ring) -> tuple[tuple[int, int], ...]:
             radical = [a for a in local if e not in {mul[a][b] for b in local}]
             out.append((len(local), len(radical)))
     return tuple(out)
+
+
+# gf(4)^4 and gf(2)^8 have four and eight local factors
+CAP_SIZED = ["gf(256)", "gf(16)xgf(16)", "gf(2)[x]/(x^8)",
+             "x".join(["gf(4)"] * 4), "x".join(["gf(2)"] * 8)]
+
+
+def test_local_decomposition_matches_its_oracles():
+    """On every sweep ring, the six products of three or four factors and
+    five rings at the size cap, the facts read from the local units equal
+    their oracles: admissibility the principal-ideal mask, the local
+    factors their definitions and the radical the nilpotent elements."""
+    rings = (_sweep() + tuple(_many_factor_products())
+             + tuple(rl.build_ring(spec) for spec in CAP_SIZED))
+    assert [r.size for r in rings[-5:]] == [256] * 5
+    for ring in rings:
+        t = ring.tables
+        assert np.array_equal(t.unimodular, ideal_unimodular(t)), ring
+        assert t.local_factors == _local_factors(ring), ring
+        assert rl.jacobson_radical(ring) == nilpotents(t), ring
 
 
 def test_kept_lines_equal_a_fresh_computation():

@@ -4,7 +4,7 @@ The independent oracle here decides admissibility of a pair (a, b) through
 the ideal criterion -- (a, b) extends to an invertible matrix over a
 finite commutative ring iff 1 is an a,b-combination -- by brute force over
 coefficient pairs in payload arithmetic, which shares no code path with
-the package's principal-ideal lookup on the ring tables.
+the package's lookup in a mask read from the ring's local factors.
 """
 
 import gc

@@ -163,10 +163,14 @@ def test_a_refusal_is_never_cached(spec):
 def test_shared_tables_are_read_only():
     ring = build_ring("gf(2)[x]/(x^3-x)")
     t = ring.tables
-    for table in (t.add, t.mul, t.neg, t.unit, t.unimodular):
+    local_units = [units for _, units in t.local_units]
+    assert len(local_units) == 2  # GF(2) x GF(2)[x]/((x+1)^2)
+    for table in (t.add, t.mul, t.neg, t.unit, t.unimodular, *local_units):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = table[(0,) * table.ndim]
-    assert t.unimodular is build_ring("gf(2)[x]/(x^3+x)").tables.unimodular
+    spelt = build_ring("gf(2)[x]/(x^3+x)").tables
+    assert t.unimodular is spelt.unimodular
+    assert t.local_units is spelt.local_units
 
 
 def test_the_ring_memo_stays_within_its_bound():
