@@ -26,6 +26,21 @@ class EntangleError(ValueError):
     pass
 
 
+# A basis is reported state by state: 2^n entropy tables, or 2^n rows of
+# 2^n overlaps.  At 11 qubits one JSON report already holds 117 MB, so
+# larger bases are refused.
+MAX_QUBITS = 10
+
+
+def _bounded(n: int) -> int:
+    """n, refused with EntangleError when it is over MAX_QUBITS."""
+    if n > MAX_QUBITS:
+        raise EntangleError(f"{n} qubits: entangle handles at most "
+                            f"{MAX_QUBITS} qubits, as it reports each of "
+                            "the 2^n basis states")
+    return n
+
+
 def context_generators(context: list[PauliObservable]
                        ) -> list[PauliObservable]:
     """The n independent generators of a maximal commuting context; its
@@ -72,9 +87,10 @@ def classify_generators(gens: list[PauliObservable]) -> tuple[str, dict]:
     The table maps each bipartition, as the tuple of qubits on side A, to
     its entropy in bits.  Signs do not enter an entropy, so every one of
     the 2^n basis states has this table.  'maximally entangled' means
-    every 1-vs-rest bipartition carries exactly 1 bit.
+    every 1-vs-rest bipartition carries exactly 1 bit.  Over MAX_QUBITS
+    generators raise EntangleError.
     """
-    n = len(gens)
+    n = _bounded(len(gens))
     table = {part: _cut_entropy(gens, n, sum(1 << (q - 1) for q in part))
              for size in range(1, n)
              for part in itertools.combinations(range(1, n + 1), size)}
@@ -112,10 +128,11 @@ def _stacked_rows(gens_a: list[PauliObservable],
 
 def overlap_table(context_a: list[PauliObservable],
                   context_b: list[PauliObservable]) -> list[list[Fraction]]:
-    """Exact squared overlaps |<a_i|b_j>|^2 between the two joint eigenbases."""
+    """Exact squared overlaps |<a_i|b_j>|^2 between the two joint eigenbases;
+    bases over MAX_QUBITS qubits raise EntangleError."""
     gens_a = context_generators(context_a)
     gens_b = context_generators(context_b)
-    n = len(gens_a)
+    n = _bounded(len(gens_a))
     # Each left-null vector v of the stacked rows pairs a product of a's
     # generators (bits of v below n) with a product of b's (bits from n) that
     # is the same Pauli word; the k = 2n - rank vectors span the subgroup the

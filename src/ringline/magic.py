@@ -97,15 +97,15 @@ class Configuration:
         return [self.observables[i] for i in self.contexts[ci]]
 
 
-def _observable_errors(n: int, keys: list[tuple]) -> list[str]:
-    """The structural errors of n-qubit observables given by their keys
-    (n, x, z, phase): a duplicate word, a phase, another qubit count."""
+def _observable_errors(n: int, observables: Sequence) -> list[str]:
+    """The structural errors of n-qubit observables: a duplicate word, a
+    phase, another qubit count."""
     errs = []
-    if len({k[:3] for k in keys}) != len(keys):
+    if len({(o.n, o.x, o.z) for o in observables}) != len(observables):
         errs.append("duplicate observable")
-    if any([k[3] for k in keys]):
+    if any([o.phase for o in observables]):
         errs.append("observables must have phase 0")
-    if any([k[0] != n for k in keys]):
+    if any([o.n != n for o in observables]):
         errs.append("observable qubit-count mismatch")
     return errs
 
@@ -246,12 +246,12 @@ def verify_each(configs):
     count.  Nothing is kept between calls.
 
     Configurations are read one at a time, and search results
-    (``_ResultRows``) in numpy blocks of 1024 rows: each context's sorted
-    ids are keyed as one int, the block's distinct keys are checked, and a
-    row takes the report of an earlier row with the same context checks.
-    A row that repeats an id or holds a word of another kind is read on
-    its own, and a configuration is built from a row only when it goes to
-    ``bks_decide``.
+    (``_ResultRows``) in numpy blocks of 1024 rows.  A table's words are
+    plain and distinct and its rows index them, so interned first their
+    ids are the rows' indices: each context's sorted ids are keyed as one
+    int, the block's distinct keys are checked, and a row takes the report
+    of an earlier row with the same context checks.  A configuration is
+    built from a row only when it goes to ``bks_decide``.
     """
     index = {}  # (n, x, z, phase) -> the word's id
     words = []  # id -> the first word interned to it
@@ -299,9 +299,8 @@ def verify_each(configs):
         if plain:  # distinct plain words on n check alike in any order
             checks = [check_of(tuple(sorted(get(ids)))) for get in getters]
         else:
-            errs = tuple(_observable_errors(n, [
-                (o.n, o.x, o.z, o.phase) for o in map(words.__getitem__, ids)
-            ])) + errs
+            errs = tuple(_observable_errors(
+                n, list(map(words.__getitem__, ids)))) + errs
             checks = [check_of(get(ids)) for get in getters]
         labels = template.context_labels
         report_key = (labels, tuple(checks), errs)
@@ -322,25 +321,19 @@ def verify_each(configs):
         return report
 
     def read_blocks(rows: _ResultRows):
+        for word in rows._words:  # distinct: their ids are their indices
+            intern(word)
         template, base = rows._template, len(rows._words)
-        # the smallest dtypes keep each block's temporaries small
-        ids_of = np.array(list(map(intern, rows._words)),
-                          dtype=np.min_scalar_type(base))
+        # the smallest dtype keeps each block's temporaries small
         contexts = np.array(template.contexts, dtype=np.min_scalar_type(
             rows._observables.shape[1]))
         place = [base ** j for j in reversed(range(contexts.shape[1]))]
-        qubit = np.array([0 if q is None else q for q in qubits])
-        # check -> its number; context key -> its check's number, and the
-        # key -1 of a row read on its own -> -1
-        codes, coded = {}, {-1: -1}
+        # check -> its number; context key -> its check's number
+        codes, coded = {}, {}
         found = {}  # check numbers -> their report
         for start in range(0, len(rows), 1024):
-            ids = ids_of[rows._observables[start:start + 1024]]
-            # key -1: the row repeats an id or holds a word of another kind
-            ordered = np.sort(ids, axis=1)
+            ids = rows._observables[start:start + 1024]
             keys = np.sort(ids[:, contexts], axis=2) @ place
-            keys[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-                 | (qubit[ids] != template.n).any(axis=1)] = -1
             keys, inverse = np.unique(keys, return_inverse=True)
             code = []
             for key in keys.tolist():
@@ -350,12 +343,9 @@ def verify_each(configs):
                 code.append(coded[key])
             for r, row in enumerate(map(tuple, np.array(code)[
                     inverse.reshape(len(ids), -1)].tolist())):
-                report = found.get(row)
-                if report is None:
-                    report = read(template, ids[r].tolist())
-                    if row[0] >= 0:
-                        found[row] = report
-                yield report
+                if row not in found:
+                    found[row] = read(template, ids[r].tolist())
+                yield found[row]
 
     if isinstance(configs, _ResultRows):
         yield from read_blocks(configs)
@@ -633,10 +623,11 @@ class _ResultRows(Sequence):
     configurations; a slice is a view of the same kind, so the results are
     never all held as objects at once.
 
-    ``verify_each`` keys each context of a row as one int64, its ids as
-    digits in base ``len(words)``, so a table is refused, with a
-    ``ValueError``, unless its template's contexts have one size and such
-    a key fits.
+    ``verify_each`` reads a row's indices as word ids and keys each
+    context as one int64, its ids as digits in base ``len(words)``.  A
+    table is refused, with a ``ValueError``, unless its template's contexts
+    have one size, such a key fits, ``words`` are distinct, phase 0 and on
+    the template's qubit count, and each row holds distinct indices.
     """
 
     __slots__ = ("_words", "_template", "_observables")
@@ -649,6 +640,14 @@ class _ResultRows(Sequence):
         if len(words) ** sizes.pop() >= 2 ** 63:
             raise ValueError(f"{len(words)} words: a context's key would not "
                              "fit int64")
+        errs = _observable_errors(template.n, words)
+        if errs:
+            raise ValueError(f"{len(words)} words: {'; '.join(errs)}")
+        ordered = np.sort(observables, axis=1)
+        if ordered.size and not (0 <= ordered[:, 0].min()
+                                 and ordered[:, -1].max() < len(words)
+                                 and (ordered[:, 1:] > ordered[:, :-1]).all()):
+            raise ValueError("a row repeats a word or holds no word's index")
         self._words, self._template = words, template
         self._observables = observables
 

@@ -138,7 +138,8 @@ def ref_verify_each(configs):
                 magic._shape_errors(*shape_key))
         cols, shape_errs = shape
         keys = [(o.n, o.x, o.z, o.phase) for o in observables]
-        errs = tuple(magic._observable_errors(cfg.n, keys) + shape_errs)
+        errs = tuple(magic._observable_errors(cfg.n, observables)
+                     + shape_errs)
         reports, signs = [], []
         for label, ctx in zip(cfg.context_labels, contexts):
             key = tuple([keys[i] for i in ctx])

@@ -448,6 +448,22 @@ def test_entangle_refuses_as_the_public_functions_do(observables, contexts,
     assert str(ours.value) == str(public.value) == message
 
 
+@pytest.mark.parametrize("n, code", [(11, cli.EXIT_INPUT), (10, cli.EXIT_OK)])
+def test_entangle_refuses_over_ten_qubits(n, code, capsys, tmp_path):
+    """An 11-qubit context is an input error, named by its bound, with
+    nothing on stdout; a 10-qubit one is classified."""
+    words = ["I" * q + "Z" + "I" * (n - 1 - q) for q in range(n)] + ["Z" * n]
+    path = _write_config(tmp_path, words, [list(range(n + 1))])
+    got, out, err = run(capsys, "entangle", "--config", path)
+    assert got == code
+    if n > 10:
+        assert out == ""
+        assert err == ("input error: 11 qubits: entangle handles at most 10 "
+                       "qubits, as it reports each of the 2^n basis states\n")
+    else:
+        assert err == "" and "context 1: " in out and "-> product" in out
+
+
 # --- exit codes -------------------------------------------------------------
 
 def test_input_error_exit_code(capsys):

@@ -15,7 +15,8 @@ import ringline as rl
 from matrix_oracle import (GaussMat, bipartite_entropy_oracle,
                            overlap_table_oracle, projector, signed_states)
 from ringline import gf2
-from ringline.entangle import EntangleError, context_generators
+from ringline.entangle import (EntangleError, classify_generators,
+                               context_generators)
 from ringline.pauli import PauliObservable, all_words, symplectic_rows
 
 
@@ -211,6 +212,30 @@ def test_five_qubit_z_and_x_bases_unbiased():
     table = rl.overlap_table(z_basis, x_basis)
     assert len(table) == 32
     assert all(v == Fraction(1, 32) for row in table for v in row)
+
+
+def _z_context(n):
+    """Z on each of n qubits and their product: the computational basis."""
+    return [PauliObservable("I" * q + "Z" + "I" * (n - 1 - q))
+            for q in range(n)] + [PauliObservable("Z" * n)]
+
+
+def test_bases_over_ten_qubits_are_refused():
+    """Every report lists the 2^n basis states, so an 11-qubit basis is
+    refused, by name of the bound, before any table is made; a 10-qubit
+    one is still classified, state by state."""
+    big = _z_context(11)
+    for refused in (lambda: rl.classify_context(big),
+                    lambda: classify_generators(context_generators(big)),
+                    lambda: rl.overlap_table(big, big)):
+        with pytest.raises(EntangleError, match="^11 qubits: entangle "
+                                                "handles at most 10 qubits"):
+            refused()
+    assert rl.mutually_unbiased(big, big) is False
+    report = rl.classify_context(_z_context(10))
+    assert report.classification == "product"
+    assert len(report.entropies) == 1024
+    assert len(report.entropies[0]) == 2 ** 10 - 2
 
 
 def test_cli_does_not_load_the_matrix_oracle():

@@ -571,18 +571,45 @@ def test_verify_each_matches_the_reference(pentagram_search):
     _same_reports(batch[::-1])
 
 
-def test_verify_each_finds_a_repeated_word_in_search_rows(pentagram_search):
-    """Rows over a word list in which one word stands in two places are
-    not read as ids of distinct words: the duplicate is reported."""
-    results = pentagram_search.results[:200]
+@pytest.mark.parametrize("replace, message", [
+    pytest.param(lambda words, i, j: words[j], "duplicate observable",
+                 id="repeated"),
+    pytest.param(lambda words, i, j: PauliObservable(words[i].word, 2),
+                 "observables must have phase 0", id="phased"),
+    pytest.param(lambda words, i, j: PauliObservable(words[i].word + "I"),
+                 "observable qubit-count mismatch", id="other-count"),
+])
+def test_result_rows_refuse_words_they_cannot_read_as_ids(replace, message,
+                                                          pentagram_search):
+    """Rows are read as ids of distinct phase-0 words on the template's
+    qubit count: a word list that repeats a word, or holds a phased word
+    or one on another count, is refused when the table is made.  The first
+    row, read as a configuration, has that structural error."""
+    results = pentagram_search.results
+    row = results._observables[0].tolist()
     words = list(results._words)
-    first, second = results._observables[0, :2].tolist()
-    words[second] = words[first]
-    doubled = magic._ResultRows(words, results._template,
-                                results._observables)
-    reports = _same_reports(doubled)
-    assert "duplicate observable" in reports[0].structural_errors
-    assert not reports[0].magic
+    words[row[0]] = replace(words, row[0], row[1])
+    with pytest.raises(ValueError, match=f"^63 words: {message}$"):
+        magic._ResultRows(words, results._template, results._observables)
+    cfg = results._template._with_observables(tuple(words[i] for i in row))
+    assert rl.verify_magic(cfg).structural_errors == (message,)
+
+
+@pytest.mark.parametrize("value", ["repeat", -1, 63])
+def test_result_rows_refuse_a_row_that_is_not_word_ids(value,
+                                                       pentagram_search):
+    """A row that repeats an index, or holds one below 0 or past the last
+    word, is refused when the table is made: verify_each keys a row's
+    contexts by their sorted ids alone, so a repeated word would go
+    unreported in a row whose context checks an earlier row shares."""
+    results = pentagram_search.results
+    rows = results._observables[:10].copy()
+    rows[5, 1] = rows[5, 0] if value == "repeat" else value
+    with pytest.raises(ValueError, match="a row repeats a word or holds no "
+                                         "word's index"):
+        magic._ResultRows(results._words, results._template, rows)
+    assert len(magic._ResultRows(results._words, results._template,
+                                 rows[:0])) == 0
 
 
 @pytest.mark.parametrize("budget, count", [(0, 0), (1, 0), (5000, 973)])
@@ -647,21 +674,6 @@ def test_a_shared_valuation_is_read_only(pentagram_search):
         x = ref_solve(masks, [c.sign == -1 for c in report.contexts])
         assert valuation == {i: -1 if x >> i & 1 else 1 for i in range(10)}
     assert reports == list(ref_verify_each(rows))
-
-
-def test_verify_each_finds_a_phased_word_in_search_rows(pentagram_search):
-    """A phased word flips the signs of its two contexts, so its rows may
-    have the context checks of rows without it: they still get their own
-    reports, with the phase error."""
-    results = pentagram_search.results[:2000]
-    words = list(results._words)
-    words[0] = PauliObservable(words[0].word, 2)
-    rows = magic._ResultRows(words, results._template, results._observables)
-    reports = _same_reports(rows)
-    phased = ["observables must have phase 0" in r.structural_errors
-              for r in reports]
-    assert phased == [0 in row for row in results._observables.tolist()]
-    assert any(phased) and not all(phased)
 
 
 @st.composite
@@ -829,9 +841,11 @@ def test_result_rows_refuse_a_table_they_cannot_key(pentagram_search):
                 3, template.observables, other, "custom"), rows)
     most = 55108  # the most words w with w ** 4 < 2 ** 63
     assert most ** 4 < 2 ** 63 <= (most + 1) ** 4
-    magic._ResultRows(results._words[:1] * most, template, rows)
+    words = all_words(8)  # 65535 distinct words
+    template = rl.Configuration(8, tuple(words[:10]), contexts, "pentagram")
+    magic._ResultRows(words[:most], template, rows)
     with pytest.raises(ValueError, match="55109 words"):
-        magic._ResultRows(results._words[:1] * (most + 1), template, rows)
+        magic._ResultRows(words[:most + 1], template, rows)
 
 
 def _relabel(cfg, perm):
